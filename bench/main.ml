@@ -153,37 +153,28 @@ let rec run_checks () =
   Lb_util.Table.print t;
   run_core_comparison ()
 
-(* Fixed workload comparing the packed-key core against the PR-1-era
-   string-key core (Legacy_check), and jobs=1 against jobs=default.
-   Verdicts, state and transition counts must agree everywhere; the
-   measurements land in BENCH_MODELCHECK.json. *)
+(* Fixed workload comparing jobs=1 against jobs=default, in RAM and
+   under a spilling memory budget. Verdicts, state and transition counts
+   must agree everywhere; the measurements land in BENCH_MODELCHECK.json.
+   The structural-key reference BFS in the test suite is the independent
+   oracle for the counts themselves. *)
 and run_core_comparison () =
-  print_endline "\n=== Core comparison: string-key (legacy) vs packed-key ===\n";
+  print_endline "\n=== Core comparison: jobs=1 vs jobs=N, in RAM vs spilled ===\n";
   let algo = Lb_algos.Yang_anderson.algorithm and n = 3 and rounds = 1 in
-  let legacy = Legacy_check.explore algo ~n ~rounds in
-  let legacy_s = legacy.Legacy_check.seconds in
-  let legacy_states_per_sec = float_of_int legacy.Legacy_check.states /. legacy_s in
-  let legacy_bytes_per_state =
-    float_of_int legacy.Legacy_check.live_words
-    *. float_of_int (Sys.word_size / 8)
-    /. float_of_int (max 1 legacy.Legacy_check.states)
-  in
   let seq = Lb_mutex.Model_check.explore algo ~n ~rounds ~jobs:1 in
   let jobs = Domain.recommended_domain_count () in
+  let multicore = jobs > 1 in
   let par = Lb_mutex.Model_check.explore algo ~n ~rounds ~jobs in
+  let same (a : Lb_mutex.Model_check.report) (b : Lb_mutex.Model_check.report) =
+    a.Lb_mutex.Model_check.verdict = b.Lb_mutex.Model_check.verdict
+    && a.Lb_mutex.Model_check.states = b.Lb_mutex.Model_check.states
+    && a.Lb_mutex.Model_check.transitions = b.Lb_mutex.Model_check.transitions
+  in
   (* agreement gates: any mismatch is a correctness regression *)
-  (match (legacy.Legacy_check.verdict, seq.Lb_mutex.Model_check.verdict) with
-  | Legacy_check.Verified, Lb_mutex.Model_check.Verified -> ()
-  | _ -> failwith "core comparison: verdicts differ (expected verified)");
-  if
-    legacy.Legacy_check.states <> seq.Lb_mutex.Model_check.states
-    || legacy.Legacy_check.transitions <> seq.Lb_mutex.Model_check.transitions
-  then failwith "core comparison: legacy and packed cores disagree";
-  if
-    seq.Lb_mutex.Model_check.verdict <> par.Lb_mutex.Model_check.verdict
-    || seq.Lb_mutex.Model_check.states <> par.Lb_mutex.Model_check.states
-    || seq.Lb_mutex.Model_check.transitions <> par.Lb_mutex.Model_check.transitions
-  then failwith "core comparison: jobs=1 and jobs=N disagree";
+  if seq.Lb_mutex.Model_check.verdict <> Lb_mutex.Model_check.Verified then
+    failwith "core comparison: expected verified";
+  if not (same seq par) then
+    failwith "core comparison: jobs=1 and jobs=N disagree";
   let sps r = Lb_mutex.Model_check.states_per_sec r in
   let bps r = Lb_mutex.Model_check.bytes_per_state r in
   let t =
@@ -198,31 +189,20 @@ and run_core_comparison () =
         ("B/state", Lb_util.Table.Right);
       ]
   in
-  Lb_util.Table.add_row t
-    [
-      "string-key (legacy)";
-      Printf.sprintf "%.3f" legacy_s;
-      Printf.sprintf "%.0f" legacy_states_per_sec;
-      Printf.sprintf "%.0f" legacy_bytes_per_state;
-    ];
-  Lb_util.Table.add_row t
-    [
-      "packed, jobs=1";
-      Printf.sprintf "%.3f" seq.Lb_mutex.Model_check.seconds;
-      Printf.sprintf "%.0f" (sps seq);
-      Printf.sprintf "%.0f" (bps seq);
-    ];
-  Lb_util.Table.add_row t
-    [
-      Printf.sprintf "packed, jobs=%d" jobs;
-      Printf.sprintf "%.3f" par.Lb_mutex.Model_check.seconds;
-      Printf.sprintf "%.0f" (sps par);
-      Printf.sprintf "%.0f" (bps par);
-    ];
+  let row label (r : Lb_mutex.Model_check.report) =
+    Lb_util.Table.add_row t
+      [
+        label;
+        Printf.sprintf "%.3f" r.Lb_mutex.Model_check.seconds;
+        Printf.sprintf "%.0f" (sps r);
+        Printf.sprintf "%.0f" (bps r);
+      ]
+  in
+  row "packed, jobs=1" seq;
+  row (Printf.sprintf "packed, jobs=%d" jobs) par;
   (* the out-of-core configuration: same workload under a fixed budget
      the resident set does not fit in, so shards evict and membership
-     streams the spill runs — counts must still match exactly, and the
-     accounted peak must respect the budget *)
+     streams the spill runs — counts must still match exactly *)
   let budget = 2 * 1024 * 1024 in
   let spill =
     let d = Filename.temp_file "mutexlb_bench_spill" "" in
@@ -244,82 +224,15 @@ and run_core_comparison () =
         Lb_mutex.Model_check.explore algo ~n ~rounds ~mem_budget:budget
           ~spill_dir:spill)
   in
-  if
-    budgeted.Lb_mutex.Model_check.verdict <> seq.Lb_mutex.Model_check.verdict
-    || budgeted.Lb_mutex.Model_check.states <> seq.Lb_mutex.Model_check.states
-    || budgeted.Lb_mutex.Model_check.transitions
-       <> seq.Lb_mutex.Model_check.transitions
-  then failwith "core comparison: budgeted and in-RAM cores disagree";
-  Lb_util.Table.add_row t
-    [
-      Printf.sprintf "spilled, %d MiB budget" (budget / 1024 / 1024);
-      Printf.sprintf "%.3f" budgeted.Lb_mutex.Model_check.seconds;
-      Printf.sprintf "%.0f" (sps budgeted);
-      Printf.sprintf "%.0f" (bps budgeted);
-    ];
-  (* the parallel-merge leg: the same workload with the dedup/insertion
-     stages scheduled sequentially (--merge seq, the reference oracle)
-     vs one worker per shard (--merge par). Counts must agree exactly;
-     on a single-core runner the speedup is meaningless, so it is
-     recorded as a "multicore": false skip instead of a failure *)
-  let multicore = jobs > 1 in
-  let mseq =
-    Lb_mutex.Model_check.explore algo ~n ~rounds ~jobs
-      ~merge:Lb_mutex.Model_check.Seq
-  in
-  let mpar =
-    Lb_mutex.Model_check.explore algo ~n ~rounds ~jobs
-      ~merge:Lb_mutex.Model_check.Par
-  in
-  if
-    mseq.Lb_mutex.Model_check.verdict <> mpar.Lb_mutex.Model_check.verdict
-    || mseq.Lb_mutex.Model_check.states <> mpar.Lb_mutex.Model_check.states
-    || mseq.Lb_mutex.Model_check.transitions
-       <> mpar.Lb_mutex.Model_check.transitions
-  then failwith "core comparison: --merge seq and --merge par disagree";
-  Lb_util.Table.add_row t
-    [
-      Printf.sprintf "merge seq, jobs=%d" jobs;
-      Printf.sprintf "%.3f" mseq.Lb_mutex.Model_check.seconds;
-      Printf.sprintf "%.0f" (sps mseq);
-      Printf.sprintf "%.0f" (bps mseq);
-    ];
-  Lb_util.Table.add_row t
-    [
-      Printf.sprintf "merge par, jobs=%d" jobs;
-      Printf.sprintf "%.3f" mpar.Lb_mutex.Model_check.seconds;
-      Printf.sprintf "%.0f" (sps mpar);
-      Printf.sprintf "%.0f" (bps mpar);
-    ];
-  (* the compressed-resident leg: exact check with resident shards kept
-     as delta-coded sorted runs instead of hash tables — same verdict
-     and counts, resident footprint approaches the on-disk run size *)
-  let compressed =
-    Lb_mutex.Model_check.explore algo ~n ~rounds ~jobs ~compress_resident:true
-  in
-  if
-    compressed.Lb_mutex.Model_check.verdict <> seq.Lb_mutex.Model_check.verdict
-    || compressed.Lb_mutex.Model_check.states <> seq.Lb_mutex.Model_check.states
-    || compressed.Lb_mutex.Model_check.transitions
-       <> seq.Lb_mutex.Model_check.transitions
-  then failwith "core comparison: compressed-resident and in-RAM cores disagree";
-  Lb_util.Table.add_row t
-    [
-      "compressed resident";
-      Printf.sprintf "%.3f" compressed.Lb_mutex.Model_check.seconds;
-      Printf.sprintf "%.0f" (sps compressed);
-      Printf.sprintf "%.0f" (bps compressed);
-    ];
+  if not (same budgeted seq) then
+    failwith "core comparison: budgeted and in-RAM cores disagree";
+  row (Printf.sprintf "spilled, %d MiB budget" (budget / 1024 / 1024)) budgeted;
   Lb_util.Table.print t;
   if not multicore then
     print_endline
       "\nWARNING: recommended_domain_count = 1 — single-core runner, the \
-       parallel-merge speedup cannot be demonstrated here; recording \
+       jobs=N speedup cannot be demonstrated here; recording \
        \"multicore\": false instead.";
-  Printf.printf
-    "\nspeedup (packed jobs=1 vs legacy): %.2fx states/s, %.2fx lower B/state\n"
-    (sps seq /. legacy_states_per_sec)
-    (legacy_bytes_per_state /. bps seq);
   let stage_json (r : Lb_mutex.Model_check.report) =
     let st = r.Lb_mutex.Model_check.stats in
     Printf.sprintf
@@ -329,6 +242,12 @@ and run_core_comparison () =
       st.Lb_mutex.Model_check.merge_seconds
       st.Lb_mutex.Model_check.spill_seconds
   in
+  let leg (r : Lb_mutex.Model_check.report) =
+    Printf.sprintf
+      "\"seconds\": %.3f, \"states_per_sec\": %.0f, \"bytes_per_state\": \
+       %.1f, %s"
+      r.Lb_mutex.Model_check.seconds (sps r) (bps r) (stage_json r)
+  in
   let oc = open_out "BENCH_MODELCHECK.json" in
   Printf.fprintf oc
     "{\n\
@@ -336,41 +255,19 @@ and run_core_comparison () =
     \  \"states\": %d,\n\
     \  \"transitions\": %d,\n\
     \  \"verdict\": \"verified\",\n\
-    \  \"counts_identical_legacy_vs_packed\": true,\n\
     \  \"counts_identical_jobs1_vs_jobsN\": true,\n\
     \  \"recommended_domain_count\": %d,\n\
     \  \"multicore\": %b,\n\
-    \  \"legacy\": { \"seconds\": %.3f, \"states_per_sec\": %.0f, \
-     \"bytes_per_state\": %.1f },\n\
-    \  \"packed_jobs1\": { \"seconds\": %.3f, \"states_per_sec\": %.0f, \
-     \"bytes_per_state\": %.1f },\n\
-    \  \"packed_jobsN\": { \"jobs\": %d, \"seconds\": %.3f, \
-     \"states_per_sec\": %.0f, \"bytes_per_state\": %.1f },\n\
-    \  \"budgeted\": { \"mem_budget_bytes\": %d, \"seconds\": %.3f, \
-     \"states_per_sec\": %.0f, \"bytes_per_state\": %.1f, \
+    \  \"packed_jobs1\": { %s },\n\
+    \  \"packed_jobsN\": { \"jobs\": %d, %s },\n\
+    \  \"budgeted\": { \"mem_budget_bytes\": %d, %s, \
      \"counts_identical_to_in_ram\": true },\n\
-    \  \"parallel_merge\": { \"jobs\": %d, \"multicore\": %b, \
-     \"counts_identical_seq_vs_par\": true,\n\
-    \    \"seq\": { \"seconds\": %.3f, \"states_per_sec\": %.0f, %s },\n\
-    \    \"par\": { \"seconds\": %.3f, \"states_per_sec\": %.0f, %s },\n\
-    \    \"speedup_states_per_sec\": %.3f },\n\
-    \  \"compressed_resident\": { \"seconds\": %.3f, \"states_per_sec\": \
-     %.0f, \"bytes_per_state\": %.1f, \"counts_identical_to_in_ram\": true },\n\
-    \  \"speedup_states_per_sec\": %.3f,\n\
-    \  \"shrink_bytes_per_state\": %.3f\n\
+    \  \"speedup_jobsN_vs_jobs1\": %.3f\n\
      }\n"
     n rounds seq.Lb_mutex.Model_check.states
-    seq.Lb_mutex.Model_check.transitions jobs multicore legacy_s
-    legacy_states_per_sec legacy_bytes_per_state
-    seq.Lb_mutex.Model_check.seconds (sps seq) (bps seq) jobs
-    par.Lb_mutex.Model_check.seconds (sps par) (bps par) budget
-    budgeted.Lb_mutex.Model_check.seconds (sps budgeted) (bps budgeted) jobs
-    multicore mseq.Lb_mutex.Model_check.seconds (sps mseq) (stage_json mseq)
-    mpar.Lb_mutex.Model_check.seconds (sps mpar) (stage_json mpar)
-    (sps mpar /. sps mseq) compressed.Lb_mutex.Model_check.seconds
-    (sps compressed) (bps compressed)
-    (sps seq /. legacy_states_per_sec)
-    (legacy_bytes_per_state /. bps seq);
+    seq.Lb_mutex.Model_check.transitions jobs multicore (leg seq) jobs (leg par)
+    budget (leg budgeted)
+    (sps par /. sps seq);
   close_out oc;
   print_endline "wrote BENCH_MODELCHECK.json"
 

@@ -257,11 +257,6 @@ let verdict_slug = function
   | Lb_mutex.Model_check.Deadline_exceeded _ -> "deadline_exceeded"
   | Lb_mutex.Model_check.Mem_exceeded _ -> "mem_exceeded"
 
-let lossy_slug = function
-  | None -> "none"
-  | Some Lb_mutex.Model_check.Bitstate -> "bitstate"
-  | Some Lb_mutex.Model_check.Hash_compact -> "hashcompact"
-
 let check_cmd =
   let rounds_arg =
     Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"R" ~doc:"Critical sections per process.")
@@ -307,47 +302,6 @@ let check_cmd =
                 re-exploring). Requires $(b,--spill-dir). Verdict and \
                 counts are identical to an uninterrupted run.")
   in
-  let lossy_arg =
-    Arg.(value
-         & opt
-             (some
-                (enum
-                   [ ("bitstate", Lb_mutex.Model_check.Bitstate);
-                     ("hashcompact", Lb_mutex.Model_check.Hash_compact) ]))
-             None
-         & info [ "lossy" ] ~docv:"MODE"
-             ~doc:
-               "SPIN-style reduced-memory visited set: $(b,bitstate) \
-                (three-probe bit filter) or $(b,hashcompact) (60-bit \
-                fingerprints). May drop states on collision, so the \
-                verdict is marked non-certifying — stickily, across any \
-                resume of the same spill directory.")
-  in
-  let merge_arg =
-    Arg.(value
-         & opt
-             (enum
-                [ ("seq", Lb_mutex.Model_check.Seq);
-                  ("par", Lb_mutex.Model_check.Par) ])
-             Lb_mutex.Model_check.Par
-         & info [ "merge" ] ~docv:"MODE"
-             ~doc:
-               "Layer merge scheduling: $(b,par) (default) dedups and \
-                inserts one worker per visited-set shard; $(b,seq) is the \
-                sequential reference mode. Verdict, counts, witness traces \
-                and spill bytes are identical between the two — $(b,seq) \
-                exists as the equivalence oracle.")
-  in
-  let compress_resident_arg =
-    Arg.(value & flag
-         & info [ "compress-resident" ]
-             ~doc:
-               "Keep resident exact visited-set shards as delta-coded \
-                sorted runs (the spill codec) instead of hash tables — \
-                membership by streaming decode, periodic k-way rebuild. \
-                Still exact, same verdict and counts, far fewer resident \
-                bytes per state. No effect under $(b,--lossy).")
-  in
   let stats_arg =
     Arg.(value & flag
          & info [ "stats" ]
@@ -367,7 +321,7 @@ let check_cmd =
                 is byte-identical across machines and $(b,--jobs) values.")
   in
   let run algo_names n rounds max_states deadline mem_budget spill_dir resume
-      lossy merge compress_resident stats json jobs =
+      stats json jobs =
     apply_jobs jobs;
     if resume && spill_dir = None then begin
       Printf.eprintf "check: --resume requires --spill-dir DIR\n";
@@ -418,26 +372,25 @@ let check_cmd =
       Lb_util.Pool.map
         (fun algo ->
           Lb_mutex.Model_check.explore algo ~n ~rounds ~max_states ?deadline
-            ?mem_budget ?spill_dir:(spill_for algo) ~resume ?lossy ~merge
-            ~compress_resident)
+            ?mem_budget ?spill_dir:(spill_for algo) ~resume)
         algos
     in
     let status = ref 0 in
     List.iter2
       (fun (algo : Lb_shmem.Algorithm.t) r ->
         let st = r.Lb_mutex.Model_check.stats in
+        (* the visited set is always exact: "lossy" stays in the schema
+           as a constant so reports keep their shape *)
         if json then
           Printf.printf
             "{\"algo\": %s, \"n\": %d, \"rounds\": %d, \"verdict\": %s, \
-             \"states\": %d, \"transitions\": %d, \"lossy\": %s, \
+             \"states\": %d, \"transitions\": %d, \"lossy\": \"none\", \
              \"certified\": %b%s}\n"
             (json_string algo.Lb_shmem.Algorithm.name)
             n rounds
             (json_string (verdict_slug r.Lb_mutex.Model_check.verdict))
             r.Lb_mutex.Model_check.states r.Lb_mutex.Model_check.transitions
-            (json_string (lossy_slug r.Lb_mutex.Model_check.lossy))
-            (Lb_mutex.Model_check.certifying r
-            && r.Lb_mutex.Model_check.verdict = Lb_mutex.Model_check.Verified)
+            (r.Lb_mutex.Model_check.verdict = Lb_mutex.Model_check.Verified)
             (if stats then
                Printf.sprintf
                  ", \"stats\": {\"expand_seconds\": %.3f, \"merge_seconds\": \
@@ -449,15 +402,10 @@ let check_cmd =
              else "")
         else begin
           Format.printf
-            "%s n=%d rounds=%d: %a%s (%d states, %d transitions, %.0f \
+            "%s n=%d rounds=%d: %a (%d states, %d transitions, %.0f \
              states/s, %.0f B/state)@."
             algo.Lb_shmem.Algorithm.name n rounds
             Lb_mutex.Model_check.pp_verdict r.Lb_mutex.Model_check.verdict
-            (match r.Lb_mutex.Model_check.lossy with
-            | None -> ""
-            | Some m ->
-              Printf.sprintf " [non-certifying: lossy %s]"
-                (lossy_slug (Some m)))
             r.Lb_mutex.Model_check.states r.Lb_mutex.Model_check.transitions
             (Lb_mutex.Model_check.states_per_sec r)
             (Lb_mutex.Model_check.bytes_per_state r);
@@ -491,15 +439,14 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Model-check mutual exclusion at small n — exhaustively, or \
-          out-of-core under a memory budget with disk spill and resume, or \
-          lossily in SPIN's bitstate/hash-compaction modes. Accepts a \
-          comma-separated algorithm list; the per-algorithm sweeps run in \
-          parallel.")
+         "Model-check mutual exclusion at small n — exhaustively, in RAM \
+          or out-of-core under a memory budget with disk spill and resume. \
+          Accepts a comma-separated algorithm list; the per-algorithm \
+          sweeps run in parallel.")
     Term.(
       const run $ algo_arg $ n_arg $ rounds_arg $ max_states_arg $ deadline_arg
-      $ mem_budget_arg $ spill_dir_arg $ check_resume_arg $ lossy_arg
-      $ merge_arg $ compress_resident_arg $ stats_arg $ json_arg $ jobs_arg)
+      $ mem_budget_arg $ spill_dir_arg $ check_resume_arg $ stats_arg
+      $ json_arg $ jobs_arg)
 
 (* ----------------------------- construct ----------------------------- *)
 

@@ -1,9 +1,7 @@
-(* In-RAM sorted key runs in the spill codec: shared-prefix + zigzag
-   gamma0 delta coding over int-array keys.  This is the same record
-   format [Check_spill] writes to per-layer run files; keeping one
-   codec here lets the model checker hold cold exact shards resident
-   as compressed runs (see DESIGN.md section 6g) and lets the spill
-   layer delegate its per-key encode/decode. *)
+(* The per-key record codec of the model checker's spill runs:
+   shared-prefix + zigzag gamma0 delta coding over int-array keys.
+   [Check_spill] frames a layer's keys with a gamma0 count and writes
+   them through [write_key]/[read_key]. *)
 
 module Bw = Bit_writer
 module Br = Bit_reader
@@ -44,101 +42,3 @@ let compare_keys (a : int array) (b : int array) =
       if c <> 0 then c else go (i + 1)
   in
   go 0
-
-type t = { count : int; keylen : int; bits : int; data : string }
-
-let count t = t.count
-let byte_length t = String.length t.data
-
-type encoder = { w : Bw.t; mutable n : int; mutable prev : int array }
-
-let encoder () = { w = Bw.create (); n = 0; prev = [||] }
-
-let add e k =
-  if e.n > 0 && compare_keys k e.prev <= 0 then
-    invalid_arg "Key_run.add: keys must be strictly ascending";
-  write_key e.w ~prev:e.prev k;
-  if Array.length e.prev = Array.length k then
-    Array.blit k 0 e.prev 0 (Array.length k)
-  else e.prev <- Array.copy k;
-  e.n <- e.n + 1
-
-let finish e =
-  {
-    count = e.n;
-    keylen = (if e.n = 0 then 0 else Array.length e.prev);
-    bits = Bw.length_bits e.w;
-    data = Bytes.unsafe_to_string (Bw.to_bytes e.w);
-  }
-
-let of_sorted_array keys =
-  let e = encoder () in
-  Array.iter (add e) keys;
-  finish e
-
-type cursor = { r : Br.t; buf : int array; mutable left : int }
-
-let cursor t =
-  { r = Br.of_string ~bits:t.bits t.data; buf = Array.make t.keylen 0; left = t.count }
-
-let next c =
-  if c.left = 0 then None
-  else begin
-    c.left <- c.left - 1;
-    read_key c.r c.buf;
-    Some c.buf
-  end
-
-let iter f t =
-  let c = cursor t in
-  let rec go () =
-    match next c with
-    | None -> ()
-    | Some k ->
-        f k;
-        go ()
-  in
-  go ()
-
-let merge ts =
-  match List.filter (fun t -> t.count > 0) ts with
-  | [] -> { count = 0; keylen = 0; bits = 0; data = "" }
-  | ts ->
-      let e = encoder () in
-      (* cursors' buffers are reused on [next], so heads are copied out *)
-      let live =
-        ref
-          (List.filter_map
-             (fun t ->
-               let c = cursor t in
-               match next c with
-               | None -> None
-               | Some k -> Some (c, Array.copy k))
-             ts)
-      in
-      while !live <> [] do
-        let mk =
-          (* copied: the winning head's array is overwritten when its
-             cursor advances below, and mk must stay stable across the
-             whole sweep *)
-          Array.copy
-            (List.fold_left
-               (fun best (_, k) ->
-                 if compare_keys k best < 0 then k else best)
-               (snd (List.hd !live))
-               (List.tl !live))
-        in
-        add e mk;
-        live :=
-          List.filter_map
-            (fun (c, k) ->
-              if compare_keys k mk = 0 then
-                match next c with
-                | None -> None
-                | Some k' ->
-                    Array.blit k' 0 k 0 (Array.length k');
-                    Some (c, k)
-              else Some (c, k))
-            !live
-      done;
-      finish e

@@ -1,65 +1,17 @@
-(** Compressed sorted runs of int-array keys, in the spill codec.
+(** The per-key record codec of the model checker's spill runs.
 
-    A run is an immutable, delta-coded block of strictly ascending keys
-    (shared-prefix length as gamma0, then the remaining positions as
-    zigzag gamma0 — the exact per-key record format of
-    [Check_spill.write_run], so a run body and a spill-run file body
-    are interchangeable).  The model checker keeps cold exact shards
-    resident as lists of runs instead of hash tables: membership is a
-    streaming decode, insertion appends a fresh run, and insert
-    pressure triggers a k-way merge rebuild.  See DESIGN.md section
-    6g. *)
-
-type t
-(** An immutable compressed run. *)
-
-val count : t -> int
-(** Number of keys in the run. *)
-
-val byte_length : t -> int
-(** Size of the packed payload in bytes. *)
-
-(** {1 Building} *)
-
-type encoder
-
-val encoder : unit -> encoder
-
-val add : encoder -> int array -> unit
-(** Append one key.  Keys must be strictly ascending in
-    [compare_keys] order; [Invalid_argument] otherwise.  The key is
-    copied — callers may reuse the array. *)
-
-val finish : encoder -> t
-
-val of_sorted_array : int array array -> t
-(** [of_sorted_array keys] packs an already strictly-ascending array. *)
-
-(** {1 Reading} *)
-
-type cursor
-
-val cursor : t -> cursor
-
-val next : cursor -> int array option
-(** Next key in ascending order, or [None] at the end.  The returned
-    array is the cursor's internal buffer, overwritten by the next
-    call — copy it to retain it. *)
-
-val iter : (int array -> unit) -> t -> unit
-(** [iter f t] calls [f] on each key in order.  Same buffer-reuse
-    caveat as {!next}. *)
-
-val merge : t list -> t
-(** K-way merge into a single run, dropping duplicate keys.  The input
-    runs' key lengths must agree (untouched empty runs aside). *)
-
-(** {1 Codec primitives}
-
-    Shared with [Check_spill]'s on-disk run files. *)
+    A key is an int array. Each record stores the length of the key's
+    common prefix with its predecessor (gamma0), then the remaining
+    positions as zigzag gamma0 codes. [Check_spill.write_run] frames a
+    layer's keys with a gamma0 key count and encodes them through
+    {!write_key}; [Check_spill.iter_run_keys] decodes them through
+    {!read_key}. Sorting keys by {!compare_keys} first keeps
+    neighbouring keys close, which is what makes the delta coding
+    small. *)
 
 val zig : int -> int
 val unzig : int -> int
+(** Zigzag coding: signed to non-negative and back. *)
 
 val write_key : Bit_writer.t -> prev:int array -> int array -> unit
 (** One key record: shared-prefix length vs [prev] (use [[||]] for the
@@ -72,4 +24,5 @@ val read_key : Bit_reader.t -> int array -> unit
     length.  Fails on a malformed prefix. *)
 
 val compare_keys : int array -> int array -> int
-(** Lexicographic order on keys — the order runs are sorted in. *)
+(** Lexicographic order on keys — the order a spill run sorts each
+    shard's keys in. *)

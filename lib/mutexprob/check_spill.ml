@@ -7,7 +7,6 @@ module Bit_reader = Lb_bitio.Bit_reader
 let manifest_file = "check.manifest"
 let names_file = "interner.names"
 let nodes_file = "nodes.log"
-let bits_file = "bitstate.bits"
 let run_file layer = Printf.sprintf "layer_%06d.keys" layer
 let frontier_file layer = Printf.sprintf "layer_%06d.frontier" layer
 
@@ -273,12 +272,10 @@ let decode_step who tag reg a b =
 (* ------------------------------------------------------------------ *)
 (* Key runs: keys delta-coded against the previous key, in the caller's
    order (the model checker groups a layer's keys by shard, sorted
-   within each shard, so runs are byte-identical across merge modes and
-   job counts).  The per-key record codec lives in Lb_bitio.Key_run —
-   the same format the checker uses for compressed resident shards.
-   Values must fit zigzag+gamma, i.e. stay below 2^60 in magnitude —
-   packed slots and register values are tiny, and the hash-compaction
-   mode masks its fingerprints to 60 bits for exactly this reason. *)
+   within each shard, so runs are byte-identical across job counts).
+   The per-key record codec lives in Lb_bitio.Key_run. Values must fit
+   zigzag+gamma, i.e. stay below 2^60 in magnitude — packed slots and
+   register values are tiny. *)
 
 let write_run ~dir ~layer keys =
   let w = Bit_writer.create () in
@@ -293,12 +290,16 @@ let write_run ~dir ~layer keys =
     ~path:(Filename.concat dir (run_file layer))
     (Bytes.to_string (Bit_writer.to_bytes w))
 
-let iter_run_keys ~dir ~layer ~keylen f =
+let iter_run_keys ~dir ~layer ~keylen ~count:expect f =
   let path = Filename.concat dir (run_file layer) in
   let s = Fsio.read ~path () in
   try
     let r = Bit_reader.of_string s in
     let count = Bit_reader.gamma0 r in
+    if count <> expect then
+      failwith
+        (Printf.sprintf "malformed key run %s: %d keys, manifest says %d" path
+           count expect);
     let prev = Array.make keylen 0 in
     for _ = 1 to count do
       (match Lb_bitio.Key_run.read_key r prev with
@@ -341,21 +342,6 @@ let read_frontier ~dir ~layer =
     List.rev !acc
   with Bit_reader.Exhausted ->
     failwith (Printf.sprintf "malformed frontier %s: truncated" path)
-
-(* ------------------------------------------------------------------ *)
-(* Bitstate dump *)
-
-let write_bits ~dir b =
-  Fsio.write_atomic ~path:(Filename.concat dir bits_file) (Bytes.to_string b)
-
-let read_bits ~dir ~expect_bytes =
-  let path = Filename.concat dir bits_file in
-  let s = Fsio.read ~max_bytes:(1 lsl 30) ~path () in
-  if String.length s <> expect_bytes then
-    failwith
-      (Printf.sprintf "bitstate dump %s: %d bytes, expected %d" path
-         (String.length s) expect_bytes);
-  Bytes.of_string s
 
 (* ------------------------------------------------------------------ *)
 (* Session handle over the two append-positioned files *)

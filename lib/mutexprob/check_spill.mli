@@ -12,7 +12,6 @@
       nodes.log             fixed-width (parent, step) records, one per state
       layer_<L>.keys        keys first inserted in layer L (sorted, delta-coded)
       layer_<L>.frontier    node indices of the layer-L frontier (delta-coded)
-      bitstate.bits         the bitstate filter dump (lossy bitstate mode only)
     v}
 
     All whole-file writes go through {!Lb_util.Fsio.write_atomic}
@@ -35,8 +34,7 @@
     (Elias-gamma) followed by the remaining slots as zigzag+gamma codes.
     Keys are written in the caller's order — the model checker supplies
     them grouped by shard and sorted within each shard, its canonical
-    commit order, so runs are byte-identical at any job count and in
-    both merge modes. Shared BFS-layer structure makes consecutive keys
+    commit order, so runs are byte-identical at any job count. Shared BFS-layer structure makes consecutive keys
     nearly equal, so runs are a fraction of their in-RAM footprint. *)
 
 type meta = {
@@ -47,7 +45,10 @@ type meta = {
   c_max_states : int;
   c_nshards : int;
   c_keylen : int;
-  c_lossy : string;  (** ["none"], ["bitstate:<bits>"] or ["hashcompact"] *)
+  c_lossy : string;
+      (** always ["none"] when written by {!Model_check.explore}; a
+          directory left by an older lossy check carries its mode here
+          and is refused on resume *)
   c_layer : int;  (** last completed layer *)
   c_states : int;
   c_transitions : int;
@@ -100,8 +101,11 @@ val write_run : dir:string -> layer:int -> int array list -> unit
     sorted within each shard, when called by the model checker). All
     keys must share one length. *)
 
-val iter_run_keys : dir:string -> layer:int -> keylen:int -> (int array -> unit) -> unit
-(** Stream a run's keys in their stored order. The array passed to the
+val iter_run_keys :
+  dir:string -> layer:int -> keylen:int -> count:int -> (int array -> unit) -> unit
+(** Stream a run's keys in their stored order. [count] is the key count
+    the manifest records for the layer; a run whose header disagrees is
+    rejected before any key is passed on. The array passed to the
     callback is reused between calls — copy it if it must be retained.
     Raises [Sys_error] on a missing file and [Failure] on a malformed
     run. *)
@@ -111,14 +115,6 @@ val write_frontier : dir:string -> layer:int -> int list -> unit
     ascending, which BFS insertion order guarantees). *)
 
 val read_frontier : dir:string -> layer:int -> int list
-
-(** {2 Bitstate dump} *)
-
-val write_bits : dir:string -> Bytes.t -> unit
-
-val read_bits : dir:string -> expect_bytes:int -> Bytes.t
-(** Raises [Failure] if the dump's size differs from [expect_bytes]
-    (e.g. a resume attempted with a different filter size). *)
 
 (** {2 Session handle} — the two append-positioned files *)
 

@@ -9,10 +9,6 @@ type verdict =
   | Deadline_exceeded of int
   | Mem_exceeded of int
 
-type lossy = Bitstate | Hash_compact
-
-type merge = Seq | Par
-
 type stats = {
   expand_seconds : float;
   merge_seconds : float;
@@ -26,11 +22,9 @@ type report = {
   transitions : int;
   live_words : int;
   seconds : float;
-  lossy : lossy option;
   stats : stats;
 }
 
-let certifying r = r.lossy = None
 let states_per_sec r = float_of_int r.states /. Float.max 1e-9 r.seconds
 
 let bytes_per_state r =
@@ -57,9 +51,9 @@ let bytes_per_state r =
    reprs against a per-layer interner snapshot, and the few reprs first
    seen in a layer are interned in a short sequential patch step, in
    stream order (see the layer pipeline below). A key is therefore a
-   pure function of the explored graph, identical at every job count,
-   in both merge modes, and across a kill/resume boundary — which is
-   what lets spilled key runs be byte-stable. *)
+   pure function of the explored graph, identical at every job count
+   and across a kill/resume boundary — which is what lets spilled key
+   runs be byte-stable. *)
 
 module Key = struct
   type t = int array
@@ -84,9 +78,9 @@ module Key = struct
     !h land max_int
 end
 
-(* A second, independent mix over the same slots. Shard selection and
-   the lossy filters need hash bits uncorrelated with {!Key.hash}, which
-   already feeds the per-shard tables' bucket choice. *)
+(* A second, independent mix over the same slots. Shard selection needs
+   hash bits uncorrelated with {!Key.hash}, which already feeds the
+   per-shard tables' bucket choice. *)
 let hash2 (a : int array) =
   let h = ref 0x27d4eb2f165667c5 in
   for i = 0 to Array.length a - 1 do
@@ -311,77 +305,23 @@ let word_bytes = Sys.word_size / 8
 let nshards = 64
 let words_per_node_ram = 9 (* two vec slots + step record + action *)
 let words_per_memo_entry = 12 (* bucket + key triple + boxed pair *)
-let words_per_hash_entry = 5 (* bucket + boxed int key *)
 let words_per_name len = 7 + ((len + 7) / 8) (* vec + tbl slots + string *)
 
 (* ------------------------------ visited ------------------------------- *)
 
-(* The visited set. Exact mode shards by an independent hash so cold
-   shards can spill to disk individually; each resident shard is either
-   a hash table (default) or, under [--compress-resident], a list of
-   delta-coded sorted runs in the spill codec — membership by streaming
-   decode, insertion by appending the layer's keys as one run, with a
-   k-way merge rebuild on insert pressure. The lossy modes are SPIN's
-   two classics — a bitstate filter (three probes per key) and hash
-   compaction (a 60-bit fingerprint per state) — which trade certainty
-   for memory and taint the report as non-certifying. *)
-type shard_rep =
-  | Stbl of unit Ktbl.t
-  | Spacked of {
-      mutable p_runs : Lb_bitio.Key_run.t list;  (** oldest first *)
-      mutable p_nkeys : int;
-    }
-
-type exact = {
-  reps : shard_rep array;
+(* The visited set: exact, sharded by an independent hash so cold shards
+   can spill to disk individually. *)
+type visited = {
+  shards : unit Ktbl.t array;
   complete : bool array;
-      (** a complete shard's resident representation holds every key
-          ever inserted into it, so a resident miss is a definitive
-          miss; evicting or partially reloading a shard clears the flag
-          and membership falls back to the on-disk runs *)
+      (** a complete shard's table holds every key ever inserted into
+          it, so a resident miss is a definitive miss; evicting or
+          partially reloading a shard clears the flag and membership
+          falls back to the on-disk runs *)
   shard_words : int array;
 }
 
-type visited =
-  | Exact of exact
-  | Bits of { filter : Bytes.t; mask : int }
-  | Hashes of (int, unit) Hashtbl.t
-
-(* Accounted words of one compressed run: header + packed bytes. *)
-let run_words r = 8 + ((Lb_bitio.Key_run.byte_length r + 7) / 8)
-
-(* A compressed shard is rebuilt into a single run once this many runs
-   accumulate: membership cost is linear in the run count, and the
-   rebuild count is a pure function of the layer structure, so the
-   accounted footprint stays deterministic. *)
-let max_shard_runs = 8
-
-let fp60 key = ((Key.hash key lsl 30) lxor hash2 key) land ((1 lsl 60) - 1)
-
-let bits_member filter mask key =
-  let h1 = Key.hash key and h2 = hash2 key lor 1 in
-  let hit = ref true in
-  for j = 0 to 2 do
-    let b = (h1 + (j * h2)) land mask in
-    if (Char.code (Bytes.unsafe_get filter (b lsr 3)) lsr (b land 7)) land 1 = 0
-    then hit := false
-  done;
-  !hit
-
-let bits_set filter mask key =
-  let h1 = Key.hash key and h2 = hash2 key lor 1 in
-  for j = 0 to 2 do
-    let b = (h1 + (j * h2)) land mask in
-    Bytes.unsafe_set filter (b lsr 3)
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get filter (b lsr 3)) lor (1 lsl (b land 7))))
-  done
-
-let floor_pow2 x =
-  let r = ref 1 in
-  while !r * 2 <= x && !r < 1 lsl 40 do
-    r := !r * 2
-  done;
-  !r
+let shard_of key = (hash2 key lsr 8) land (nshards - 1)
 
 (* ----------------------- the layer pipeline --------------------------- *)
 
@@ -400,14 +340,14 @@ let floor_pow2 x =
    a layer's surviving candidates are grouped by shard, each shard keeps
    its candidates in stream order, and global ids are handed out by
    walking shards in index order — so ids, the node log, frontier files
-   and per-shard-sorted spill runs are identical in both merge modes,
-   at any job count, and across kill/resume. *)
+   and per-shard-sorted spill runs are identical at any job count and
+   across kill/resume. *)
 type cand = { c_pos : int; c_parent : int; c_sc : succ }
 
 type chunk_out = {
   co_self_loops : int;
   co_succs : int;
-  co_buckets : cand list array;  (** per stream, ascending positions *)
+  co_buckets : cand list array;  (** per shard, ascending positions *)
   co_deferred : cand list;
       (** reprs missing from the layer's interner snapshot; completed
           sequentially in the patch step, in stream order *)
@@ -415,18 +355,18 @@ type chunk_out = {
   co_ill : (int * int * succ) list;  (** (pos, parent idx, succ), ascending *)
 }
 
-(* Per-stream dedup output: the layer's candidate news in stream order.
+(* Per-shard dedup output: the layer's candidate news in stream order.
    [so_old.(i)] is set when the delayed duplicate-detection scan over
    the spilled runs proves news [i] was visited before this layer. *)
-type stream_out = {
+type shard_out = {
   so_news : cand array;
   so_old : bool array;
   so_lookup : int Ktbl.t option;
-      (** key -> index into [so_news], present only when the stream's
-          shard is incomplete and a disk scan is pending *)
+      (** key -> index into [so_news], present only when the shard is
+          incomplete and a disk scan is pending *)
 }
 
-let empty_stream_out = { so_news = [||]; so_old = [||]; so_lookup = None }
+let empty_shard_out = { so_news = [||]; so_old = [||]; so_lookup = None }
 
 (* Merge two position-ascending candidate lists. *)
 let rec merge_pos acc a b =
@@ -447,28 +387,10 @@ type session = {
   mutable flushed_ids : int;  (** interner ids persisted to disk *)
 }
 
-let lossy_string ~bits = function
-  | None -> "none"
-  | Some Bitstate -> Printf.sprintf "bitstate:%d" bits
-  | Some Hash_compact -> "hashcompact"
-
-let lossy_of_string s =
-  if s = "none" then Ok (None, 0)
-  else if s = "hashcompact" then Ok (Some Hash_compact, 0)
-  else
-    match String.index_opt s ':' with
-    | Some i
-      when String.sub s 0 i = "bitstate" -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some bits when bits >= 8 -> Ok (Some Bitstate, bits)
-      | _ -> Error (Printf.sprintf "bad bitstate size in %S" s))
-    | _ -> Error (Printf.sprintf "unknown lossy mode %S" s)
-
 (* ------------------------------ explore ------------------------------- *)
 
 let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
-    ?spill_dir ?(resume = false) ?lossy ?(merge = Par)
-    ?(compress_resident = false) algo ~n =
+    ?spill_dir ?(resume = false) algo ~n =
   let t0 = Unix.gettimeofday () in
   let jobs = match jobs with Some j -> j | None -> Lb_util.Pool.default_jobs () in
   if jobs < 1 then invalid_arg "Model_check.explore: jobs must be >= 1";
@@ -497,6 +419,15 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       | `Damaged e ->
         failwith (Printf.sprintf "Model_check.explore: resume: %s" e)
       | `Manifest m ->
+        (* older checkers could explore lossily; such a directory may
+           have dropped states, so resuming it as exact would promote an
+           unsound run to a certifying one *)
+        if m.Check_spill.c_lossy <> "none" then
+          failwith
+            (Printf.sprintf
+               "Model_check.explore: resume: spill directory was explored in \
+                lossy mode %s and cannot be resumed as an exact check"
+               m.Check_spill.c_lossy);
         let want name got want =
           if got <> want then
             invalid_arg
@@ -518,26 +449,6 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         Some m)
     | _ -> None
   in
-  (* The lossy mode is sticky across a resume: a directory explored
-     lossily can never be promoted to a certifying verdict by resuming
-     with different flags, so the manifest's mode overrides the
-     caller's. *)
-  let lossy, manifest_bits =
-    match manifest with
-    | None -> (lossy, 0)
-    | Some m -> (
-      match lossy_of_string m.Check_spill.c_lossy with
-      | Ok (l, bits) -> (l, bits)
-      | Error e -> failwith (Printf.sprintf "Model_check.explore: resume: %s" e))
-  in
-  let bits_size =
-    if manifest_bits > 0 then manifest_bits
-    else
-      match mem_budget with
-      | Some b -> max (1 lsl 16) (floor_pow2 (4 * b))
-      | None -> 1 lsl 25
-  in
-  let lossy_str = lossy_string ~bits:bits_size lossy in
   match manifest with
   | Some ({ Check_spill.c_status = Check_spill.Final f; _ } as m) ->
     (* the previous run already reached a final verdict: rebuild its
@@ -586,7 +497,6 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       transitions = m.Check_spill.c_transitions;
       live_words = m.Check_spill.c_words;
       seconds = Unix.gettimeofday () -. t0;
-      lossy;
       stats =
         {
           expand_seconds = 0.;
@@ -610,29 +520,12 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
     let memo = memo_create () in
     let words_per_key = keylen + 6 in
     let visited =
-      match lossy with
-      | Some Bitstate ->
-        Bits { filter = Bytes.make (bits_size / 8) '\000'; mask = bits_size - 1 }
-      | Some Hash_compact -> Hashes (Hashtbl.create 4096)
-      | None ->
-        Exact
-          {
-            reps =
-              Array.init nshards (fun _ ->
-                  if compress_resident then
-                    Spacked { p_runs = []; p_nkeys = 0 }
-                  else Stbl (Ktbl.create 64));
-            complete = Array.make nshards true;
-            shard_words = Array.make nshards 0;
-          }
+      {
+        shards = Array.init nshards (fun _ -> Ktbl.create 64);
+        complete = Array.make nshards true;
+        shard_words = Array.make nshards 0;
+      }
     in
-    let shard_of key = (hash2 key lsr 8) land (nshards - 1) in
-    (* The lossy filters are one global structure, so their dedup runs
-       as a single sequential stream (pure position order — exactly the
-       sequential reference); exact mode fans out one stream per
-       shard. *)
-    let nstreams = match visited with Exact _ -> nshards | _ -> 1 in
-    let stream_of key = match visited with Exact _ -> shard_of key | _ -> 0 in
     let session =
       match spill_dir with
       | None -> None
@@ -689,39 +582,19 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
     let expand_s = ref 0. in
     let merge_sec = ref 0. in
     let spill_s = ref 0. in
-    (* Insert a batch of strictly-ascending keys, all new to the shard. *)
-    let shard_insert_sorted e sh keys =
-      if Array.length keys > 0 then
-        match e.reps.(sh) with
-        | Stbl tbl ->
-          Array.iter (fun k -> Ktbl.replace tbl k ()) keys;
-          e.shard_words.(sh) <-
-            e.shard_words.(sh) + (words_per_key * Array.length keys)
-        | Spacked p ->
-          let r = Lb_bitio.Key_run.of_sorted_array keys in
-          p.p_runs <- p.p_runs @ [ r ];
-          p.p_nkeys <- p.p_nkeys + Lb_bitio.Key_run.count r;
-          if List.length p.p_runs >= max_shard_runs then begin
-            let m = Lb_bitio.Key_run.merge p.p_runs in
-            p.p_runs <- [ m ];
-            p.p_nkeys <- Lb_bitio.Key_run.count m
-          end;
-          e.shard_words.(sh) <-
-            List.fold_left (fun a r -> a + run_words r) 0 p.p_runs
+    (* Insert a key new to its shard. *)
+    let shard_add sh k =
+      Ktbl.replace visited.shards.(sh) k ();
+      visited.shard_words.(sh) <- visited.shard_words.(sh) + words_per_key
     in
     let accounted () =
-      let visited_w =
-        match visited with
-        | Exact e -> Array.fold_left ( + ) 0 e.shard_words
-        | Bits { filter; _ } -> (Bytes.length filter / 8) + 8
-        | Hashes h -> Hashtbl.length h * words_per_hash_entry
-      in
       let nodes_w =
         match session with
         | Some s -> Check_spill.Nodes.tail_length s.log * words_per_node_ram
         | None -> !states * words_per_node_ram
       in
-      visited_w + nodes_w + !interner_words
+      Array.fold_left ( + ) 0 visited.shard_words
+      + nodes_w + !interner_words
       + (Hashtbl.length memo.mtbl * words_per_memo_entry)
     in
     let note_peak () =
@@ -744,7 +617,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         c_max_states = max_states;
         c_nshards = nshards;
         c_keylen = keylen;
-        c_lossy = lossy_str;
+        c_lossy = "none";
         c_layer = !layer;
         c_states = !states;
         c_transitions = !transitions;
@@ -760,8 +633,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       }
     in
     (* [run_keys] arrive in the canonical commit order — shard-grouped,
-       sorted within each shard (exact mode) or globally fp-sorted
-       (hash compaction) — so the run file is byte-stable. *)
+       sorted within each shard — so the run file is byte-stable. *)
     let checkpoint s ~run_keys ~frontier_entries =
       let dir = Check_spill.dir s.sp in
       let nk = List.length run_keys in
@@ -778,14 +650,11 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           (Lb_util.Interner.names_from interner s.flushed_ids);
         s.flushed_ids <- sz
       end;
-      (match visited with
-      | Bits { filter; _ } -> Check_spill.write_bits ~dir filter
-      | Exact _ | Hashes _ -> ());
       Check_spill.save_manifest ~dir
         (meta ~frontier_count:(List.length frontier_entries)
            ~status:Check_spill.Running)
     in
-    let evict e budget_w =
+    let evict budget_w =
       (* keys are durable in the runs by the time this is called (the
          layer checkpoint precedes it), so dropping a resident shard only
          costs future membership scans. Largest shards go first; the
@@ -793,31 +662,26 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       let order = Array.init nshards (fun i -> i) in
       Array.sort
         (fun a b ->
-          match compare e.shard_words.(b) e.shard_words.(a) with
+          match compare visited.shard_words.(b) visited.shard_words.(a) with
           | 0 -> compare a b
           | c -> c)
         order;
       let target = 7 * budget_w / 10 in
       Array.iter
         (fun sh ->
-          if accounted () > target && e.shard_words.(sh) > 0 then begin
-            (match e.reps.(sh) with
-            | Stbl tbl -> Ktbl.reset tbl
-            | Spacked p ->
-              p.p_runs <- [];
-              p.p_nkeys <- 0);
-            e.shard_words.(sh) <- 0;
-            e.complete.(sh) <- false
+          if accounted () > target && visited.shard_words.(sh) > 0 then begin
+            Ktbl.reset visited.shards.(sh);
+            visited.shard_words.(sh) <- 0;
+            visited.complete.(sh) <- false
           end)
         order
     in
     (* Per-shard dedup of one candidate stream: drop within-layer
        duplicates, then mark candidates already in the resident shard.
-       Read-only on shared state, so shards dedup in parallel under
-       [--merge par]. *)
-    let dedup_exact e ~disk_pending sh stream =
+       Read-only on shared state, so shards dedup in parallel. *)
+    let dedup ~disk_pending sh stream =
       match stream with
-      | [] -> empty_stream_out
+      | [] -> empty_shard_out
       | _ ->
         let seen = Ktbl.create 64 in
         let uniq = ref [] in
@@ -831,52 +695,11 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         let uniq = Array.of_list (List.rev !uniq) in
         let nu = Array.length uniq in
         let old = Array.make nu false in
-        (match e.reps.(sh) with
-        | Stbl tbl ->
-          if Ktbl.length tbl > 0 then
-            Array.iteri
-              (fun i c -> if Ktbl.mem tbl c.c_sc.s_key then old.(i) <- true)
-              uniq
-        | Spacked p ->
-          if p.p_nkeys > 0 then begin
-            (* two-pointer scan: candidates sorted, each run streamed *)
-            let idx = Array.init nu (fun i -> i) in
-            Array.sort
-              (fun a b ->
-                Lb_bitio.Key_run.compare_keys uniq.(a).c_sc.s_key
-                  uniq.(b).c_sc.s_key)
-              idx;
-            List.iter
-              (fun r ->
-                let cur = Lb_bitio.Key_run.cursor r in
-                let i = ref 0 in
-                let rec scan () =
-                  match Lb_bitio.Key_run.next cur with
-                  | None -> ()
-                  | Some rk ->
-                    while
-                      !i < nu
-                      && Lb_bitio.Key_run.compare_keys
-                           uniq.(idx.(!i)).c_sc.s_key rk
-                         < 0
-                    do
-                      incr i
-                    done;
-                    if !i < nu then begin
-                      if
-                        Lb_bitio.Key_run.compare_keys
-                          uniq.(idx.(!i)).c_sc.s_key rk
-                        = 0
-                      then begin
-                        old.(idx.(!i)) <- true;
-                        incr i
-                      end;
-                      scan ()
-                    end
-                in
-                scan ())
-              p.p_runs
-          end);
+        let tbl = visited.shards.(sh) in
+        if Ktbl.length tbl > 0 then
+          Array.iteri
+            (fun i c -> if Ktbl.mem tbl c.c_sc.s_key then old.(i) <- true)
+            uniq;
         let news = ref [] in
         let nn = ref 0 in
         Array.iteri
@@ -888,7 +711,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           uniq;
         let news = Array.of_list (List.rev !news) in
         let so_lookup =
-          if disk_pending && not e.complete.(sh) && !nn > 0 then begin
+          if disk_pending && not visited.complete.(sh) && !nn > 0 then begin
             let t = Ktbl.create (2 * !nn) in
             Array.iteri (fun i c -> Ktbl.replace t c.c_sc.s_key i) news;
             Some t
@@ -897,46 +720,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         in
         { so_news = news; so_old = Array.make !nn false; so_lookup }
     in
-    (* Lossy dedup: one sequential pass in stream order; a miss inserts
-       immediately (the filter doubles as the within-layer dedup). *)
-    let dedup_lossy stream =
-      let news = ref [] in
-      let nn = ref 0 in
-      List.iter
-        (fun c ->
-          let k = c.c_sc.s_key in
-          let fresh =
-            match visited with
-            | Bits { filter; mask } ->
-              if bits_member filter mask k then false
-              else begin
-                bits_set filter mask k;
-                true
-              end
-            | Hashes h ->
-              let fp = fp60 k in
-              if Hashtbl.mem h fp then false
-              else begin
-                Hashtbl.replace h fp ();
-                true
-              end
-            | Exact _ -> assert false
-          in
-          if fresh then begin
-            news := c :: !news;
-            incr nn
-          end)
-        stream;
-      let news = Array.of_list (List.rev !news) in
-      { so_news = news; so_old = Array.make !nn false; so_lookup = None }
-    in
     (* ---- root, or reload the last checkpoint ---- *)
-    let root_run_keys key =
-      match visited with
-      | Exact _ -> [ key ]
-      | Hashes _ -> [ [| fp60 key |] ]
-      | Bits _ -> []
-    in
     (match manifest with
     | Some m ->
       let t_reload = Unix.gettimeofday () in
@@ -951,44 +735,26 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       transitions := m.Check_spill.c_transitions;
       peak_words := m.Check_spill.c_words;
       layer := m.Check_spill.c_layer;
-      (match visited with
-      | Exact e ->
-        (* reload resident shards from the runs until the budget's
-           high-water mark; past it, shards go incomplete and membership
-           streams the runs instead *)
-        let budget_w = Option.map (fun b -> b / word_bytes) mem_budget in
-        let stop = ref false in
-        let est = ref 0 in
-        List.iter
-          (fun (lay, _) ->
-            if not !stop then begin
-              let per = Array.make nshards [] in
-              Check_spill.iter_run_keys ~dir ~layer:lay ~keylen (fun k ->
-                  if not !stop then begin
-                    let k = Array.copy k in
-                    per.(shard_of k) <- k :: per.(shard_of k);
-                    est := !est + words_per_key;
-                    match budget_w with
-                    | Some bw when !est > 7 * bw / 10 -> stop := true
-                    | _ -> ()
-                  end);
-              Array.iteri
-                (fun sh l ->
-                  if l <> [] then
-                    shard_insert_sorted e sh (Array.of_list (List.rev l)))
-                per
-            end)
-          s.runs;
-        if !stop then Array.fill e.complete 0 nshards false
-      | Bits { filter; _ } ->
-        let b = Check_spill.read_bits ~dir ~expect_bytes:(Bytes.length filter) in
-        Bytes.blit b 0 filter 0 (Bytes.length filter)
-      | Hashes h ->
-        List.iter
-          (fun (lay, _) ->
-            Check_spill.iter_run_keys ~dir ~layer:lay ~keylen:1 (fun k ->
-                Hashtbl.replace h k.(0) ()))
-          s.runs);
+      (* reload resident shards from the runs until the budget's
+         high-water mark; past it, shards go incomplete and membership
+         streams the runs instead *)
+      let budget_w = Option.map (fun b -> b / word_bytes) mem_budget in
+      let stop = ref false in
+      let est = ref 0 in
+      List.iter
+        (fun (lay, count) ->
+          if not !stop then
+            Check_spill.iter_run_keys ~dir ~layer:lay ~keylen ~count (fun k ->
+                if not !stop then begin
+                  let k = Array.copy k in
+                  shard_add (shard_of k) k;
+                  est := !est + words_per_key;
+                  match budget_w with
+                  | Some bw when !est > 7 * bw / 10 -> stop := true
+                  | _ -> ()
+                end))
+        s.runs;
+      if !stop then Array.fill visited.complete 0 nshards false;
       let idxs = Check_spill.read_frontier ~dir ~layer:!layer in
       if List.length idxs <> m.Check_spill.c_frontier then
         failwith
@@ -1036,17 +802,14 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       let rems = Array.make n 0 in
       let key = pack_state ~rounds ~nregs ~intern init_sys phases rems in
       let root = { idx = 0; sys = init_sys; key; phases; rems; ncrit = 0 } in
-      (match visited with
-      | Exact e -> shard_insert_sorted e (shard_of key) [| key |]
-      | Bits { filter; mask } -> bits_set filter mask key
-      | Hashes h -> Hashtbl.replace h (fp60 key) ());
+      shard_add (shard_of key) key;
       node_push ~parent:(-1) (Step.step 0 (Step.Crit Step.Try)) (* root: unused *);
       states := 1;
       frontier := [ root ];
       note_peak ();
       (match session with
       | Some s ->
-        checkpoint s ~run_keys:(root_run_keys key) ~frontier_entries:[ root ]
+        checkpoint s ~run_keys:[ key ] ~frontier_entries:[ root ]
       | None -> ()));
     (* ---- layer loop ---- *)
     let stride = n + 1 in
@@ -1062,16 +825,16 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         in
         let run_shards f =
           let ids = List.init nshards (fun i -> i) in
-          if big && merge = Par then
+          if big then
             Lb_util.Pool.map_chunked ~jobs ~chunk:8 f ids
           else List.map f ids
         in
         (* phase 1 — parallel expansion over order-preserving chunks;
            workers resolve reprs against the layer's interner snapshot
-           and bucket completed candidates by stream *)
+           and bucket completed candidates by shard *)
         let snap = Lb_util.Interner.snapshot interner in
         let process_chunk (base, ents) =
-          let buckets = Array.make nstreams [] in
+          let buckets = Array.make nshards [] in
           let deferred = ref [] in
           let dls = ref [] in
           let ills = ref [] in
@@ -1096,7 +859,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
                         let who = s.step.Step.who in
                         s.s_key.(nregs + who) <-
                           encode_slot ~rounds pid' s.s_phase_idx s.s_rem;
-                        let st = stream_of s.s_key in
+                        let st = shard_of s.s_key in
                         buckets.(st) <-
                           { c_pos = pos; c_parent = entry.idx; c_sc = s }
                           :: buckets.(st)
@@ -1134,7 +897,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         else begin
           (* phase 2 — sequential patch: intern the snapshot-missed
              reprs in stream order, completing their keys *)
-          let extras = Array.make nstreams [] in
+          let extras = Array.make nshards [] in
           List.iter
             (fun co ->
               List.iter
@@ -1144,28 +907,23 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
                   let who = s.step.Step.who in
                   s.s_key.(nregs + who) <-
                     encode_slot ~rounds pid' s.s_phase_idx s.s_rem;
-                  let st = stream_of s.s_key in
+                  let st = shard_of s.s_key in
                   extras.(st) <- c :: extras.(st))
                 co.co_deferred)
             couts;
           let streams =
-            Array.init nstreams (fun st ->
+            Array.init nshards (fun st ->
                 merge_pos
                   (List.concat_map (fun co -> co.co_buckets.(st)) couts)
                   (List.rev extras.(st)))
           in
-          (* phase 3 — dedup: parallel per shard in exact mode,
-             sequential for the lossy filters *)
+          (* phase 3 — dedup, parallel per shard *)
           let souts =
-            match visited with
-            | Exact e ->
-              let disk_pending =
-                match session with Some s -> s.runs <> [] | None -> false
-              in
-              Array.of_list
-                (run_shards (fun sh ->
-                     dedup_exact e ~disk_pending sh streams.(sh)))
-            | Bits _ | Hashes _ -> [| dedup_lossy streams.(0) |]
+            let disk_pending =
+              match session with Some s -> s.runs <> [] | None -> false
+            in
+            Array.of_list
+              (run_shards (fun sh -> dedup ~disk_pending sh streams.(sh)))
           in
           (* phase 4 — delayed duplicate detection: one streaming scan
              over the spilled runs for candidates no resident shard
@@ -1174,8 +932,9 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
             let s = Option.get session in
             let dir = Check_spill.dir s.sp in
             List.iter
-              (fun (lay, _) ->
-                Check_spill.iter_run_keys ~dir ~layer:lay ~keylen (fun k ->
+              (fun (lay, count) ->
+                Check_spill.iter_run_keys ~dir ~layer:lay ~keylen ~count
+                  (fun k ->
                     match souts.(shard_of k).so_lookup with
                     | Some t -> (
                       match Ktbl.find_opt t k with
@@ -1341,47 +1100,31 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
             (* phase 6 — resident insertion, parallel per shard; each
                shard also reports its sorted key array for the spill
                run *)
-            (match visited with
-            | Exact e ->
-              let per =
-                run_shards (fun sh ->
-                    let so = souts.(sh) in
-                    let kept = ref 0 in
-                    Array.iteri
-                      (fun i _ -> if not so.so_old.(i) then incr kept)
-                      so.so_news;
-                    if !kept = 0 then [||]
-                    else begin
-                      let keys = Array.make !kept [||] in
-                      let j = ref 0 in
-                      Array.iteri
-                        (fun i c ->
-                          if not so.so_old.(i) then begin
-                            keys.(!j) <- c.c_sc.s_key;
-                            incr j
-                          end)
-                        so.so_news;
-                      Array.sort Lb_bitio.Key_run.compare_keys keys;
-                      shard_insert_sorted e sh keys;
-                      keys
-                    end)
-              in
-              if session <> None then
-                layer_run_keys := List.concat_map Array.to_list per
-            | Hashes _ ->
-              if session <> None then begin
-                let fps = ref [] in
-                Array.iter
-                  (fun so ->
+            let per =
+              run_shards (fun sh ->
+                  let so = souts.(sh) in
+                  let kept = ref 0 in
+                  Array.iteri
+                    (fun i _ -> if not so.so_old.(i) then incr kept)
+                    so.so_news;
+                  if !kept = 0 then [||]
+                  else begin
+                    let keys = Array.make !kept [||] in
+                    let j = ref 0 in
                     Array.iteri
                       (fun i c ->
-                        if not so.so_old.(i) then
-                          fps := [| fp60 c.c_sc.s_key |] :: !fps)
-                      so.so_news)
-                  souts;
-                layer_run_keys := List.sort compare !fps
-              end
-            | Bits _ -> ()));
+                        if not so.so_old.(i) then begin
+                          keys.(!j) <- c.c_sc.s_key;
+                          incr j
+                        end)
+                      so.so_news;
+                    Array.sort Lb_bitio.Key_run.compare_keys keys;
+                    Array.iter (shard_add sh) keys;
+                    keys
+                  end)
+            in
+            if session <> None then
+              layer_run_keys := List.concat_map Array.to_list per);
           let t_mrg = Unix.gettimeofday () in
           merge_sec := !merge_sec +. (t_mrg -. t_exp);
           match !verdict_r with
@@ -1399,9 +1142,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
             | Some b ->
               let bw = b / word_bytes in
               if accounted () > bw then begin
-                (match (visited, session) with
-                | Exact e, Some _ -> evict e bw
-                | _ -> ());
+                if session <> None then evict bw;
                 if accounted () > bw then
                   verdict_r := Some (Mem_exceeded !states)
               end);
@@ -1506,7 +1247,6 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       transitions = !transitions;
       live_words = !peak_words;
       seconds;
-      lossy;
       stats =
         {
           expand_seconds = !expand_s;

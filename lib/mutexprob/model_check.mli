@@ -18,8 +18,8 @@
     reprs against a per-layer interner snapshot; reprs first seen in a
     layer are interned by a short sequential patch step, in stream
     order — never concurrently — so a packed key is a pure function of
-    the explored graph: identical at every job count, in both merge
-    modes, and stable across a kill/resume boundary. The node table
+    the explored graph: identical at every job count and stable across a
+    kill/resume boundary. The node table
     stores, per state, only the parent's index and the incoming step;
     witness traces (and, on resume, frontier states) are rebuilt by
     replaying parent chains through [System.apply].
@@ -41,50 +41,30 @@
     stream position — [(frontier index) * (n+1) + 1 + (successor
     index)] — and verdict events are resolved to the smallest position
     in a sequential epilogue, so the verdict, the state and transition
-    counts and any witness trace are identical at every job count and in
-    both merge modes. Node ids follow a deterministic [(shard,
-    shard-local index)] schema: surviving candidates are committed by
-    walking shards in index order. [merge = Seq] (the [--merge seq]
-    reference mode) runs the dedup and insertion stages in the calling
-    domain instead — same canonical order, so results and spill bytes
-    are identical by construction. Reads that cannot change the reader's
-    local state (busy-wait spins) are recognized as self-loops and
-    counted without being materialized.
+    counts and any witness trace are identical at every job count. Node
+    ids follow a deterministic [(shard, shard-local index)] schema:
+    surviving candidates are committed by walking shards in index order.
+    At [jobs = 1], for small frontiers, or inside a pool worker, every
+    stage runs in the calling domain — the same canonical order, so
+    results and spill bytes do not depend on the scheduling. Reads that
+    cannot change the reader's local state (busy-wait spins) are
+    recognized as self-loops and counted without being materialized.
 
     {2 Out-of-core checking}
 
-    The visited set is sharded 64 ways by an independent hash. With a
-    [spill_dir], each completed layer checkpoints to disk: the layer's
-    newly inserted keys as a delta-coded run ({!Check_spill},
-    shard-grouped and sorted within each shard), the frontier's node
-    indices, the node log, the interner's new names, and an atomically
-    rewritten manifest. Under a [mem_budget], the largest resident
-    shards are then evicted; keys are already durable in the runs, so
-    membership for an evicted shard streams the runs once per layer
-    (delayed duplicate detection) instead of holding the keys in RAM. A
-    killed or deadline-stopped check resumes from its last completed
-    layer and produces the same verdict, counts and spill bytes as an
-    uninterrupted run — in either merge mode, regardless of the mode
-    that wrote the checkpoint.
-
-    [compress_resident] keeps resident exact shards in the spill codec
-    in RAM: each shard is a short list of delta-coded sorted key runs
-    ({!Lb_bitio.Key_run}) instead of a hash table. Membership is a
-    streaming decode (batched per layer through one two-pointer scan per
-    shard), a layer's keys append as one new run, and a shard is rebuilt
-    by a k-way merge when enough runs accumulate. Still exact — nothing
-    is dropped and verdicts and counts are identical to the hash-table
-    representation — but resident bytes per state approach the on-disk
-    run footprint.
-
-    {2 Lossy modes}
-
-    SPIN's two classic reduced-memory modes are available as [lossy]:
-    [Bitstate] (a three-probe bit filter) and [Hash_compact] (a 60-bit
-    fingerprint per state). Both can drop states on hash collision, so
-    their reports are marked non-certifying ({!certifying} = false) —
-    the marking is sticky across a resume regardless of the resuming
-    call's flags. *)
+    The visited set is exact: 64 hash-table shards, selected by an
+    independent hash. With a [spill_dir], each completed layer
+    checkpoints to disk: the layer's newly inserted keys as a
+    delta-coded run ({!Check_spill}, shard-grouped and sorted within
+    each shard), the frontier's node indices, the node log, the
+    interner's new names, and an atomically rewritten manifest. Under a
+    [mem_budget], the largest resident shards are then evicted; keys are
+    already durable in the runs, so membership for an evicted shard
+    streams the runs once per layer (delayed duplicate detection)
+    instead of holding the keys in RAM. A killed or deadline-stopped
+    check resumes from its last completed layer and produces the same
+    verdict, counts and spill bytes as an uninterrupted run, whatever
+    job count wrote the checkpoint. *)
 
 type verdict =
   | Verified  (** the bounded state space is exhausted with no violation *)
@@ -108,7 +88,7 @@ type verdict =
           actually stored, which never exceeds [max_states] — the bound
           fires at a deterministic stream position (the first stored
           candidate past the budget), so the count is identical at every
-          job count and in both merge modes *)
+          job count *)
   | Deadline_exceeded of int
       (** the wall-clock budget expired mid-exploration; carries the
           number of states stored so far. Like {!Bound_exceeded} this is
@@ -124,20 +104,6 @@ type verdict =
           with one, it still exceeded the budget after evicting every
           evictable shard. Carries the number of states stored. Like
           {!Bound_exceeded}, deterministic at every job count *)
-
-type lossy = Bitstate | Hash_compact
-    (** SPIN-style reduced-memory visited sets: a three-probe bitstate
-        filter, or hash compaction storing one 60-bit fingerprint per
-        state. Both may silently drop states on collision. *)
-
-type merge = Seq | Par
-    (** How a layer's dedup/insertion stages are scheduled. [Par] (the
-        default) fans them out one worker per shard; [Seq] is the
-        sequential reference mode ([--merge seq]) — the same canonical
-        algorithm run in the calling domain, kept as the equivalence
-        oracle. Results, counts, witness traces and spill bytes are
-        identical between the two by construction; the mode is not
-        recorded in spill manifests, so a resume may cross modes. *)
 
 type stats = {
   expand_seconds : float;
@@ -167,9 +133,6 @@ type report = {
           runs report identical figures, unlike a [Gc.stat] sample,
           which moves with allocator noise from other domains *)
   seconds : float;  (** wall-clock exploration time *)
-  lossy : lossy option;
-      (** the mode the state space was actually explored under — on a
-          resume this comes from the spill manifest, not the caller *)
   stats : stats;  (** per-stage timing breakdown *)
 }
 
@@ -181,9 +144,6 @@ val explore :
   ?mem_budget:int ->
   ?spill_dir:string ->
   ?resume:bool ->
-  ?lossy:lossy ->
-  ?merge:merge ->
-  ?compress_resident:bool ->
   Lb_shmem.Algorithm.t ->
   n:int ->
   report
@@ -191,18 +151,15 @@ val explore :
     defaults to [1], [max_states] to [200_000], [jobs] to
     {!Lb_util.Pool.default_jobs} (layers are expanded sequentially when
     the frontier is small or when already inside a pool worker).
-    [merge] defaults to [Par]; [compress_resident] to [false] (exact
-    mode only — it has no effect under a lossy mode). [verdict],
-    [states] and [transitions] do not depend on [jobs], [merge] or
-    [compress_resident]. [deadline] is a wall-clock budget in seconds
+    [verdict], [states] and [transitions] do not depend on [jobs].
+    [deadline] is a wall-clock budget in seconds
     from the start of the call; when it expires the exploration stops
     with {!Deadline_exceeded} and partial statistics (the clock is
     polled between pipeline stages, so the overrun is bounded by one
     stage of one layer).
 
     [mem_budget] bounds the accounted footprint, in bytes, checked at
-    layer boundaries. Without a [spill_dir] (or under a lossy mode that
-    still cannot fit), exceeding it yields {!Mem_exceeded}; with one,
+    layer boundaries. Without a [spill_dir], exceeding it yields {!Mem_exceeded}; with one,
     visited-set shards spill to disk and the check completes with the
     exact in-RAM verdict and counts.
 
@@ -211,19 +168,17 @@ val explore :
     the directory's manifest: an empty or absent directory starts
     fresh, a running checkpoint restarts from its last completed layer,
     and a directory holding a final verdict returns that report without
-    re-exploring. The manifest pins algorithm, [n], [rounds],
-    [max_states] and the lossy mode; resuming with mismatched
-    parameters raises [Invalid_argument] (lossy mismatches are silently
-    overridden by the manifest — a lossy run can never be promoted to a
-    certifying one by resuming it with different flags).
+    re-exploring. The manifest pins algorithm, [n], [rounds] and
+    [max_states]; resuming with mismatched parameters raises
+    [Invalid_argument]. A directory written by an older lossy check
+    (manifest [lossy] field other than [none]) is refused with
+    [Failure] naming the mode: it may have dropped states, so it is
+    never resumed as exact.
 
     Raises [Invalid_argument] if [jobs], [max_states] or [mem_budget]
     is out of range, or if [resume] is set without [spill_dir];
-    [Failure] on a damaged or inconsistent spill directory. *)
-
-val certifying : report -> bool
-(** [true] iff the exploration was exhaustive — i.e. not lossy. Only a
-    certifying [Verified] counts as a correctness certificate. *)
+    [Failure] on a damaged or inconsistent spill directory — including
+    a key run whose key count disagrees with the manifest. *)
 
 val states_per_sec : report -> float
 (** Exploration throughput, [states /. seconds]. *)

@@ -282,8 +282,7 @@ let run_check st ~cancel ~send k_algos ~n ~rounds ~max_states =
             if Pool.Cancel.requested cancel then raise Pool.Cancelled;
             let r = Lb_mutex.Model_check.explore algo ~n ~rounds ~max_states in
             let certified =
-              Lb_mutex.Model_check.certifying r
-              && r.Lb_mutex.Model_check.verdict = Lb_mutex.Model_check.Verified
+              r.Lb_mutex.Model_check.verdict = Lb_mutex.Model_check.Verified
             in
             ( certified,
               Json.Obj

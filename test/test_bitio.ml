@@ -140,97 +140,73 @@ let test_of_string () =
 (* ------------------------------ Key_run ------------------------------ *)
 
 module Kr = Lb_bitio.Key_run
+module Spill = Lb_mutex.Check_spill
 
-let sort_dedup keys =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun k -> Hashtbl.replace tbl k ()) keys;
-  let uniq = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
-  List.sort Kr.compare_keys uniq |> Array.of_list
+let with_dir f =
+  let d = Filename.temp_file "mutexlb_keyrun" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d)
+    (fun () -> f d)
 
-let keys_of_run t =
-  let acc = ref [] in
-  Kr.iter (fun k -> acc := Array.copy k :: !acc) t;
-  List.rev !acc
+(* write a spill run, then stream it back *)
+let run_roundtrip ~keylen keys =
+  with_dir (fun dir ->
+      Spill.write_run ~dir ~layer:0 keys;
+      let acc = ref [] in
+      Spill.iter_run_keys ~dir ~layer:0 ~keylen ~count:(List.length keys)
+        (fun k -> acc := Array.copy k :: !acc);
+      let bytes =
+        (Unix.stat (Filename.concat dir "layer_000000.keys")).Unix.st_size
+      in
+      (List.rev !acc, bytes))
 
 let zigzag_roundtrip =
   QCheck.Test.make ~name:"Key_run zigzag roundtrip" ~count:1000
     QCheck.(int_range (-(1 lsl 59)) ((1 lsl 59) - 1))
     (fun v -> Kr.unzig (Kr.zig v) = v && Kr.zig v >= 0)
 
-let key_run_roundtrip =
-  (* shared-prefix delta coding over sorted runs: pack, then stream back
-     the exact key sequence. Random key lists exercise long shared
-     prefixes (duplicated draws differing in one slot) and prefix 0 *)
-  QCheck.Test.make ~name:"Key_run pack/iter roundtrip" ~count:300
+let spill_run_roundtrip =
+  (* shared-prefix delta coding through a spill run file: write, then
+     stream back the exact key sequence. Random key lists exercise long
+     shared prefixes (duplicated draws differing in one slot), repeated
+     keys and prefix 0 *)
+  QCheck.Test.make ~name:"spill run roundtrip" ~count:300
     QCheck.(pair (int_range 1 6) (small_list (small_list small_signed_int)))
     (fun (keylen, raw) ->
       let keys =
-        sort_dedup
-          (List.map
-             (fun xs ->
-               Array.init keylen (fun i ->
-                   match List.nth_opt xs i with Some v -> v | None -> 0))
-             raw)
-      in
-      let t = Kr.of_sorted_array keys in
-      Kr.count t = Array.length keys
-      && keys_of_run t = Array.to_list keys)
-
-let key_run_merge_dedup =
-  (* k-way merge of overlapping runs = one run of the sorted union *)
-  QCheck.Test.make ~name:"Key_run merge drops duplicates" ~count:200
-    QCheck.(
-      pair (int_range 1 4)
-        (list_of_size Gen.(1 -- 5) (small_list (small_list small_signed_int))))
-    (fun (keylen, groups) ->
-      let key xs =
-        Array.init keylen (fun i ->
-            match List.nth_opt xs i with Some v -> v | None -> 0)
-      in
-      let runs =
         List.map
-          (fun g -> Kr.of_sorted_array (sort_dedup (List.map key g)))
-          groups
+          (fun xs ->
+            Array.init keylen (fun i ->
+                match List.nth_opt xs i with Some v -> v | None -> 0))
+          raw
       in
-      let expect = sort_dedup (List.concat_map (List.map key) groups) in
-      keys_of_run (Kr.merge runs) = Array.to_list expect)
+      fst (run_roundtrip ~keylen keys) = keys)
 
 let test_key_run_non_byte_aligned_tail () =
   (* three one-slot keys pack to a bit count that is not a multiple of
      8; the zero padding in the final byte must not decode as a
      phantom key *)
-  let keys = [| [| 0 |]; [| 1 |]; [| 2 |] |] in
-  let t = Kr.of_sorted_array keys in
-  Alcotest.(check int) "count" 3 (Kr.count t);
-  (* 12 bits of records round up to 2 bytes — 4 bits of padding *)
-  Alcotest.(check int) "packed tail rounds up" 2 (Kr.byte_length t);
+  let keys = [ [| 0 |]; [| 1 |]; [| 2 |] ] in
+  let got, bytes = run_roundtrip ~keylen:1 keys in
+  (* a 5-bit count header and 12 bits of records round up to 3 bytes —
+     7 bits of padding *)
+  Alcotest.(check int) "packed tail rounds up" 3 bytes;
   Alcotest.(check (list (list int)))
     "keys back"
     [ [ 0 ]; [ 1 ]; [ 2 ] ]
-    (List.map Array.to_list (keys_of_run t));
-  let c = Kr.cursor t in
-  ignore (Kr.next c);
-  ignore (Kr.next c);
-  ignore (Kr.next c);
-  Alcotest.(check bool) "cursor ends" true (Kr.next c = None)
-
-let test_key_run_ascending_check () =
-  let e = Kr.encoder () in
-  Kr.add e [| 1; 2 |];
-  Alcotest.check_raises "equal key rejected"
-    (Invalid_argument "Key_run.add: keys must be strictly ascending")
-    (fun () -> Kr.add e [| 1; 2 |]);
-  Alcotest.check_raises "descending key rejected"
-    (Invalid_argument "Key_run.add: keys must be strictly ascending")
-    (fun () -> Kr.add e [| 0; 9 |])
+    (List.map Array.to_list got)
 
 let test_key_run_spill_codec_compat () =
-  (* a run body and a Check_spill run-file body use the same per-key
-     record: a stream hand-rolled from the write_key primitive decodes
-     through read_key, and a run packing the same keys has the same
-     payload size *)
+  (* a Check_spill run file is a gamma0 key count followed by the
+     write_key records: a stream hand-rolled from the primitives decodes
+     through read_key, and is byte-for-byte the run file's body *)
   let keys = [| [| 3; -1; 4 |]; [| 3; -1; 5 |]; [| 3; 0; -9 |] |] in
   let w = Bw.create () in
+  Bw.gamma0 w (Array.length keys);
   let prev = ref [||] in
   Array.iter
     (fun k ->
@@ -238,6 +214,7 @@ let test_key_run_spill_codec_compat () =
       prev := k)
     keys;
   let r = Br.of_writer w in
+  Alcotest.(check int) "count header" 3 (Br.gamma0 r);
   let buf = Array.make 3 0 in
   let got = ref [] in
   for _ = 1 to 3 do
@@ -248,10 +225,12 @@ let test_key_run_spill_codec_compat () =
     "read_key replays write_key"
     (Array.to_list keys |> List.map Array.to_list)
     (List.rev !got);
-  Alcotest.(check int)
-    "run payload = hand-rolled stream size"
-    (Bytes.length (Bw.to_bytes w))
-    (Kr.byte_length (Kr.of_sorted_array keys))
+  with_dir (fun dir ->
+      Spill.write_run ~dir ~layer:0 (Array.to_list keys);
+      Alcotest.(check string)
+        "run file = hand-rolled stream"
+        (Bytes.to_string (Bw.to_bytes w))
+        (Lb_util.Fsio.read ~path:(Filename.concat dir "layer_000000.keys") ()))
 
 let suite =
   [
@@ -265,8 +244,6 @@ let suite =
     Alcotest.test_case "to_bytes padding" `Quick test_to_bytes_padding;
     Alcotest.test_case "key run non-byte-aligned tail" `Quick
       test_key_run_non_byte_aligned_tail;
-    Alcotest.test_case "key run ascending check" `Quick
-      test_key_run_ascending_check;
     Alcotest.test_case "key run spill codec compat" `Quick
       test_key_run_spill_codec_compat;
     QCheck_alcotest.to_alcotest gamma_roundtrip;
@@ -274,6 +251,5 @@ let suite =
     QCheck_alcotest.to_alcotest mixed_roundtrip;
     QCheck_alcotest.to_alcotest bool_array_roundtrip;
     QCheck_alcotest.to_alcotest zigzag_roundtrip;
-    QCheck_alcotest.to_alcotest key_run_roundtrip;
-    QCheck_alcotest.to_alcotest key_run_merge_dedup;
+    QCheck_alcotest.to_alcotest spill_run_roundtrip;
   ]

@@ -427,8 +427,7 @@ let test_mc_spill_equivalence () =
       let r =
         MC.explore ya ~n:3 ~mem_budget:(2 * 1024 * 1024) ~spill_dir:dir
       in
-      check_same_outcome "spill+evict vs RAM" base r;
-      Alcotest.(check bool) "certifying" true (MC.certifying r))
+      check_same_outcome "spill+evict vs RAM" base r)
 
 (* without a spill dir the same budget is a hard stop — and the stop
    count is deterministic, so two runs agree exactly *)
@@ -470,8 +469,6 @@ let test_mc_acceptance_n4 () =
           in
           check_same_outcome "budgeted vs unbudgeted" base r1;
           check_same_outcome "jobs=1 vs jobs=4 under budget" r1 r4;
-          Alcotest.(check bool) "certifying under budget" true
-            (MC.certifying r1);
           (* the spill bytes themselves are deterministic: interner ids
              are assigned in the sequential merge, so runs, frontiers,
              node log, names and manifest all match file for file *)
@@ -535,42 +532,6 @@ let test_mc_live_words_stable () =
   Alcotest.(check int) "live_words jobs=1 vs jobs=4" j1.MC.live_words
     j4.MC.live_words
 
-(* lossy modes: same verdict and (collision-free at this size) the same
-   counts, but never certifying *)
-let test_mc_lossy () =
-  let exact = MC.explore ya ~n:3 in
-  let bs = MC.explore ya ~n:3 ~lossy:MC.Bitstate in
-  let hc = MC.explore ya ~n:3 ~lossy:MC.Hash_compact in
-  Alcotest.(check bool) "bitstate not certifying" false (MC.certifying bs);
-  Alcotest.(check bool) "hashcompact not certifying" false (MC.certifying hc);
-  Alcotest.(check bool) "exact certifying" true (MC.certifying exact);
-  (* hash compaction distinguishes all 40539 states at 60 fingerprint
-     bits with overwhelming probability — the count must match *)
-  check_same_outcome "hashcompact vs exact" exact hc;
-  (match bs.MC.verdict with
-  | MC.Verified -> ()
-  | v ->
-    Alcotest.failf "bitstate: %s" (Format.asprintf "%a" MC.pp_verdict v));
-  Alcotest.(check bool) "bitstate cannot overcount" true
-    (bs.MC.states <= exact.MC.states)
-
-(* the non-certifying mark is sticky: a lossy run's spill directory can
-   never be resumed into a certifying verdict, whatever flags the
-   resuming call passes *)
-let test_mc_lossy_sticky () =
-  with_spill (fun dir ->
-      let started =
-        MC.explore ya ~n:3 ~spill_dir:dir ~lossy:MC.Bitstate ~deadline:0.0
-      in
-      Alcotest.(check bool) "initial run lossy" false (MC.certifying started);
-      let resumed = MC.explore ya ~n:3 ~spill_dir:dir ~resume:true in
-      Alcotest.(check bool) "resumed without flags: still lossy" false
-        (MC.certifying resumed);
-      (match resumed.MC.lossy with
-      | Some MC.Bitstate -> ()
-      | Some MC.Hash_compact | None ->
-        Alcotest.fail "manifest did not pin the bitstate mode"))
-
 (* satellite: Bound_exceeded carries the same globally-ordered count at
    any job count — the bound is enforced in the sequential merge *)
 let prop_mc_bound_jobs =
@@ -596,110 +557,39 @@ let prop_mc_bound_jobs =
       && a.MC.states = b.MC.states
       && a.MC.live_words = b.MC.live_words)
 
-(* tentpole: the two merge schedulings are observably one algorithm —
-   same verdict, counts and accounted words at any job count. Seq is
-   the reference oracle --merge seq exposes *)
-let prop_mc_merge_equivalence =
-  let arb =
-    QCheck.make
-      ~print:(fun (ai, n, jobs) ->
-        let algo = List.nth Lb_algos.Registry.all ai in
-        Printf.sprintf "(%s, n=%d, jobs=%d)" algo.Algorithm.name n jobs)
-      QCheck.Gen.(
-        triple
-          (int_range 0 (List.length Lb_algos.Registry.all - 1))
-          (int_range 2 3) (int_range 1 4))
-  in
-  QCheck.Test.make ~count:12 ~name:"explore merge=Seq = merge=Par" arb
-    (fun (ai, n, jobs) ->
-      let algo = List.nth Lb_algos.Registry.all ai in
-      QCheck.assume (Algorithm.supports algo n);
-      let a =
-        MC.explore algo ~n ~max_states:20_000 ~jobs ~merge:MC.Seq
-      in
-      let b =
-        MC.explore algo ~n ~max_states:20_000 ~jobs ~merge:MC.Par
-      in
-      verdict_equal a.MC.verdict b.MC.verdict
-      && a.MC.states = b.MC.states
-      && a.MC.transitions = b.MC.transitions
-      && a.MC.live_words = b.MC.live_words)
-
-(* tentpole: compressed resident shards are exact — hash-table verdict
-   and counts, a smaller accounted footprint, and byte-identical spill
-   output *)
-let test_mc_compress_resident () =
-  let base = MC.explore ya ~n:3 in
-  let comp = MC.explore ya ~n:3 ~compress_resident:true in
-  check_same_outcome "compressed vs hash-table" base comp;
-  Alcotest.(check bool) "certifying" true (MC.certifying comp);
-  Alcotest.(check bool) "fewer accounted words" true
-    (comp.MC.live_words < base.MC.live_words);
-  with_spill (fun d1 ->
-      with_spill (fun d2 ->
-          let s1 = MC.explore ya ~n:3 ~spill_dir:d1 in
-          let s2 =
-            MC.explore ya ~n:3 ~spill_dir:d2 ~compress_resident:true
-          in
-          check_same_outcome "spilled, compressed vs hash-table" s1 s2;
-          (* every spill artifact matches byte for byte except the
-             manifest, whose accounted-words field tracks the (smaller)
-             compressed footprint — mask that line and its checksum *)
-          let mask_words s =
-            String.split_on_char '\n' s
-            |> List.filter (fun l ->
-                   not
-                     (String.starts_with ~prefix:"words " l
-                     || String.starts_with ~prefix:"sum " l))
-            |> String.concat "\n"
-          in
-          List.iter2
-            (fun (f1, c1) (f2, c2) ->
-              Alcotest.(check string) "spill file name" f1 f2;
-              let c1, c2 =
-                if f1 = "check.manifest" then (mask_words c1, mask_words c2)
-                else (c1, c2)
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "spill file %s bytes" f1)
-                true (c1 = c2))
-            (dir_bytes d1) (dir_bytes d2)))
-
-(* spill bytes are merge-mode independent, eviction and the disk
+(* spill bytes do not depend on the job count, eviction and the disk
    membership pass included *)
-let test_mc_merge_spill_identity () =
-  with_spill (fun ds ->
-      with_spill (fun dp ->
-          let rs =
-            MC.explore ya ~n:3 ~mem_budget:(2 * 1024 * 1024) ~spill_dir:ds
-              ~jobs:4 ~merge:MC.Seq
+let test_mc_jobs_spill_identity () =
+  with_spill (fun d1 ->
+      with_spill (fun d4 ->
+          let r1 =
+            MC.explore ya ~n:3 ~mem_budget:(2 * 1024 * 1024) ~spill_dir:d1
+              ~jobs:1
           in
-          let rp =
-            MC.explore ya ~n:3 ~mem_budget:(2 * 1024 * 1024) ~spill_dir:dp
-              ~jobs:4 ~merge:MC.Par
+          let r4 =
+            MC.explore ya ~n:3 ~mem_budget:(2 * 1024 * 1024) ~spill_dir:d4
+              ~jobs:4
           in
-          check_same_outcome "seq vs par under budget" rs rp;
+          check_same_outcome "jobs=1 vs jobs=4 under budget" r1 r4;
           List.iter2
-            (fun (f1, c1) (f2, c2) ->
-              Alcotest.(check string) "spill file name" f1 f2;
+            (fun (f1, c1) (f4, c4) ->
+              Alcotest.(check string) "spill file name" f1 f4;
               Alcotest.(check bool)
                 (Printf.sprintf "spill file %s bytes" f1)
-                true (c1 = c2))
-            (dir_bytes ds) (dir_bytes dp)))
+                true (c1 = c4))
+            (dir_bytes d1) (dir_bytes d4)))
 
-(* a checkpoint written under one merge mode resumes under the other:
-   the mode is scheduling, not state, so nothing pins it in the
-   manifest *)
-let test_mc_resume_crosses_merge_modes () =
+(* a checkpoint written at one job count resumes at another: the job
+   count is scheduling, not state, so nothing pins it in the manifest *)
+let test_mc_resume_crosses_job_counts () =
   with_spill (fun dir ->
       with_spill (fun ref_dir ->
-          ignore
-            (MC.explore ya ~n:3 ~spill_dir:dir ~deadline:0.01 ~merge:MC.Par);
+          ignore (MC.explore ya ~n:3 ~spill_dir:dir ~deadline:0.01 ~jobs:4);
           let resumed =
-            MC.explore ya ~n:3 ~spill_dir:dir ~resume:true ~merge:MC.Seq
+            MC.explore ya ~n:3 ~spill_dir:dir ~resume:true ~jobs:1
           in
-          let reference = MC.explore ya ~n:3 ~spill_dir:ref_dir in
-          check_same_outcome "cross-mode resume" reference resumed;
+          let reference = MC.explore ya ~n:3 ~spill_dir:ref_dir ~jobs:1 in
+          check_same_outcome "cross-jobs resume" reference resumed;
           List.iter2
             (fun (f1, c1) (f2, c2) ->
               Alcotest.(check string) "spill file name" f1 f2;
@@ -707,6 +597,37 @@ let test_mc_resume_crosses_merge_modes () =
                 (Printf.sprintf "spill file %s bytes" f1)
                 true (c1 = c2))
             (dir_bytes ref_dir) (dir_bytes dir)))
+
+(* a run file whose header disagrees with the manifest's key count is
+   damage, not a shorter layer: trusting it would drop visited keys and
+   inflate the state count on resume *)
+let test_mc_resume_short_run () =
+  with_spill (fun dir ->
+      (* a zero deadline stops right after the root checkpoint: layer 0
+         holds one key *)
+      ignore (MC.explore ya ~n:3 ~spill_dir:dir ~deadline:0.0);
+      let file = Filename.concat dir "layer_000000.keys" in
+      Lb_mutex.Check_spill.write_run ~dir ~layer:0 [];
+      Alcotest.check_raises "short run refused"
+        (Failure
+           (Printf.sprintf "malformed key run %s: 0 keys, manifest says 1" file))
+        (fun () -> ignore (MC.explore ya ~n:3 ~spill_dir:dir ~resume:true)))
+
+(* a directory written by an older lossy check may have dropped states:
+   it must be refused, never resumed as exact *)
+let test_mc_resume_refuses_lossy () =
+  with_spill (fun dir ->
+      ignore (MC.explore ya ~n:3 ~spill_dir:dir ~deadline:0.0);
+      (match Lb_mutex.Check_spill.load_manifest ~dir with
+      | `Manifest m ->
+        Lb_mutex.Check_spill.save_manifest ~dir
+          { m with Lb_mutex.Check_spill.c_lossy = "bitstate:65536" }
+      | `Absent | `Damaged _ -> Alcotest.fail "no manifest after checkpoint");
+      Alcotest.check_raises "lossy directory refused"
+        (Failure
+           "Model_check.explore: resume: spill directory was explored in \
+            lossy mode bitstate:65536 and cannot be resumed as an exact check")
+        (fun () -> ignore (MC.explore ya ~n:3 ~spill_dir:dir ~resume:true)))
 
 (* satellite: the per-stage timing breakdown is populated and sane *)
 let test_mc_stats () =
@@ -757,16 +678,14 @@ let suite =
       test_mc_resume_mismatch;
     Alcotest.test_case "live_words deterministic" `Quick
       test_mc_live_words_stable;
-    Alcotest.test_case "lossy modes non-certifying" `Quick test_mc_lossy;
-    Alcotest.test_case "lossy mark sticky across resume" `Quick
-      test_mc_lossy_sticky;
     QCheck_alcotest.to_alcotest prop_mc_bound_jobs;
-    QCheck_alcotest.to_alcotest prop_mc_merge_equivalence;
-    Alcotest.test_case "compressed resident shards exact" `Quick
-      test_mc_compress_resident;
-    Alcotest.test_case "merge modes spill byte-identical" `Quick
-      test_mc_merge_spill_identity;
-    Alcotest.test_case "resume crosses merge modes" `Quick
-      test_mc_resume_crosses_merge_modes;
+    Alcotest.test_case "jobs=1 vs jobs=4 spill equal" `Quick
+      test_mc_jobs_spill_identity;
+    Alcotest.test_case "resume crosses job counts" `Quick
+      test_mc_resume_crosses_job_counts;
+    Alcotest.test_case "resume refuses short key run" `Quick
+      test_mc_resume_short_run;
+    Alcotest.test_case "resume refuses lossy dir" `Quick
+      test_mc_resume_refuses_lossy;
     Alcotest.test_case "stage timing breakdown" `Quick test_mc_stats;
   ]

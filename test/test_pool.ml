@@ -67,13 +67,17 @@ let test_nested_map_degrades () =
   (* a map inside a pool worker runs sequentially instead of spawning
      another layer of domains — same results either way *)
   Alcotest.(check bool) "not in worker outside" false (Pool.in_worker ());
+  (* Alcotest's check is not domain-safe, so workers only count how often
+     they saw the flag and the assertion runs on the calling domain *)
+  let flagged = Atomic.make 0 in
   let rows =
     Pool.map ~jobs:2
       (fun row ->
-        Alcotest.(check bool) "in worker inside" true (Pool.in_worker ());
+        if Pool.in_worker () then Atomic.incr flagged;
         Pool.map ~jobs:4 (fun x -> (row * 10) + x) [ 0; 1; 2 ])
       [ 1; 2; 3; 4 ]
   in
+  Alcotest.(check int) "in worker inside" 4 (Atomic.get flagged);
   Alcotest.(check bool) "flag restored" false (Pool.in_worker ());
   Alcotest.(check (list (list int)))
     "nested results"
