@@ -17,6 +17,7 @@
      mutate      mutation-test the detection stack *)
 
 open Cmdliner
+module Json = Lb_util.Json
 
 let find_algo name =
   match Lb_algos.Registry.find name with
@@ -37,6 +38,16 @@ let require_registers_only ~cmd (algo : Lb_shmem.Algorithm.t) =
        kind-honesty/undeclared-rmw). Try `mutexlb run` or `mutexlb check`, \
        which accept RMW algorithms.\n"
       cmd algo.Lb_shmem.Algorithm.name;
+    exit 2
+  end
+
+(* Single-algorithm verbs instantiate the algorithm at one n; refuse an
+   n outside its range here (exit 2) rather than as an uncaught
+   Invalid_argument from inside, and before any store is touched. *)
+let require_supports ~cmd ~n (algo : Lb_shmem.Algorithm.t) =
+  if not (Lb_shmem.Algorithm.supports algo n) then begin
+    Printf.eprintf "%s: algorithm %S does not support n=%d\n" cmd
+      algo.Lb_shmem.Algorithm.name n;
     exit 2
   end
 
@@ -90,23 +101,6 @@ let parse_perm ~n ~seed = function
 
 (* ------------------------------- list -------------------------------- *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let list_json () =
   let algo_json (a : Lb_shmem.Algorithm.t) =
     (* register count at a representative size: n = 4, clamped to the
@@ -135,8 +129,8 @@ let list_json () =
        %s, \"registers_at_n\": %d, \"register_count\": %d, \"faulty\": %b, \
        \"expected_findings\": [%s], \"expected_survivors\": [%s], \
        \"description\": %s}"
-      (json_string a.Lb_shmem.Algorithm.name)
-      (json_string
+      (Json.escape a.Lb_shmem.Algorithm.name)
+      (Json.escape
          (match a.Lb_shmem.Algorithm.kind with
          | Lb_shmem.Algorithm.Registers_only -> "registers"
          | Lb_shmem.Algorithm.Uses_rmw -> "rmw"))
@@ -145,14 +139,14 @@ let list_json () =
       | None -> "null"
       | Some k -> string_of_int k)
       rep_n regs faulty
-      (String.concat ", " (List.map json_string expected_findings))
+      (String.concat ", " (List.map Json.escape expected_findings))
       (String.concat ", "
          (List.map
             (fun (op, reason) ->
-              Printf.sprintf "{\"op\": %s, \"reason\": %s}" (json_string op)
-                (json_string reason))
+              Printf.sprintf "{\"op\": %s, \"reason\": %s}" (Json.escape op)
+                (Json.escape reason))
             expected_survivors))
-      (json_string a.Lb_shmem.Algorithm.description)
+      (Json.escape a.Lb_shmem.Algorithm.description)
   in
   Printf.printf "[\n%s\n]\n"
     (String.concat ",\n" (List.map algo_json Lb_algos.Registry.all))
@@ -217,6 +211,7 @@ let save_arg =
 let run_cmd =
   let run algo_name n sched seed trace save =
     let algo = find_algo algo_name in
+    require_supports ~cmd:"run" ~n algo;
     let outcome =
       match sched with
       | `Greedy -> Lb_mutex.Canonical.run algo ~n
@@ -247,15 +242,6 @@ let run_cmd =
     Term.(const run $ algo_arg $ n_arg $ sched_arg $ seed_arg $ trace_arg $ save_arg)
 
 (* ------------------------------- check ------------------------------- *)
-
-let verdict_slug = function
-  | Lb_mutex.Model_check.Verified -> "verified"
-  | Lb_mutex.Model_check.Mutex_violation _ -> "mutex_violation"
-  | Lb_mutex.Model_check.Deadlock _ -> "deadlock"
-  | Lb_mutex.Model_check.Ill_formed _ -> "ill_formed"
-  | Lb_mutex.Model_check.Bound_exceeded _ -> "bound_exceeded"
-  | Lb_mutex.Model_check.Deadline_exceeded _ -> "deadline_exceeded"
-  | Lb_mutex.Model_check.Mem_exceeded _ -> "mem_exceeded"
 
 let check_cmd =
   let rounds_arg =
@@ -386,9 +372,10 @@ let check_cmd =
             "{\"algo\": %s, \"n\": %d, \"rounds\": %d, \"verdict\": %s, \
              \"states\": %d, \"transitions\": %d, \"lossy\": \"none\", \
              \"certified\": %b%s}\n"
-            (json_string algo.Lb_shmem.Algorithm.name)
+            (Json.escape algo.Lb_shmem.Algorithm.name)
             n rounds
-            (json_string (verdict_slug r.Lb_mutex.Model_check.verdict))
+            (Json.escape
+               (Lb_mutex.Model_check.verdict_slug r.Lb_mutex.Model_check.verdict))
             r.Lb_mutex.Model_check.states r.Lb_mutex.Model_check.transitions
             (r.Lb_mutex.Model_check.verdict = Lb_mutex.Model_check.Verified)
             (if stats then
@@ -461,6 +448,7 @@ let construct_cmd =
   let run algo_name n seed perm show_meta dot =
     let algo = find_algo algo_name in
     require_registers_only ~cmd:"construct" algo;
+    require_supports ~cmd:"construct" ~n algo;
     let pi = parse_perm ~n ~seed perm in
     let c = Lb_core.Construct.run algo ~n pi in
     let exec = Lb_core.Linearize.execution c in
@@ -503,6 +491,7 @@ let pipeline_cmd =
   let run algo_name n seed perm ascii save explain =
     let algo = find_algo algo_name in
     require_registers_only ~cmd:"pipeline" algo;
+    require_supports ~cmd:"pipeline" ~n algo;
     let pi = parse_perm ~n ~seed perm in
     let r = Lb_core.Pipeline.run algo ~n pi in
     if explain then begin
@@ -617,6 +606,32 @@ let require_store ?(pi_timeout = None) ~cmd ~store ~resume ~events
    that sharing is what makes their certificates byte-identical. *)
 let clamp_perms ~n perms = Lb_serve.Protocol.clamp_perms ~warn:true ~n perms
 
+(* certify --store and work end alike: the certificate, the store, the
+   engine's tally line, the manifest and the quarantined units; any
+   failure makes the exit status 1. *)
+let print_sweep_result ~dir ~tally ~manifest cert
+    (failures : Lb_store.Sweep.failure list) =
+  (match cert with
+  | Some c -> Format.printf "%a@." Lb_core.Bounds.pp_certificate c
+  | None ->
+    Printf.printf "no certificate: every permutation in the family failed\n");
+  Printf.printf "store          %s\n" dir;
+  print_string tally;
+  Printf.printf "manifest       %s\n" manifest;
+  match failures with
+  | [] -> ()
+  | fs ->
+    Printf.printf "failure digest (%d quarantined):\n" (List.length fs);
+    List.iteri
+      (fun i (f : Lb_store.Sweep.failure) ->
+        if i < 10 then
+          Format.printf "  %a: %s@." Lb_core.Permutation.pp
+            f.Lb_store.Sweep.f_pi f.Lb_store.Sweep.f_message)
+      fs;
+    if List.length fs > 10 then
+      Printf.printf "  ... and %d more (see manifest)\n" (List.length fs - 10);
+    exit 1
+
 let certify_cmd =
   let perms_arg =
     Arg.(value & opt int 24 & info [ "perms" ] ~docv:"K" ~doc:"Permutations to sample.")
@@ -635,10 +650,11 @@ let certify_cmd =
          & info [ "checkpoint-every" ] ~docv:"K"
              ~doc:
                "Rewrite the sweep manifest after every $(docv) completed \
-                units (failures checkpoint eagerly regardless, so \
-                quarantine entries are never recomputed on resume). \
-                Smaller values narrow the window of re-served hits after \
-                a crash at the cost of more manifest rewrites.")
+                units (a quarantined failure checkpoints eagerly \
+                regardless, so the on-disk manifest names it as soon as \
+                it happens; a resumed run still recomputes it). Smaller \
+                values narrow the window of re-served hits after a crash \
+                at the cost of more manifest rewrites.")
   in
   let connect_arg =
     Arg.(value & opt (some int) None
@@ -736,6 +752,7 @@ let certify_cmd =
     end;
     let algo = find_algo algo_name in
     require_registers_only ~cmd:"certify" algo;
+    require_supports ~cmd:"certify" ~n algo;
     let perms = clamp_perms ~n perms in
     let pis, exhaustive = Lb_serve.Protocol.family ~n ~perms ~seed in
     match connect with
@@ -746,36 +763,32 @@ let certify_cmd =
            store\n";
         exit 2
       end;
-      let module J = Lb_util.Json in
-      let get j name f = Option.bind (J.member name j) f in
+      let get j name f = Option.bind (Json.member name j) f in
       let job =
-        J.Obj
-          ([
-             ("kind", J.String "certify");
-             ("algo", J.String algo_name);
-             ("n", J.Int n);
-             ("perms", J.Int perms);
-             ("seed", J.Int seed);
-             ("resume", J.Bool resume);
-             ("save_traces", J.Bool save_traces);
-           ]
-          @
-          match pi_timeout with
-          | None -> []
-          | Some t -> [ ("pi_timeout", J.Float t) ])
+        Lb_serve.Protocol.job_summary
+          (Lb_serve.Protocol.Certify
+             {
+               c_algo = algo_name;
+               c_n = n;
+               c_perms = perms;
+               c_seed = seed;
+               c_resume = resume;
+               c_save_traces = save_traces;
+               c_pi_timeout = pi_timeout;
+             })
       in
       let total = ref (List.length pis) in
       let step = ref (max 1 (!total / 10)) in
       let on_event j =
-        match get j "event" J.as_string with
+        match get j "event" Json.as_string with
         | Some "start" -> (
-          match get j "total" J.as_int with
+          match get j "total" Json.as_int with
           | Some t ->
             total := t;
             step := max 1 (t / 10)
           | None -> ())
         | Some "item" -> (
-          match get j "done" J.as_int with
+          match get j "done" Json.as_int with
           | Some d when d mod !step = 0 || d = !total ->
             Printf.eprintf "certify: %d/%d done (remote)\n%!" d !total
           | _ -> ())
@@ -830,14 +843,14 @@ let certify_cmd =
                 exit 1
               | Some r -> (
                 match get r "certificate" Option.some with
-                | Some (J.Obj _ as cert) ->
-                  (match get cert "text" J.as_string with
+                | Some (Json.Obj _ as cert) ->
+                  (match get cert "text" Json.as_string with
                   | Some text -> print_endline text
-                  | None -> print_endline (J.to_string cert));
+                  | None -> print_endline (Json.to_string cert));
                   Printf.eprintf "certify: served via %s path by %s:%d\n"
-                    (Option.value ~default:"?" (get r "path" J.as_string))
+                    (Option.value ~default:"?" (get r "path" Json.as_string))
                     connect_host port;
-                  (match get r "failed" J.as_int with
+                  (match get r "failed" Json.as_int with
                   | Some f when f > 0 -> exit 1
                   | _ -> ());
                   `Done
@@ -999,35 +1012,19 @@ let certify_cmd =
               Lb_store.Store_lock.pp_held h;
             exit 75
           | cert, report ->
-          let p = report.Lb_store.Sweep.progress in
-          (match cert with
-          | Some c -> Format.printf "%a@." Lb_core.Bounds.pp_certificate c
-          | None ->
-            Printf.printf
-              "no certificate: every permutation in the family failed\n");
-          Printf.printf "store          %s\n" dir;
-          Printf.printf
-            "store sweep    %d hits, %d computed, %d failed (%.1f%% hits)\n"
-            p.Lb_store.Sweep.p_hits p.Lb_store.Sweep.p_computed
-            p.Lb_store.Sweep.p_failed
-            (100.0
-            *. float_of_int p.Lb_store.Sweep.p_hits
-            /. float_of_int (max 1 p.Lb_store.Sweep.p_done));
-          Printf.printf "manifest       %s\n" report.Lb_store.Sweep.manifest_path;
-          (match report.Lb_store.Sweep.failures with
-          | [] -> ()
-          | fs ->
-            Printf.printf "failure digest (%d quarantined):\n" (List.length fs);
-            List.iteri
-              (fun i (f : Lb_store.Sweep.failure) ->
-                if i < 10 then
-                  Format.printf "  %a: %s@." Lb_core.Permutation.pp
-                    f.Lb_store.Sweep.f_pi f.Lb_store.Sweep.f_message)
-              fs;
-            if List.length fs > 10 then
-              Printf.printf "  ... and %d more (see manifest)\n"
-                (List.length fs - 10);
-            exit 1)))
+            let p = report.Lb_store.Sweep.progress in
+            print_sweep_result ~dir
+              ~tally:
+                (Printf.sprintf
+                   "store sweep    %d hits, %d computed, %d failed (%.1f%% \
+                    hits)\n"
+                   p.Lb_store.Sweep.p_hits p.Lb_store.Sweep.p_computed
+                   p.Lb_store.Sweep.p_failed
+                   (100.0
+                   *. float_of_int p.Lb_store.Sweep.p_hits
+                   /. float_of_int (max 1 p.Lb_store.Sweep.p_done)))
+              ~manifest:report.Lb_store.Sweep.manifest_path cert
+              report.Lb_store.Sweep.failures))
   in
   Cmd.v
     (Cmd.info "certify"
@@ -1132,6 +1129,7 @@ let work_cmd =
     | _ -> ());
     let algo = find_algo algo_name in
     require_registers_only ~cmd:"work" algo;
+    require_supports ~cmd:"work" ~n algo;
     let perms = clamp_perms ~n perms in
     (* Same family selection as certify/serve — byte-identity starts
        with sweeping the same permutations in the same order. *)
@@ -1203,33 +1201,14 @@ let work_cmd =
             me;
           exit 143
         | cert, r ->
-          (match cert with
-          | Some c -> Format.printf "%a@." Lb_core.Bounds.pp_certificate c
-          | None ->
-            Printf.printf
-              "no certificate: every permutation in the family failed\n");
-          Printf.printf "store          %s\n" dir;
-          Printf.printf
-            "worker         %d hits, %d computed, %d stolen claims\n"
-            r.Lb_store.Sweep_dist.d_hits r.Lb_store.Sweep_dist.d_computed
-            r.Lb_store.Sweep_dist.d_stolen;
-          Printf.printf "manifest       %s\n"
-            r.Lb_store.Sweep_dist.d_manifest_path;
-          match r.Lb_store.Sweep_dist.d_failures with
-          | [] -> ()
-          | fs ->
-            Printf.printf "failure digest (%d quarantined):\n"
-              (List.length fs);
-            List.iteri
-              (fun i (f : Lb_store.Sweep.failure) ->
-                if i < 10 then
-                  Format.printf "  %a: %s@." Lb_core.Permutation.pp
-                    f.Lb_store.Sweep.f_pi f.Lb_store.Sweep.f_message)
-              fs;
-            if List.length fs > 10 then
-              Printf.printf "  ... and %d more (see manifest)\n"
-                (List.length fs - 10);
-            exit 1)
+          print_sweep_result ~dir
+            ~tally:
+              (Printf.sprintf
+                 "worker         %d hits, %d computed, %d stolen claims\n"
+                 r.Lb_store.Sweep_dist.d_hits r.Lb_store.Sweep_dist.d_computed
+                 r.Lb_store.Sweep_dist.d_stolen)
+            ~manifest:r.Lb_store.Sweep_dist.d_manifest_path cert
+            r.Lb_store.Sweep_dist.d_failures)
   in
   Cmd.v
     (Cmd.info "work"
@@ -1270,6 +1249,7 @@ let workload_cmd =
   in
   let run algo_name n seed pattern rounds =
     let algo = find_algo algo_name in
+    require_supports ~cmd:"workload" ~n algo;
     let pattern = parse_pattern pattern seed in
     let r =
       Lb_mutex.Workload.run ~rounds ~pattern
@@ -1295,6 +1275,7 @@ let adversary_cmd =
   in
   let run algo_name n seed tries =
     let algo = find_algo algo_name in
+    require_supports ~cmd:"adversary" ~n algo;
     let r = Lb_mutex.Adversary.search ~tries ~seed algo ~n in
     Printf.printf "sequential     %d\n" r.Lb_mutex.Adversary.sequential_cost;
     Printf.printf "adversary best %d (blow-up %.2f, %d tries)\n"

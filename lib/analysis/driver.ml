@@ -166,8 +166,8 @@ let to_json report =
       (List.map
          (fun u ->
            Printf.sprintf
-             "{\"algo\":\"%s\",\"n\":%d,\"nodes\":%d,\"complete\":%b}"
-             u.u_algo u.u_n u.u_nodes u.u_complete)
+             "{\"algo\":%s,\"n\":%d,\"nodes\":%d,\"complete\":%b}"
+             (Lb_util.Json.escape u.u_algo) u.u_n u.u_nodes u.u_complete)
          report.units)
   in
   Printf.sprintf

@@ -74,22 +74,7 @@ let pp_witness ppf (w : witness) =
 
 (* ------------------------------ JSON ------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+module Json = Lb_util.Json
 
 let witness_to_json (w : witness) =
   Printf.sprintf "{\"proc\":%d,\"steps\":[%s],\"target\":%s}" w.proc
@@ -97,20 +82,21 @@ let witness_to_json (w : witness) =
        (List.map
           (fun s ->
             Printf.sprintf "{\"repr\":%s,\"action\":%s,\"response\":%s}"
-              (json_str s.repr) (json_str s.action) (json_str s.response))
+              (Json.escape s.repr) (Json.escape s.action)
+              (Json.escape s.response))
           w.steps))
-    (json_str w.target)
+    (Json.escape w.target)
 
 let to_json ~allowlisted t =
   Printf.sprintf
     "{\"rule\":%s,\"severity\":%s,\"algo\":%s,\"n\":%d,%s\"message\":%s,\"allowlisted\":%b%s}"
-    (json_str t.rule)
-    (json_str (severity_name t.severity))
-    (json_str t.algo) t.n
+    (Json.escape t.rule)
+    (Json.escape (severity_name t.severity))
+    (Json.escape t.algo) t.n
     (match t.proc with
     | None -> ""
     | Some p -> Printf.sprintf "\"proc\":%d," p)
-    (json_str t.message) allowlisted
+    (Json.escape t.message) allowlisted
     (match t.witness with
     | None -> ""
     | Some w -> Printf.sprintf ",\"witness\":%s" (witness_to_json w))

@@ -21,15 +21,6 @@ type t = { rows : row list; passed : int; honest : bool }
 
 (* ------------------------------ running ------------------------------ *)
 
-let verdict_outcome = function
-  | Lb_mutex.Model_check.Verified -> "verified"
-  | Lb_mutex.Model_check.Mutex_violation _ -> "mutex_violation"
-  | Lb_mutex.Model_check.Deadlock _ -> "deadlock"
-  | Lb_mutex.Model_check.Ill_formed _ -> "ill_formed"
-  | Lb_mutex.Model_check.Bound_exceeded _ -> "bound_exceeded"
-  | Lb_mutex.Model_check.Deadline_exceeded _ -> "deadline_exceeded"
-  | Lb_mutex.Model_check.Mem_exceeded _ -> "mem_exceeded"
-
 let violation_outcome = function
   | Lb_mutex.Checker.Not_well_formed _ -> "ill_formed"
   | Lb_mutex.Checker.Mutex_violated _ -> "mutex_violation"
@@ -60,7 +51,7 @@ let run_cell ~max_states ?deadline cell =
   match cell.engine with
   | Model_check { rounds } -> (
     match Lb_mutex.Model_check.explore algo ~n ~rounds ~max_states ?deadline with
-    | r -> verdict_outcome r.Lb_mutex.Model_check.verdict
+    | r -> Lb_mutex.Model_check.verdict_slug r.Lb_mutex.Model_check.verdict
     | exception e when is_system_rejection e -> "invalid_access")
   | Schedule { sched; max_steps } ->
     let base =
@@ -205,22 +196,10 @@ let expect_outcomes = function
   | Detects allowed -> allowed
   | Any -> [ "*" ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Lb_util.Json
 
 let json_string_list xs =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") xs) ^ "]"
+  "[" ^ String.concat "," (List.map Json.escape xs) ^ "]"
 
 let format_version = 1
 
@@ -234,15 +213,15 @@ let to_json t =
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"algo\": %S, \"n\": %d, \"plan\": %S, \"faults\": %s, \
-            \"engine\": %S, \"expect\": %s, \"outcome\": %S, \"ok\": %b}"
-           (json_escape r.cell.algo) r.cell.n
-           (json_escape r.cell.plan.Fault.label)
+           "    {\"algo\": %s, \"n\": %d, \"plan\": %s, \"faults\": %s, \
+            \"engine\": %s, \"expect\": %s, \"outcome\": %s, \"ok\": %b}"
+           (Json.escape r.cell.algo) r.cell.n
+           (Json.escape r.cell.plan.Fault.label)
            (json_string_list
               (List.map Fault.fault_to_string r.cell.plan.Fault.faults))
-           (json_escape (engine_to_string r.cell.engine))
+           (Json.escape (engine_to_string r.cell.engine))
            (json_string_list (expect_outcomes r.cell.expect))
-           (json_escape r.outcome) r.ok))
+           (Json.escape r.outcome) r.ok))
     t.rows;
   Buffer.add_string b
     (Printf.sprintf "\n  ],\n  \"total\": %d,\n  \"passed\": %d,\n  \

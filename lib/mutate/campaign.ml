@@ -388,22 +388,9 @@ let pp ppf t =
         algo op)
     (stale_triage t)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Lb_util.Json
 
-let jstr s = "\"" ^ json_escape s ^ "\""
-let json_strings xs = "[" ^ String.concat ", " (List.map jstr xs) ^ "]"
+let json_strings xs = "[" ^ String.concat ", " (List.map Json.escape xs) ^ "]"
 
 let json_ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"
 
@@ -435,21 +422,25 @@ let to_json t =
       let status_s, layer_s, name_s, detail_s =
         match status r with
         | Killed { layer; name; detail } ->
-            ("killed", jstr (layer_name layer), jstr name, jstr detail)
+            ( "killed",
+              Json.escape (layer_name layer),
+              Json.escape name,
+              Json.escape detail )
         | Survived -> ("survived", "null", "null", "null")
-        | Undecided reason -> ("inconclusive", "null", "null", jstr reason)
+        | Undecided reason -> ("inconclusive", "null", "null", Json.escape reason)
       in
       Buffer.add_string b
         (Printf.sprintf
            "    {\"algo\": %s, \"n\": %d, \"op\": %s, \"kind\": %s, \
             \"status\": %s, \"layer\": %s, \"killed_by\": %s, \"detail\": \
             %s, \"layers_run\": %s, \"triage\": %s}"
-           (jstr r.r_algo) r.r_n (jstr r.r_op) (jstr r.r_kind) (jstr status_s)
+           (Json.escape r.r_algo) r.r_n (Json.escape r.r_op)
+           (Json.escape r.r_kind) (Json.escape status_s)
            layer_s name_s detail_s
            (json_strings (List.map (fun (l, _, _) -> layer_name l) r.r_legs))
            (match r.r_triage with
            | None -> "null"
-           | Some reason -> jstr reason)))
+           | Some reason -> Json.escape reason)))
     t.rows;
   let surv = survivors t in
   let triaged = List.filter (fun r -> r.r_triage <> None) surv in

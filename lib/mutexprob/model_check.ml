@@ -1270,3 +1270,12 @@ let pp_verdict ppf = function
     Format.fprintf ppf "deadline exceeded (%d states explored)" k
   | Mem_exceeded k ->
     Format.fprintf ppf "memory budget exceeded (%d states stored)" k
+
+let verdict_slug = function
+  | Verified -> "verified"
+  | Mutex_violation _ -> "mutex_violation"
+  | Deadlock _ -> "deadlock"
+  | Ill_formed _ -> "ill_formed"
+  | Bound_exceeded _ -> "bound_exceeded"
+  | Deadline_exceeded _ -> "deadline_exceeded"
+  | Mem_exceeded _ -> "mem_exceeded"

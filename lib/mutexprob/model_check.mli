@@ -188,3 +188,8 @@ val bytes_per_state : report -> float
     [live_words * word-size / states]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
+
+val verdict_slug : verdict -> string
+(** The verdict's constructor as a snake_case word (["verified"],
+    ["mutex_violation"], …) — the ["verdict"] field of [check --json]
+    and of the job service's check results. *)

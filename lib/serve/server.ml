@@ -72,15 +72,6 @@ let log st fmt =
 
 (* ------------------------------ job runner ----------------------------- *)
 
-let verdict_slug = function
-  | Lb_mutex.Model_check.Verified -> "verified"
-  | Lb_mutex.Model_check.Mutex_violation _ -> "mutex_violation"
-  | Lb_mutex.Model_check.Deadlock _ -> "deadlock"
-  | Lb_mutex.Model_check.Ill_formed _ -> "ill_formed"
-  | Lb_mutex.Model_check.Bound_exceeded _ -> "bound_exceeded"
-  | Lb_mutex.Model_check.Deadline_exceeded _ -> "deadline_exceeded"
-  | Lb_mutex.Model_check.Mem_exceeded _ -> "mem_exceeded"
-
 (* Reports from subsystems that already render JSON are embedded
    structurally (re-parsed), not as an escaped string blob. *)
 let embed_json raw =
@@ -128,117 +119,82 @@ let try_warm st spec =
   let open Protocol in
   match Lb_algos.Registry.find spec.c_algo with
   | None -> None
-  | Some algo ->
-    if
-      (not (Lb_shmem.Algorithm.supports algo spec.c_n))
-      || not (Lb_shmem.Algorithm.registers_only algo)
-    then None
-    else begin
-      let n = spec.c_n in
-      let perms = Protocol.clamp_perms ~n spec.c_perms in
-      let pis, exhaustive = Protocol.family ~n ~perms ~seed:spec.c_seed in
-      let fp = Lb_store.Store_key.fingerprint algo ~n in
-      let name = algo.Lb_shmem.Algorithm.name in
-      let rec probe acc = function
-        | [] -> Some (List.rev acc)
-        | pi :: rest -> (
-          let key =
-            Lb_store.Store_key.derive ~fp ~algo:name ~n ~pi
-              ~model:Lb_store.Store_key.sc_model
-          in
-          match Lb_store.Store.lookup st.store ~key with
-          | `Hit e ->
-            probe
-              ({
-                 Lb_core.Pipeline.r_pi = pi;
-                 r_cost = e.Lb_store.Store.e_cost;
-                 r_bits = e.Lb_store.Store.e_bits;
-                 r_exec_fp = e.Lb_store.Store.e_exec_fp;
-               }
-              :: acc)
-              rest
-          | `Absent | `Damaged _ -> None)
+  | Some algo -> (
+    let n = spec.c_n in
+    let perms = Protocol.clamp_perms ~n spec.c_perms in
+    let pis, exhaustive = Protocol.family ~n ~perms ~seed:spec.c_seed in
+    match Lb_store.Sweep.plan ~who:"serve" ~store:st.store algo ~n ~perms:pis with
+    | exception Invalid_argument _ -> None
+    | plan -> (
+      let total = Array.length plan.Lb_store.Sweep.u_pis in
+      let rec probe acc i =
+        if i = total then Some (List.rev acc)
+        else
+          match Lb_store.Sweep.lookup plan i with
+          | `Hit r -> probe (r :: acc) (i + 1)
+          | `Absent | `Damaged _ -> None
       in
-      match probe [] pis with
+      match
+        Option.bind (probe [] 0) (Lb_store.Sweep.certificate algo ~n ~exhaustive)
+      with
       | None -> None
-      | Some records ->
-        let cert =
-          Lb_core.Pipeline.certificate_of_records algo ~n ~exhaustive records
-        in
-        let sid =
-          Lb_store.Store_key.sweep_id ~fp ~algo:name ~n ~perms:pis
-            ~model:Lb_store.Store_key.sc_model
-        in
-        let p_hits = List.length records in
+      | Some cert ->
         Some
           (result_event "certify" true
              [
                ("certificate", Protocol.certificate_json cert);
                ("path", Json.String "warm");
-               ("algo", Json.String name);
+               ("algo", Json.String algo.Lb_shmem.Algorithm.name);
                ("n", Json.Int n);
-               ("hits", Json.Int p_hits);
+               ("hits", Json.Int total);
                ("computed", Json.Int 0);
                ("failed", Json.Int 0);
-               ( "manifest",
-                 Json.String (Lb_store.Store.manifest_path st.store ~id:sid) );
-             ])
-    end
+               ("manifest", Json.String plan.Lb_store.Sweep.u_manifest);
+             ])))
 
 let run_certify st ~cancel ~send spec =
   let open Protocol in
   match Lb_algos.Registry.find spec.c_algo with
   | None -> send (error_event "certify" (Printf.sprintf "unknown algorithm %S" spec.c_algo))
-  | Some algo ->
-    if not (Lb_shmem.Algorithm.registers_only algo) then
+  | Some algo -> (
+    let n = spec.c_n in
+    let perms = Protocol.clamp_perms ~n spec.c_perms in
+    let pis, exhaustive = Protocol.family ~n ~perms ~seed:spec.c_seed in
+    let manifest = ref None in
+    let on_event ev =
+      (match ev with
+      | Lb_store.Sweep.Checkpoint { manifest = m; _ }
+      | Lb_store.Sweep.Finished { manifest = m; _ } ->
+        manifest := Some m
+      | _ -> ());
+      send (embed_json (Lb_store.Sweep.event_to_json ev))
+    in
+    match
+      Lb_store.Sweep.certify ~store:st.store ~resume:spec.c_resume
+        ?jobs:st.cfg.jobs ~save_traces:spec.c_save_traces
+        ?pi_timeout:spec.c_pi_timeout ~on_event ~cancel algo ~n ~perms:pis
+        ~exhaustive ()
+    with
+    | cert, report -> send (certify_result ~path:"swept" ~cert ~report spec)
+    | exception Invalid_argument msg -> send (error_event "certify" msg)
+    | exception Pool.Cancelled ->
+      send
+        (Json.Obj
+           ([
+              ("event", Json.String "drained");
+              ("kind", Json.String "certify");
+              ("resumable", Json.Bool true);
+              ("retry_after", Json.Float st.cfg.grace);
+            ]
+           @
+           match !manifest with
+           | Some m -> [ ("manifest", Json.String m) ]
+           | None -> []))
+    | exception Lb_store.Store_lock.Busy h ->
       send
         (error_event "certify"
-           (Printf.sprintf "algorithm %S is declared Uses_rmw" spec.c_algo))
-    else if not (Lb_shmem.Algorithm.supports algo spec.c_n) then
-      send
-        (error_event "certify"
-           (Printf.sprintf "algorithm %S does not support n=%d" spec.c_algo
-              spec.c_n))
-    else begin
-      let n = spec.c_n in
-      let perms = Protocol.clamp_perms ~n spec.c_perms in
-      let pis, exhaustive = Protocol.family ~n ~perms ~seed:spec.c_seed in
-      let manifest = ref None in
-      let on_event ev =
-        (match ev with
-        | Lb_store.Sweep.Checkpoint { manifest = m; _ }
-        | Lb_store.Sweep.Finished { manifest = m; _ } ->
-          manifest := Some m
-        | _ -> ());
-        send (embed_json (Lb_store.Sweep.event_to_json ev))
-      in
-      match
-        Lb_store.Sweep.certify ~store:st.store ~resume:spec.c_resume
-          ?jobs:st.cfg.jobs ~save_traces:spec.c_save_traces
-          ?pi_timeout:spec.c_pi_timeout ~on_event ~cancel algo ~n ~perms:pis
-          ~exhaustive ()
-      with
-      | cert, report ->
-        send (certify_result ~path:"swept" ~cert ~report spec)
-      | exception Pool.Cancelled ->
-        send
-          (Json.Obj
-             ([
-                ("event", Json.String "drained");
-                ("kind", Json.String "certify");
-                ("resumable", Json.Bool true);
-                ("retry_after", Json.Float st.cfg.grace);
-              ]
-             @
-             match !manifest with
-             | Some m -> [ ("manifest", Json.String m) ]
-             | None -> []))
-      | exception Lb_store.Store_lock.Busy h ->
-        send
-          (error_event "certify"
-             (Format.asprintf "store writer lease busy: %a"
-                Lb_store.Store_lock.pp_held h))
-    end
+           (Format.asprintf "store writer lease busy: %a"
+              Lb_store.Store_lock.pp_held h)))
 
 (* Non-certify jobs have no checkpoint to resume from, so draining
    them is a plain abort: cooperative (between pool units — a single
@@ -291,7 +247,9 @@ let run_check st ~cancel ~send k_algos ~n ~rounds ~max_states =
                   ("n", Json.Int n);
                   ("rounds", Json.Int rounds);
                   ( "verdict",
-                    Json.String (verdict_slug r.Lb_mutex.Model_check.verdict) );
+                    Json.String
+                      (Lb_mutex.Model_check.verdict_slug
+                         r.Lb_mutex.Model_check.verdict) );
                   ("states", Json.Int r.Lb_mutex.Model_check.states);
                   ("transitions", Json.Int r.Lb_mutex.Model_check.transitions);
                   ("certified", Json.Bool certified);

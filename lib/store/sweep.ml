@@ -57,27 +57,139 @@ let failure_message = function
   | Failure m -> m
   | e -> Printexc.to_string e
 
+(* ------------------------------ unit plan ----------------------------- *)
+
+type plan = {
+  u_store : Store.t;
+  u_algo : Algorithm.t;
+  u_n : int;
+  u_save_traces : bool;
+  u_pi_timeout : float option;
+  u_fp : string;
+  u_pis : Lb_core.Permutation.t array;
+  u_keys : string array;
+  u_sweep_id : string;
+  u_manifest : string;
+}
+
+let plan ~who ~store ?(save_traces = false) ?pi_timeout (algo : Algorithm.t)
+    ~n ~perms =
+  let name = algo.Algorithm.name in
+  let refuse fmt = Printf.ksprintf (fun m -> invalid_arg (who ^ ": " ^ m)) fmt in
+  if perms = [] then refuse "empty permutation family";
+  if not (Algorithm.registers_only algo) then
+    refuse
+      "algorithm %S is declared Uses_rmw; the lower-bound pipeline covers \
+       only the read/write-register model"
+      name;
+  if not (Algorithm.supports algo n) then
+    refuse "algorithm %S does not support n=%d" name n;
+  (match pi_timeout with
+  | Some t when t <= 0.0 -> refuse "pi_timeout must be positive"
+  | Some _ | None -> ());
+  let fp = Store_key.fingerprint algo ~n in
+  let model = Store_key.sc_model in
+  let pis = Array.of_list perms in
+  let sid = Store_key.sweep_id ~fp ~algo:name ~n ~perms ~model in
+  {
+    u_store = store;
+    u_algo = algo;
+    u_n = n;
+    u_save_traces = save_traces;
+    u_pi_timeout = pi_timeout;
+    u_fp = fp;
+    u_pis = pis;
+    u_keys =
+      Array.map (fun pi -> Store_key.derive ~fp ~algo:name ~n ~pi ~model) pis;
+    u_sweep_id = sid;
+    u_manifest = Store.manifest_path store ~id:sid;
+  }
+
+let lookup p i =
+  match Store.lookup p.u_store ~key:p.u_keys.(i) with
+  | `Hit e ->
+    `Hit
+      {
+        Lb_core.Pipeline.r_pi = p.u_pis.(i);
+        r_cost = e.Store.e_cost;
+        r_bits = e.Store.e_bits;
+        r_exec_fp = e.Store.e_exec_fp;
+      }
+  | (`Absent | `Damaged _) as miss -> miss
+
+let compute p i =
+  let pi = p.u_pis.(i) in
+  let t_start = Unix.gettimeofday () in
+  let r = Lb_core.Pipeline.run_checked p.u_algo ~n:p.u_n pi in
+  (* Cooperative, post-hoc deadline: OCaml domains cannot be preempted
+     mid-pipeline, so the unit runs to completion and is then discarded
+     — raised before the Store.put so a timed-out pi is quarantined (not
+     cached) and a resume on a faster machine recomputes it. The message
+     carries only the limit, never the elapsed time, so manifests stay
+     deterministic given the same set of timed-out units. *)
+  (match p.u_pi_timeout with
+  | Some limit when Unix.gettimeofday () -. t_start > limit ->
+    raise (Pi_timeout { pi; limit })
+  | Some _ | None -> ());
+  let rc = Lb_core.Pipeline.record_of_result r in
+  Store.put p.u_store
+    {
+      Store.e_algo = p.u_algo.Algorithm.name;
+      e_fp = p.u_fp;
+      e_n = p.u_n;
+      e_pi = pi;
+      e_model = Store_key.sc_model;
+      e_cost = rc.Lb_core.Pipeline.r_cost;
+      e_bits = rc.Lb_core.Pipeline.r_bits;
+      e_exec_fp = rc.Lb_core.Pipeline.r_exec_fp;
+      e_ebits =
+        (if p.u_save_traces then
+           Some r.Lb_core.Pipeline.encoding.Lb_core.Encode.bits
+         else None);
+    };
+  rc
+
+let save_manifest p outcome_of =
+  Manifest.save ~path:p.u_manifest
+    {
+      Manifest.m_algo = p.u_algo.Algorithm.name;
+      m_fp = p.u_fp;
+      m_n = p.u_n;
+      m_model = Store_key.sc_model;
+      m_total = Array.length p.u_pis;
+      m_outcomes =
+        Array.to_list
+          (Array.mapi
+             (fun i pi ->
+               let key = p.u_keys.(i) in
+               ( pi,
+                 match outcome_of i with
+                 | `Pending -> Manifest.Pending key
+                 | `Done -> Manifest.Done key
+                 | `Failed msg -> Manifest.Failed (key, msg) ))
+             p.u_pis);
+    }
+
+let certificate algo ~n ~exhaustive = function
+  | [] -> None
+  | records ->
+    Some (Lb_core.Pipeline.certificate_of_records algo ~n ~exhaustive records)
+
+(* ------------------------------- engine ------------------------------- *)
+
 let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
-    ?(save_traces = false) ?pi_timeout ?(on_event = fun _ -> ()) ?cancel ?lease
+    ?save_traces ?pi_timeout ?(on_event = fun _ -> ()) ?cancel ?lease
     ?(lease_wait = 60.0) (algo : Algorithm.t) ~n ~perms () =
-  if perms = [] then invalid_arg "Sweep.sweep: empty permutation family";
+  let plan =
+    plan ~who:"Sweep.sweep" ~store ?save_traces ?pi_timeout algo ~n ~perms
+  in
   if checkpoint_every < 1 then
     invalid_arg "Sweep.sweep: checkpoint_every must be >= 1";
-  (match pi_timeout with
-  | Some t when t <= 0.0 ->
-    invalid_arg "Sweep.sweep: pi_timeout must be positive"
-  | Some _ | None -> ());
-  if not (Algorithm.registers_only algo) then
-    invalid_arg
-      (Printf.sprintf
-         "Sweep.sweep: algorithm %S is declared Uses_rmw; the lower-bound \
-          pipeline covers only the read/write-register model"
-         algo.Algorithm.name);
-  (* Writers serialize on the store's lease: a server sweep, a
-     concurrent CLI certify and a gc never interleave writes. A caller
-     that already holds the lease (the serve job runner) passes it in
-     and keeps ownership; otherwise we take it here and release on every
-     exit path — including Pool.Cancelled and fail-fast aborts. *)
+  (* Writers serialize on the store's lease: a sweep, a concurrent CLI
+     certify and a gc never interleave writes. A caller that already
+     holds the lease passes it in and keeps ownership; otherwise we take
+     it here and release on every exit path — including Pool.Cancelled
+     and fail-fast aborts. *)
   let owned_lease =
     match (lease : Store_lock.writer option) with
     | Some _ -> None
@@ -91,16 +203,7 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
   Fun.protect
     ~finally:(fun () -> Option.iter Store_lock.release_writer owned_lease)
   @@ fun () ->
-  let name = algo.Algorithm.name in
-  let fp = Store_key.fingerprint algo ~n in
-  let model = Store_key.sc_model in
-  let pi_arr = Array.of_list perms in
-  let total = Array.length pi_arr in
-  let key_arr =
-    Array.map (fun pi -> Store_key.derive ~fp ~algo:name ~n ~pi ~model) pi_arr
-  in
-  let sid = Store_key.sweep_id ~fp ~algo:name ~n ~perms ~model in
-  let mpath = Store.manifest_path store ~id:sid in
+  let total = Array.length plan.u_pis and mpath = plan.u_manifest in
   (* All shared state below is touched only under [lock]; entry files
      are written lock-free (each key is handed to exactly one worker). *)
   let lock = Mutex.create () in
@@ -125,27 +228,12 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
          else infinity);
     }
   in
-  let manifest_locked () =
-    {
-      Manifest.m_algo = name;
-      m_fp = fp;
-      m_n = n;
-      m_model = model;
-      m_total = total;
-      m_outcomes =
-        Array.to_list
-          (Array.mapi
-             (fun i o ->
-               ( pi_arr.(i),
-                 match o with
-                 | None -> Manifest.Pending key_arr.(i)
-                 | Some (Hit | Computed) -> Manifest.Done key_arr.(i)
-                 | Some (Failed msg) -> Manifest.Failed (key_arr.(i), msg) ))
-             outcomes);
-    }
-  in
   let checkpoint_locked () =
-    Manifest.save ~path:mpath (manifest_locked ());
+    save_manifest plan (fun i ->
+        match outcomes.(i) with
+        | None -> `Pending
+        | Some (Hit | Computed) -> `Done
+        | Some (Failed msg) -> `Failed msg);
     (* Keep the lease's mtime fresh so TTL-armed contenders never
        mistake a long-running live sweep for a dead remote one. *)
     Option.iter Store_lock.refresh_writer owned_lease
@@ -154,58 +242,18 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
     Mutex.lock lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
   in
-  locked (fun () -> on_event (Start { total; sweep_id = sid }));
+  locked (fun () -> on_event (Start { total; sweep_id = plan.u_sweep_id }));
   let work i =
-    let pi = pi_arr.(i) and key = key_arr.(i) in
-    let compute () =
-      let t_start = Unix.gettimeofday () in
-      let r = Lb_core.Pipeline.run_checked algo ~n pi in
-      (* Cooperative, post-hoc deadline: OCaml domains cannot be
-         preempted mid-pipeline, so the unit runs to completion and is
-         then discarded — raised before the Store.put so a timed-out pi
-         is quarantined (not cached) and a resume on a faster machine
-         recomputes it. The message carries only the limit, never the
-         elapsed time, so manifests stay deterministic given the same
-         set of timed-out units. *)
-      (match pi_timeout with
-      | Some limit when Unix.gettimeofday () -. t_start > limit ->
-        raise (Pi_timeout { pi; limit })
-      | Some _ | None -> ());
-      let rc = Lb_core.Pipeline.record_of_result r in
-      Store.put store
-        {
-          Store.e_algo = name;
-          e_fp = fp;
-          e_n = n;
-          e_pi = pi;
-          e_model = model;
-          e_cost = rc.Lb_core.Pipeline.r_cost;
-          e_bits = rc.Lb_core.Pipeline.r_bits;
-          e_exec_fp = rc.Lb_core.Pipeline.r_exec_fp;
-          e_ebits =
-            (if save_traces then
-               Some r.Lb_core.Pipeline.encoding.Lb_core.Encode.bits
-             else None);
-        };
-      rc
-    in
     let outcome, record =
-      match Store.lookup store ~key with
-      | `Hit e ->
-        ( Hit,
-          Some
-            {
-              Lb_core.Pipeline.r_pi = pi;
-              r_cost = e.Store.e_cost;
-              r_bits = e.Store.e_bits;
-              r_exec_fp = e.Store.e_exec_fp;
-            } )
+      match lookup plan i with
+      | `Hit r -> (Hit, Some r)
       | (`Absent | `Damaged _) as found -> (
         (match found with
         | `Damaged diagnostic ->
-          locked (fun () -> on_event (Damaged_entry { key; diagnostic }))
+          locked (fun () ->
+              on_event (Damaged_entry { key = plan.u_keys.(i); diagnostic }))
         | `Absent -> ());
-        match compute () with
+        match compute plan i with
         | rc -> (Computed, Some rc)
         | exception e when resume -> (Failed (failure_message e), None))
     in
@@ -219,10 +267,9 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
         (* Computed units are already durable (Store.put wrote the entry
            before we got here) and Hits re-derive from the store, so for
            them the manifest may lag one interval. A quarantined failure
-           exists nowhere but the manifest: checkpoint it eagerly, or a
-           crash inside the interval re-runs the failing unit on resume —
-           the one outcome whose computation is not idempotent (a
-           pi_timeout's cost is the whole overrun pipeline). *)
+           is stored nowhere but the manifest: checkpoint it eagerly so
+           the on-disk manifest names it as soon as it happens (a resumed
+           run still recomputes it — failures are never cached). *)
         let eager = match outcome with Failed _ -> true | Hit | Computed -> false in
         if eager
            || progress.p_done mod checkpoint_every = 0
@@ -232,7 +279,7 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
           on_event
             (Checkpoint { manifest = mpath; done_ = progress.p_done; total })
         end;
-        on_event (Item { index = i; pi; outcome; progress }));
+        on_event (Item { index = i; pi = plan.u_pis.(i); outcome; progress }));
     record
   in
   let indices = List.init total (fun i -> i) in
@@ -253,7 +300,7 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
       indices
     |> List.map (fun i ->
            match outcomes.(i) with
-           | Some (Failed msg) -> { f_pi = pi_arr.(i); f_message = msg }
+           | Some (Failed msg) -> { f_pi = plan.u_pis.(i); f_message = msg }
            | _ -> assert false)
   in
   {
@@ -270,13 +317,7 @@ let certify ~store ?resume ?jobs ?checkpoint_every ?save_traces ?pi_timeout
     sweep ~store ?resume ?jobs ?checkpoint_every ?save_traces ?pi_timeout
       ?on_event ?cancel ?lease ?lease_wait algo ~n ~perms ()
   in
-  let cert =
-    match report.records with
-    | [] -> None
-    | records ->
-      Some (Lb_core.Pipeline.certificate_of_records algo ~n ~exhaustive records)
-  in
-  (cert, report)
+  (certificate algo ~n ~exhaustive report.records, report)
 
 let pp_progress ppf p =
   Format.fprintf ppf "%d/%d done (%d hits, %d computed, %d failed) %.1f/s%s"
@@ -288,26 +329,10 @@ let pp_progress ppf p =
 
 (* ------------------------------ telemetry ----------------------------- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+module Json = Lb_util.Json
 
 let pi_json pi =
-  json_string
+  Json.escape
     (String.concat ","
        (Array.to_list
           (Array.map string_of_int (Lb_core.Permutation.to_array pi))))
@@ -323,23 +348,24 @@ let progress_json p =
 let event_to_json = function
   | Start { total; sweep_id } ->
     Printf.sprintf "{\"event\":\"start\",\"total\":%d,\"sweep\":%s}" total
-      (json_string sweep_id)
+      (Json.escape sweep_id)
   | Item { index; pi; outcome; progress } ->
     let outcome_json =
       match outcome with
       | Hit -> "\"hit\""
       | Computed -> "\"computed\""
-      | Failed msg -> Printf.sprintf "\"failed\",\"message\":%s" (json_string msg)
+      | Failed msg ->
+        Printf.sprintf "\"failed\",\"message\":%s" (Json.escape msg)
     in
     Printf.sprintf "{\"event\":\"item\",\"index\":%d,\"pi\":%s,\"outcome\":%s,%s}"
       index (pi_json pi) outcome_json (progress_json progress)
   | Damaged_entry { key; diagnostic } ->
     Printf.sprintf "{\"event\":\"damaged\",\"key\":%s,\"diagnostic\":%s}"
-      (json_string key) (json_string diagnostic)
+      (Json.escape key) (Json.escape diagnostic)
   | Checkpoint { manifest; done_; total } ->
     Printf.sprintf
       "{\"event\":\"checkpoint\",\"manifest\":%s,\"done\":%d,\"total\":%d}"
-      (json_string manifest) done_ total
+      (Json.escape manifest) done_ total
   | Finished { progress; manifest } ->
     Printf.sprintf "{\"event\":\"finished\",%s,\"manifest\":%s}"
-      (progress_json progress) (json_string manifest)
+      (progress_json progress) (Json.escape manifest)

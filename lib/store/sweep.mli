@@ -19,17 +19,87 @@
        {!Lb_core.Pipeline.certify};}
     {- a {!Manifest} snapshot is checkpointed atomically every
        [checkpoint_every] completions, {e eagerly} on every quarantined
-       failure (a failure is recorded nowhere but the manifest, so the
-       periodic cadence alone would leave a window in which a crash
-       forgets the quarantine and resume re-runs the non-idempotent
-       failing unit), and finalized at the end. The final manifest and
-       certificate are pure functions of the inputs: byte-identical
-       whether the sweep ran once or was interrupted and resumed, at any
-       job count.}}
+       failure (so the on-disk manifest names a failure as soon as it is
+       quarantined — failures are stored nowhere else, and a resumed run
+       recomputes them by design), and finalized at the end. The final
+       manifest and certificate are pure functions of the inputs:
+       byte-identical whether the sweep ran once or was interrupted and
+       resumed, at any job count.}}
 
     Work fans out across domains via {!Lb_util.Pool.map} (inheriting
     its nested-sequential degradation), so a store-backed sweep can sit
-    inside a parallel experiment grid. *)
+    inside a parallel experiment grid.
+
+    Everything below the engine loop — input checks, keys, the per-unit
+    compute-and-publish step, reading a unit back as a record, the
+    manifest and the certificate — is the {!plan} and the four functions
+    beside it, shared with the distributed engine ({!Sweep_dist}) and
+    the job service's warm path. *)
+
+(** {2 The unit plan} *)
+
+type plan = private {
+  u_store : Store.t;
+  u_algo : Lb_shmem.Algorithm.t;
+  u_n : int;
+  u_save_traces : bool;
+  u_pi_timeout : float option;
+  u_fp : string;  (** {!Store_key.fingerprint} of the algorithm at [u_n] *)
+  u_pis : Lb_core.Permutation.t array;  (** the family, in order *)
+  u_keys : string array;  (** [u_keys.(i)] is the store key of [u_pis.(i)] *)
+  u_sweep_id : string;  (** {!Store_key.sweep_id} of the family *)
+  u_manifest : string;  (** the sweep's manifest path in [u_store] *)
+}
+(** One sweep family, checked and keyed once. Unit [i] is the pipeline
+    run on [u_pis.(i)]. *)
+
+val plan :
+  who:string ->
+  store:Store.t ->
+  ?save_traces:bool ->
+  ?pi_timeout:float ->
+  Lb_shmem.Algorithm.t ->
+  n:int ->
+  perms:Lb_core.Permutation.t list ->
+  plan
+(** Check the inputs and derive the fingerprint, the per-unit keys, the
+    sweep id and the manifest path. Raises [Invalid_argument], its
+    message prefixed by [who], on an empty family, an RMW algorithm, an
+    [n] the algorithm does not support, or [pi_timeout <= 0].
+    [save_traces] defaults to [false], [pi_timeout] to none. *)
+
+val lookup :
+  plan ->
+  int ->
+  [ `Hit of Lb_core.Pipeline.record | `Absent | `Damaged of string ]
+(** Unit [i] as stored: its record on a valid entry, or why there is
+    none ({!Store.lookup}'s diagnostic for a damaged entry). *)
+
+val compute : plan -> int -> Lb_core.Pipeline.record
+(** Run unit [i] through {!Lb_core.Pipeline.run_checked} and publish it
+    with {!Store.put} — with the E_pi bits when the plan saves traces.
+    Raises {!Pi_timeout} (before the put) when the unit overran the
+    plan's [pi_timeout]; pipeline failures propagate unchanged. *)
+
+val save_manifest :
+  plan -> (int -> [ `Pending | `Done | `Failed of string ]) -> unit
+(** Atomically write the sweep manifest, unit [i]'s line from
+    [outcome_of i]. *)
+
+val certificate :
+  Lb_shmem.Algorithm.t ->
+  n:int ->
+  exhaustive:bool ->
+  Lb_core.Pipeline.record list ->
+  Lb_core.Bounds.certificate option
+(** {!Lb_core.Pipeline.certificate_of_records} over records in family
+    order; [None] when there are none. *)
+
+val pi_json : Lb_core.Permutation.t -> string
+(** A permutation as the JSON string ["2,0,1"] — the [pi] field of
+    both engines' events. *)
+
+(** {2 The single-process engine} *)
 
 type item_outcome =
   | Hit  (** served from the store *)
@@ -109,8 +179,8 @@ val sweep :
     exact (cooperative) semantics. [on_event] is called under the
     engine's lock — keep it cheap; event order between items reflects
     completion order and is not deterministic across job counts (the
-    manifest and report are). Raises [Invalid_argument] on an empty
-    family or an RMW algorithm, like {!Lb_core.Pipeline.certify}.
+    manifest and report are). Raises [Invalid_argument] on what {!plan}
+    refuses or a [checkpoint_every] below 1, before taking the lease.
 
     Concurrency: the sweep holds the store's {!Store_lock} writer lease
     for its whole run — acquired here (waiting up to [lease_wait]

@@ -80,35 +80,24 @@ let hb_take_fenced hb =
   f
 
 let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
-    ?(checkpoint_every = 64) ?(save_traces = false) ?pi_timeout
+    ?(checkpoint_every = 64) ?save_traces ?pi_timeout
     ?(on_event = fun _ -> ()) ?cancel ?seed (algo : Algorithm.t) ~n ~perms ()
     =
-  if perms = [] then invalid_arg "Sweep_dist.work: empty permutation family";
+  let plan =
+    Sweep.plan ~who:"Sweep_dist.work" ~store ?save_traces ?pi_timeout algo ~n
+      ~perms
+  in
   if ttl <= 0.0 then invalid_arg "Sweep_dist.work: ttl must be positive";
   if checkpoint_every < 1 then
     invalid_arg "Sweep_dist.work: checkpoint_every must be >= 1";
-  if not (Algorithm.registers_only algo) then
-    invalid_arg
-      (Printf.sprintf
-         "Sweep_dist.work: algorithm %S is declared Uses_rmw; the lower-bound \
-          pipeline covers only the read/write-register model"
-         algo.Algorithm.name);
   let jobs_n = match jobs with Some j -> j | None -> Lb_util.Pool.default_jobs () in
   let batch = match batch with Some b -> max 1 b | None -> max 1 (2 * jobs_n) in
   let rng =
     Lb_util.Rng.create (match seed with Some s -> s | None -> Unix.getpid ())
   in
-  let name = algo.Algorithm.name in
-  let fp = Store_key.fingerprint algo ~n in
-  let model = Store_key.sc_model in
-  let pi_arr = Array.of_list perms in
-  let total = Array.length pi_arr in
-  let key_arr =
-    Array.map (fun pi -> Store_key.derive ~fp ~algo:name ~n ~pi ~model) pi_arr
-  in
-  let sid = Store_key.sweep_id ~fp ~algo:name ~n ~perms ~model in
-  let mpath = Store.manifest_path store ~id:sid in
-  let claims = Store_claim.open_ store ~sweep_id:sid in
+  let total = Array.length plan.Sweep.u_pis in
+  let mpath = plan.Sweep.u_manifest in
+  let claims = Store_claim.open_ store ~sweep_id:plan.Sweep.u_sweep_id in
   (* Register as a reader so a concurrent gc defers destruction until
      we are gone; the whole-store writer lease is deliberately NOT
      taken — per-entry claims replace it for distributed sweeps. *)
@@ -133,35 +122,19 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
     Mutex.lock mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
   in
+  let failure i =
+    Option.value ~default:"unknown failure"
+      (Store_claim.failure claims ~key:plan.Sweep.u_keys.(i))
+  in
   (* The manifest is derived from durable state only, so every worker
      checkpointing at the same store state writes identical bytes. *)
-  let manifest_locked () =
-    {
-      Manifest.m_algo = name;
-      m_fp = fp;
-      m_n = n;
-      m_model = model;
-      m_total = total;
-      m_outcomes =
-        Array.to_list
-          (Array.mapi
-             (fun i r ->
-               ( pi_arr.(i),
-                 match r with
-                 | None -> Manifest.Pending key_arr.(i)
-                 | Some true -> Manifest.Done key_arr.(i)
-                 | Some false ->
-                   let msg =
-                     Option.value ~default:"unknown failure"
-                       (Store_claim.failure claims ~key:key_arr.(i))
-                   in
-                   Manifest.Failed (key_arr.(i), msg) ))
-             resolved);
-    }
-  in
   let checkpoint () =
     locked (fun () ->
-        Manifest.save ~path:mpath (manifest_locked ());
+        Sweep.save_manifest plan (fun i ->
+            match resolved.(i) with
+            | None -> `Pending
+            | Some true -> `Done
+            | Some false -> `Failed (failure i));
         on_event
           (Checkpoint { manifest = mpath; resolved = !resolved_count; total }))
   in
@@ -172,47 +145,23 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
           incr resolved_count
         end)
   in
-  on_event (Start { total; sweep_id = sid });
+  on_event (Start { total; sweep_id = plan.Sweep.u_sweep_id });
   let since_checkpoint = ref 0 in
   let compute_one (i, claim) =
-    let pi = pi_arr.(i) and key = key_arr.(i) in
+    let pi = plan.Sweep.u_pis.(i) and key = plan.Sweep.u_keys.(i) in
     Fun.protect ~finally:(fun () -> hb_remove hb claim; Store_claim.release claim)
     @@ fun () ->
     let outcome =
       (* Re-probe durable state under the claim: a fenced-out previous
          holder may have published between our snapshot and now. *)
-      match Store.lookup store ~key with
+      match Sweep.lookup plan i with
       | `Hit _ -> Hit
       | `Absent | `Damaged _ -> (
         match Store_claim.failure claims ~key with
         | Some msg -> Failed msg
         | None -> (
-          let run () =
-            let t_start = Unix.gettimeofday () in
-            let r = Lb_core.Pipeline.run_checked algo ~n pi in
-            (match pi_timeout with
-            | Some limit when Unix.gettimeofday () -. t_start > limit ->
-              raise (Sweep.Pi_timeout { pi; limit })
-            | Some _ | None -> ());
-            let rc = Lb_core.Pipeline.record_of_result r in
-            Store.put store
-              {
-                Store.e_algo = name;
-                e_fp = fp;
-                e_n = n;
-                e_pi = pi;
-                e_model = model;
-                e_cost = rc.Lb_core.Pipeline.r_cost;
-                e_bits = rc.Lb_core.Pipeline.r_bits;
-                e_exec_fp = rc.Lb_core.Pipeline.r_exec_fp;
-                e_ebits =
-                  (if save_traces then
-                     Some r.Lb_core.Pipeline.encoding.Lb_core.Encode.bits
-                   else None);
-              }
-          in
-          match run () with
-          | () -> Computed
+          match Sweep.compute plan i with
+          | _ -> Computed
           | exception Lb_util.Pool.Cancelled -> raise Lb_util.Pool.Cancelled
           | exception e ->
             let msg = Sweep.failure_message e in
@@ -293,12 +242,12 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
     Array.iteri
       (fun i r ->
         if r = None then
-          match Store.lookup store ~key:key_arr.(i) with
+          match Sweep.lookup plan i with
           | `Hit _ ->
             mark i true;
             locked (fun () -> incr hits)
           | `Absent | `Damaged _ -> (
-            match Store_claim.failure claims ~key:key_arr.(i) with
+            match Store_claim.failure claims ~key:plan.Sweep.u_keys.(i) with
             | Some _ -> mark i false
             | None -> pending := i :: !pending))
       resolved;
@@ -324,7 +273,7 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
       List.iter
         (fun i ->
           if !n_claimed < batch then begin
-            let key = key_arr.(i) in
+            let key = plan.Sweep.u_keys.(i) in
             let slot =
               Option.value ~default:Store_claim.Free (Hashtbl.find_opt snap key)
             in
@@ -381,30 +330,15 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
      manifest all derive from durable state in family order. *)
   checkpoint ();
   let records = ref [] and failures = ref [] and failed = ref 0 in
-  Array.iteri
-    (fun i _ ->
-      let pi = pi_arr.(i) and key = key_arr.(i) in
-      match Store.lookup store ~key with
-      | `Hit e ->
-        records :=
-          {
-            Lb_core.Pipeline.r_pi = pi;
-            r_cost = e.Store.e_cost;
-            r_bits = e.Store.e_bits;
-            r_exec_fp = e.Store.e_exec_fp;
-          }
-          :: !records
-      | `Absent | `Damaged _ ->
-        incr failed;
-        failures :=
-          {
-            Sweep.f_pi = pi;
-            f_message =
-              Option.value ~default:"unknown failure"
-                (Store_claim.failure claims ~key);
-          }
-          :: !failures)
-    pi_arr;
+  for i = total - 1 downto 0 do
+    match Sweep.lookup plan i with
+    | `Hit r -> records := r :: !records
+    | `Absent | `Damaged _ ->
+      incr failed;
+      failures :=
+        { Sweep.f_pi = plan.Sweep.u_pis.(i); f_message = failure i }
+        :: !failures
+  done;
   locked (fun () ->
       on_event
         (Finished
@@ -416,8 +350,8 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
     d_computed = !computed;
     d_stolen = !stolen;
     d_failed = !failed;
-    d_records = List.rev !records;
-    d_failures = List.rev !failures;
+    d_records = !records;
+    d_failures = !failures;
     d_manifest_path = mpath;
   }
 
@@ -427,61 +361,33 @@ let certify ~store ?jobs ?ttl ?batch ?checkpoint_every ?save_traces ?pi_timeout
     work ~store ?jobs ?ttl ?batch ?checkpoint_every ?save_traces ?pi_timeout
       ?on_event ?cancel ?seed algo ~n ~perms ()
   in
-  let cert =
-    match report.d_records with
-    | [] -> None
-    | records ->
-      Some (Lb_core.Pipeline.certificate_of_records algo ~n ~exhaustive records)
-  in
-  (cert, report)
+  (Sweep.certificate algo ~n ~exhaustive report.d_records, report)
 
 (* ------------------------------ telemetry ----------------------------- *)
 
-let event_to_json ev =
-  let js s =
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  in
-  let pi_json pi =
-    js
-      (String.concat ","
-         (Array.to_list
-            (Array.map string_of_int (Lb_core.Permutation.to_array pi))))
-  in
-  match ev with
+module Json = Lb_util.Json
+
+let event_to_json = function
   | Start { total; sweep_id } ->
     Printf.sprintf "{\"event\":\"start\",\"total\":%d,\"sweep\":%s}" total
-      (js sweep_id)
+      (Json.escape sweep_id)
   | Unit { index; pi; outcome; resolved; total } ->
     let outcome_json =
       match outcome with
       | Hit -> "\"hit\""
       | Computed -> "\"computed\""
-      | Failed msg -> Printf.sprintf "\"failed\",\"message\":%s" (js msg)
+      | Failed msg ->
+        Printf.sprintf "\"failed\",\"message\":%s" (Json.escape msg)
     in
     Printf.sprintf
       "{\"event\":\"unit\",\"index\":%d,\"pi\":%s,\"outcome\":%s,\
        \"resolved\":%d,\"total\":%d}"
-      index (pi_json pi) outcome_json resolved total
+      index (Sweep.pi_json pi) outcome_json resolved total
   | Stolen { key; epoch } ->
-    Printf.sprintf "{\"event\":\"stolen\",\"key\":%s,\"epoch\":%d}" (js key)
-      epoch
+    Printf.sprintf "{\"event\":\"stolen\",\"key\":%s,\"epoch\":%d}"
+      (Json.escape key) epoch
   | Fenced { key } ->
-    Printf.sprintf "{\"event\":\"fenced\",\"key\":%s}" (js key)
+    Printf.sprintf "{\"event\":\"fenced\",\"key\":%s}" (Json.escape key)
   | Round { claimed; resolved; total; backoff } ->
     Printf.sprintf
       "{\"event\":\"round\",\"claimed\":%d,\"resolved\":%d,\"total\":%d,\
@@ -490,9 +396,9 @@ let event_to_json ev =
   | Checkpoint { manifest; resolved; total } ->
     Printf.sprintf
       "{\"event\":\"checkpoint\",\"manifest\":%s,\"resolved\":%d,\"total\":%d}"
-      (js manifest) resolved total
+      (Json.escape manifest) resolved total
   | Finished { resolved; failed; total; manifest } ->
     Printf.sprintf
       "{\"event\":\"finished\",\"resolved\":%d,\"failed\":%d,\"total\":%d,\
        \"manifest\":%s}"
-      resolved failed total (js manifest)
+      resolved failed total (Json.escape manifest)

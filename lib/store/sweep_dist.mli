@@ -103,8 +103,10 @@ val work :
     pool workers; keep it cheap and thread-safe. Failures are always
     quarantined ([{!Sweep}]'s [~resume:true] semantics — fail-fast is
     meaningless when the failing unit may belong to another worker).
-    Raises [Invalid_argument] on an empty family, an RMW algorithm, or
-    a non-positive [ttl]; {!Lb_util.Pool.Cancelled} on drain. *)
+    Raises [Invalid_argument] on what {!Sweep.plan} refuses, a
+    non-positive [ttl] or a [checkpoint_every] below 1 — before any
+    claim or failure record is written; {!Lb_util.Pool.Cancelled} on
+    drain. *)
 
 val certify :
   store:Store.t ->

@@ -19,6 +19,19 @@ let check_runs label args expect =
   Alcotest.(check int) (label ^ " exit code") expect status;
   (status, content)
 
+let with_temp_dir f =
+  let dir = Filename.temp_file "mutexlb_cli_store" "" in
+  Sys.remove dir;
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun x -> rm_rf (Filename.concat path x)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 let test_list () =
   let _, out = check_runs "list" "list" 0 in
   Alcotest.(check bool) "mentions ya" true
@@ -126,7 +139,23 @@ let test_experiments_only () =
 
 let test_unknown_algo () =
   let status, _ = run_cmd "run -a nonsense -n 2" in
-  Alcotest.(check int) "exit 2" 2 status
+  Alcotest.(check int) "exit 2" 2 status;
+  (* an n outside the algorithm's range is a usage error too, refused
+     before any store is opened *)
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun verb ->
+          let status, out = run_cmd (verb ^ " -a peterson2 -n 3") in
+          Alcotest.(check int) (verb ^ ": exit 2") 2 status;
+          Alcotest.(check bool) (verb ^ ": names n") true
+            (Astring_contains.contains out
+               "algorithm \"peterson2\" does not support n=3"))
+        [
+          "run"; "construct"; "pipeline"; "certify"; "workload"; "adversary";
+          "certify --store " ^ dir; "work --store " ^ dir;
+        ];
+      Alcotest.(check bool) "work left no claims" false
+        (Sys.file_exists (Filename.concat dir "claims")))
 
 let test_bad_perm () =
   let status, _ = run_cmd "pipeline -a bakery -n 3 -p 0,1" in
@@ -268,19 +297,6 @@ let test_certify_perms_clamp () =
     (Astring_contains.contains out "exceeds n! = 6");
   Alcotest.(check bool) "goes exhaustive" true
     (Astring_contains.contains out "(6 perms, exhaustive)")
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "mutexlb_cli_store" "" in
-  Sys.remove dir;
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun x -> rm_rf (Filename.concat path x)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let test_certify_store_warm () =
   with_temp_dir (fun dir ->

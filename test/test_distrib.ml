@@ -339,34 +339,69 @@ let test_dist_steals_abandoned_claims () =
         doomed)
 
 let test_dist_failures_exactly_once () =
-  (* broken_spinlock fails pipeline checks on (most) permutations; the
+  (* broken_spinlock fails pipeline checks on (most) permutations, and an
+     impossible pi_timeout quarantines every yang_anderson unit; the
      distributed engine must quarantine those deterministically — same
      manifest bytes as the sequential oracle, including failure lines *)
-  let broken = Lb_algos.Broken_spinlock.algorithm in
   let n = 3 in
   let pis = Lb_core.Permutation.all n in
-  let seq_manifest =
-    let dir = fresh_dir () in
-    let st = Store.open_ ~dir in
-    let _, report =
-      Sweep.certify ~store:st ~jobs:1 ~resume:true broken ~n ~perms:pis
-        ~exhaustive:true ()
-    in
-    let m = read_file report.Sweep.manifest_path in
-    rm_rf dir;
-    m
-  in
-  with_store (fun st ->
-      let cert, r =
-        Dist.certify ~store:st ~jobs:2 broken ~n ~perms:pis ~exhaustive:true ()
+  List.iter
+    (fun (label, algo, pi_timeout) ->
+      let seq_manifest =
+        let dir = fresh_dir () in
+        let st = Store.open_ ~dir in
+        let _, report =
+          Sweep.certify ~store:st ~jobs:1 ~resume:true ?pi_timeout algo ~n
+            ~perms:pis ~exhaustive:true ()
+        in
+        let m = read_file report.Sweep.manifest_path in
+        rm_rf dir;
+        m
       in
-      ignore cert;
-      Alcotest.(check string) "failure manifest bytes" seq_manifest
-        (read_file r.Dist.d_manifest_path);
-      Alcotest.(check bool) "failures quarantined" true (r.Dist.d_failed > 0);
-      Alcotest.(check int) "failure list in family order"
-        r.Dist.d_failed
-        (List.length r.Dist.d_failures))
+      with_store (fun st ->
+          let _, r =
+            Dist.certify ~store:st ~jobs:2 ?pi_timeout algo ~n ~perms:pis
+              ~exhaustive:true ()
+          in
+          Alcotest.(check string) (label ^ ": failure manifest bytes")
+            seq_manifest
+            (read_file r.Dist.d_manifest_path);
+          Alcotest.(check bool) (label ^ ": failures quarantined") true
+            (r.Dist.d_failed > 0);
+          Alcotest.(check int) (label ^ ": failure list in family order")
+            r.Dist.d_failed
+            (List.length r.Dist.d_failures)))
+    [
+      ("broken_spinlock", Lb_algos.Broken_spinlock.algorithm, None);
+      ("yang_anderson timeout", ya, Some 1e-9);
+    ]
+
+(* inputs the plan refuses raise before any claim or failure record is
+   published — at worst a bad call would otherwise quarantine the whole
+   family for every later worker on the store *)
+let test_dist_rejects_bad_input () =
+  let pis, _ = family () in
+  let rec failed_files path =
+    if Sys.is_directory path then
+      Array.fold_left
+        (fun acc f -> acc @ failed_files (Filename.concat path f))
+        [] (Sys.readdir path)
+    else if Filename.check_suffix path ".failed" then [ path ]
+    else []
+  in
+  List.iter
+    (fun (label, algo, pi_timeout) ->
+      with_store (fun st ->
+          (match Dist.work ~store:st ~jobs:1 ?pi_timeout algo ~n:4 ~perms:pis () with
+          | _ -> Alcotest.fail (label ^ " accepted")
+          | exception Invalid_argument _ -> ());
+          let claims = Filename.concat (Store.dir st) "claims" in
+          Alcotest.(check (list string)) (label ^ ": no .failed record") []
+            (if Sys.file_exists claims then failed_files claims else [])))
+    [
+      ("pi_timeout = 0", ya, Some 0.0);
+      ("unsupported n", Lb_algos.Peterson2.algorithm, None);
+    ]
 
 let test_dist_drain_cancels () =
   let pis, _ = family () in
@@ -585,6 +620,8 @@ let suite =
       test_dist_steals_abandoned_claims;
     Alcotest.test_case "dist failures exactly-once" `Quick
       test_dist_failures_exactly_once;
+    Alcotest.test_case "dist rejects bad input" `Quick
+      test_dist_rejects_bad_input;
     Alcotest.test_case "dist drain cancels" `Quick test_dist_drain_cancels;
     Alcotest.test_case "gc refuses live claims" `Quick
       test_gc_refuses_live_claims;

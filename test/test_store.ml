@@ -528,12 +528,12 @@ let test_sweep_checkpoint_every () =
       | _ -> Alcotest.fail "checkpoint_every = 0 accepted"
       | exception Invalid_argument _ -> ())
 
-(* the loss-window bugfix: a quarantined failure is durable the moment it
-   is recorded, even when the periodic checkpoint interval is far wider
-   than the family — a crash right after the failure can no longer forget
-   the quarantine and re-run the non-idempotent unit on resume. The
-   Checkpoint event fires before the failure's own Item event, so by the
-   time we observe the failure the on-disk manifest must already carry it. *)
+(* a quarantined failure reaches the on-disk manifest the moment it is
+   recorded, even when the periodic checkpoint interval is far wider than
+   the family (a resumed run still recomputes it: failures are never
+   cached). The Checkpoint event fires before the failure's own Item
+   event, so by the time we observe the failure the on-disk manifest must
+   already carry it. *)
 let test_sweep_failure_checkpoint_eager () =
   with_store (fun st ->
       let mpath = ref None in
@@ -565,9 +565,18 @@ let test_sweep_rejects_bad_input () =
       (match Sweep.sweep ~store:st ya ~n:3 ~perms:[] () with
       | _ -> Alcotest.fail "empty family accepted"
       | exception Invalid_argument _ -> ());
-      match Sweep.sweep ~store:st Lb_algos.Rmw_locks.test_and_set ~n:2 ~perms:(perms_of 2) () with
+      (match Sweep.sweep ~store:st Lb_algos.Rmw_locks.test_and_set ~n:2 ~perms:(perms_of 2) () with
       | _ -> Alcotest.fail "rmw algorithm accepted"
-      | exception Invalid_argument _ -> ())
+      | exception Invalid_argument _ -> ());
+      (* refused, not quarantined unit by unit *)
+      (match
+         Sweep.sweep ~store:st ~resume:true Lb_algos.Peterson2.algorithm ~n:3
+           ~perms:(perms_of 3) ()
+       with
+      | _ -> Alcotest.fail "unsupported n accepted"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check (list string)) "no manifest written" []
+        (Store.manifest_paths st))
 
 (* ------------------------- experiments plumbing ---------------------- *)
 
