@@ -51,6 +51,14 @@ let require_supports ~cmd ~n (algo : Lb_shmem.Algorithm.t) =
     exit 2
   end
 
+(* Counts and budgets below 1 would make a verb certify nothing or
+   crash on Invalid_argument from inside; refuse them here (exit 2). *)
+let require_positive ~cmd flag v =
+  if v < 1 then begin
+    Printf.eprintf "%s: %s must be >= 1 (got %d)\n" cmd flag v;
+    exit 2
+  end
+
 (* ----------------------------- arguments ----------------------------- *)
 
 let algo_arg =
@@ -61,9 +69,11 @@ let n_arg =
   let doc = "Number of processes." in
   Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc)
 
-let seed_arg =
+let seed_opt ~default =
   let doc = "PRNG seed (schedules, sampled permutations)." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let seed_arg = seed_opt ~default:1
 
 let jobs_arg =
   let doc =
@@ -90,14 +100,25 @@ let perm_arg =
 let parse_perm ~n ~seed = function
   | None -> Lb_core.Permutation.random (Lb_util.Rng.create seed) n
   | Some s ->
+    let bad why =
+      Printf.eprintf "bad permutation %S: %s\n" s why;
+      exit 2
+    in
     let parts = String.split_on_char ',' s in
-    let arr = Array.of_list (List.map int_of_string parts) in
+    let arr =
+      match Array.of_list (List.map int_of_string parts) with
+      | arr -> arr
+      | exception Failure _ -> bad "expected comma-separated process indices"
+    in
     if Array.length arr <> n then begin
       Printf.eprintf "permutation length %d does not match n=%d\n"
         (Array.length arr) n;
       exit 2
     end;
-    Lb_core.Permutation.of_array arr
+    match Lb_core.Permutation.of_array arr with
+    | pi -> pi
+    | exception Invalid_argument _ ->
+      bad (Printf.sprintf "not a permutation of 0..%d" (n - 1))
 
 (* ------------------------------- list -------------------------------- *)
 
@@ -309,6 +330,8 @@ let check_cmd =
   let run algo_names n rounds max_states deadline mem_budget spill_dir resume
       stats json jobs =
     apply_jobs jobs;
+    require_positive ~cmd:"check" "--rounds" rounds;
+    require_positive ~cmd:"check" "--max-states" max_states;
     if resume && spill_dir = None then begin
       Printf.eprintf "check: --resume requires --spill-dir DIR\n";
       exit 2
@@ -725,11 +748,7 @@ let certify_cmd =
       Printf.eprintf "certify: --pi-timeout must be positive\n";
       exit 2
     | Some _ | None -> ());
-    if checkpoint_every < 1 then begin
-      Printf.eprintf "certify: --checkpoint-every must be >= 1 (got %d)\n"
-        checkpoint_every;
-      exit 2
-    end;
+    require_positive ~cmd:"certify" "--checkpoint-every" checkpoint_every;
     if retries < 0 || retry_backoff <= 0.0 then begin
       Printf.eprintf
         "certify: --retry must be >= 0 and --retry-backoff positive\n";
@@ -1104,24 +1123,13 @@ let work_cmd =
   let run algo_name n seed perms jobs dir ttl batch checkpoint_every events
       save_traces pi_timeout kill_after =
     apply_jobs jobs;
-    if perms <= 0 then begin
-      Printf.eprintf "work: --perms must be >= 1 (got %d)\n" perms;
-      exit 2
-    end;
+    require_positive ~cmd:"work" "--perms" perms;
     if ttl <= 0.0 then begin
       Printf.eprintf "work: --claim-ttl must be positive\n";
       exit 2
     end;
-    (match batch with
-    | Some b when b < 1 ->
-      Printf.eprintf "work: --batch must be >= 1 (got %d)\n" b;
-      exit 2
-    | _ -> ());
-    if checkpoint_every < 1 then begin
-      Printf.eprintf "work: --checkpoint-every must be >= 1 (got %d)\n"
-        checkpoint_every;
-      exit 2
-    end;
+    Option.iter (require_positive ~cmd:"work" "--batch") batch;
+    require_positive ~cmd:"work" "--checkpoint-every" checkpoint_every;
     (match pi_timeout with
     | Some t when t <= 0.0 ->
       Printf.eprintf "work: --pi-timeout must be positive\n";
@@ -1274,6 +1282,7 @@ let adversary_cmd =
     Arg.(value & opt int 32 & info [ "tries" ] ~docv:"K" ~doc:"Random restarts.")
   in
   let run algo_name n seed tries =
+    require_positive ~cmd:"adversary" "--tries" tries;
     let algo = find_algo algo_name in
     require_supports ~cmd:"adversary" ~n algo;
     let r = Lb_mutex.Adversary.search ~tries ~seed algo ~n in
@@ -1326,7 +1335,10 @@ let experiments_cmd =
          "Regenerate the EXPERIMENTS.md tables. With --store DIR the \
           pipeline sweeps inside E1/E2 are served from (and persisted to) a \
           durable result store.")
-    Term.(const run $ seed_arg $ only_arg $ jobs_arg $ store_arg $ resume_arg)
+    Term.(
+      const run
+      $ seed_opt ~default:Lb_exp.Exp_common.default_seed
+      $ only_arg $ jobs_arg $ store_arg $ resume_arg)
 
 (* -------------------------------- store ------------------------------- *)
 
@@ -1652,10 +1664,7 @@ let chaos_cmd =
       Printf.eprintf "chaos: --random must be >= 0\n";
       exit 2
     end;
-    if max_states < 1 then begin
-      Printf.eprintf "chaos: --max-states must be >= 1\n";
-      exit 2
-    end;
+    require_positive ~cmd:"chaos" "--max-states" max_states;
     let cells =
       Lb_faults.Matrix.shipped
       @ (if random > 0 then
@@ -1832,13 +1841,10 @@ let mutate_cmd =
           Printf.eprintf "mutate: %s\n" msg;
           exit 2)
     in
-    if rounds < 1 || max_states < 1 || max_steps < 1 || deep_states < 1
-    then begin
-      Printf.eprintf
-        "mutate: --rounds, --max-states, --max-steps and --deep-states must \
-         be >= 1\n";
-      exit 2
-    end;
+    require_positive ~cmd:"mutate" "--rounds" rounds;
+    require_positive ~cmd:"mutate" "--max-states" max_states;
+    require_positive ~cmd:"mutate" "--max-steps" max_steps;
+    require_positive ~cmd:"mutate" "--deep-states" deep_states;
     let mem_budget =
       match mem_budget with
       | None -> None

@@ -1,11 +1,12 @@
 (** Shared plumbing for the experiment drivers (EXPERIMENTS.md).
 
     Every experiment is deterministic given [seed]; tables are rendered
-    through {!Lb_util.Table} so the benchmark harness regenerates the same
-    rows every run. *)
+    through {!Lb_util.Table} so [mutexlb experiments] regenerates the
+    same rows every run. *)
 
 val default_seed : int
-(** Seed used by [bench/main.exe]: 20060723 (the paper's TR date). *)
+(** Seed of the tables in EXPERIMENTS.md and the default of
+    [mutexlb experiments]: 20060723 (the paper's TR date). *)
 
 val perms_for :
   seed:int -> n:int -> budget:int -> Lb_core.Permutation.t list * bool

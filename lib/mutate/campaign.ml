@@ -48,7 +48,7 @@ type row = {
   r_n : int;
   r_op : string;
   r_kind : string;
-  r_legs : (layer * outcome * float) list;
+  r_legs : (layer * outcome) list;
   r_triage : string option;
 }
 
@@ -60,7 +60,7 @@ type status =
 let status row =
   let kill =
     List.find_map
-      (fun (layer, leg, _) ->
+      (fun (layer, leg) ->
         match leg with
         | Kill { name; detail } -> Some (Killed { layer; name; detail })
         | Clean | Inconclusive _ -> None)
@@ -71,7 +71,7 @@ let status row =
   | None -> (
       match
         List.find_map
-          (fun (_, leg, _) ->
+          (fun (_, leg) ->
             match leg with
             | Inconclusive reason -> Some reason
             | Kill _ | Clean -> None)
@@ -205,16 +205,11 @@ let stack ?(config = default) ?(short_circuit = true) ?(baseline = []) algo ~n =
           ~max_states:(max config.max_states config.deep_states)
           ~config algo ~n
   in
-  let timed layer =
-    let t0 = Unix.gettimeofday () in
-    let out = leg layer in
-    (layer, out, Unix.gettimeofday () -. t0)
-  in
   let rec go acc = function
     | [] -> List.rev acc
     | layer :: rest ->
-        let ((_, out, _) as step) = timed layer in
-        let acc = step :: acc in
+        let out = leg layer in
+        let acc = (layer, out) :: acc in
         let killed = match out with Kill _ -> true | _ -> false in
         if killed && short_circuit then List.rev acc else go acc rest
   in
@@ -227,8 +222,9 @@ let stack ?(config = default) ?(short_circuit = true) ?(baseline = []) algo ~n =
      only runs on the stack's survivors. An inconclusive staged leg
      already marks the row undecided, so escalating it would prove
      nothing. *)
-  let all_clean = List.for_all (fun (_, out, _) -> out = Clean) legs in
-  if config.escalate && all_clean then legs @ [ timed Deep_check ] else legs
+  let all_clean = List.for_all (fun (_, out) -> out = Clean) legs in
+  if config.escalate && all_clean then legs @ [ (Deep_check, leg Deep_check) ]
+  else legs
 
 (* ----------------------------- the campaign --------------------------- *)
 
@@ -330,18 +326,6 @@ let stale_triage t =
     t.rows
   |> List.sort_uniq compare
 
-let layer_seconds t =
-  List.map
-    (fun layer ->
-      ( layer,
-        List.fold_left
-          (fun acc r ->
-            List.fold_left
-              (fun acc (l, _, dt) -> if l = layer then acc +. dt else acc)
-              acc r.r_legs)
-          0.0 t.rows ))
-    layers
-
 (* ------------------------------ rendering ----------------------------- *)
 
 let format_version = 1
@@ -437,7 +421,7 @@ let to_json t =
            (Json.escape r.r_algo) r.r_n (Json.escape r.r_op)
            (Json.escape r.r_kind) (Json.escape status_s)
            layer_s name_s detail_s
-           (json_strings (List.map (fun (l, _, _) -> layer_name l) r.r_legs))
+           (json_strings (List.map (fun (l, _) -> layer_name l) r.r_legs))
            (match r.r_triage with
            | None -> "null"
            | Some reason -> Json.escape reason)))

@@ -70,9 +70,7 @@ type row = {
   r_n : int;
   r_op : string;  (** operator instance id, the allowlist key *)
   r_kind : string;  (** operator family *)
-  r_legs : (layer * outcome * float) list;
-      (** layers in run order with wall-clock seconds — the seconds are
-          for {!layer_seconds}/bench only and never serialized *)
+  r_legs : (layer * outcome) list;  (** layers in run order *)
   r_triage : string option;  (** allowlist reason, when one matches *)
 }
 
@@ -99,7 +97,7 @@ val stack :
   ?baseline:string list ->
   Algorithm.t ->
   n:int ->
-  (layer * outcome * float) list
+  (layer * outcome) list
 (** Run one algorithm through the staged stack. [baseline] (default
     [[]]) is the rule set subtracted from the lint leg;
     [short_circuit] (default [true]) stops after the first kill.
@@ -144,10 +142,6 @@ val stale_triage : t -> (string * string) list
     killed — triage comments that no longer explain anything. Only
     judged for (algo, op) pairs this campaign actually ran; informative,
     never gating. *)
-
-val layer_seconds : t -> (layer * float) list
-(** Total wall-clock per layer across all rows — bench fodder, not part
-    of the deterministic report. *)
 
 val pp : Format.formatter -> t -> unit
 val to_json : t -> string

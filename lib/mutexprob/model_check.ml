@@ -394,6 +394,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
   let t0 = Unix.gettimeofday () in
   let jobs = match jobs with Some j -> j | None -> Lb_util.Pool.default_jobs () in
   if jobs < 1 then invalid_arg "Model_check.explore: jobs must be >= 1";
+  if rounds < 1 then invalid_arg "Model_check.explore: rounds must be >= 1";
   if max_states < 1 then
     invalid_arg "Model_check.explore: max_states must be >= 1";
   (match mem_budget with

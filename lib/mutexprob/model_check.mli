@@ -175,8 +175,8 @@ val explore :
     [Failure] naming the mode: it may have dropped states, so it is
     never resumed as exact.
 
-    Raises [Invalid_argument] if [jobs], [max_states] or [mem_budget]
-    is out of range, or if [resume] is set without [spill_dir];
+    Raises [Invalid_argument] if [rounds], [jobs], [max_states] or
+    [mem_budget] is out of range, or if [resume] is set without [spill_dir];
     [Failure] on a damaged or inconsistent spill directory — including
     a key run whose key count disagrees with the manifest. *)
 

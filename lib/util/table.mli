@@ -1,8 +1,8 @@
 (** Plain-text table rendering for experiment output.
 
-    Every experiment in [bench/main.exe] prints its results through this
-    module so that the "tables" of EXPERIMENTS.md are regenerated in a
-    uniform format. *)
+    Every experiment run by [mutexlb experiments] prints its results
+    through this module so that the "tables" of EXPERIMENTS.md are
+    regenerated in a uniform format. *)
 
 type align = Left | Right
 

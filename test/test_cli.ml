@@ -137,6 +137,15 @@ let test_experiments_only () =
   let _, out = check_runs "experiments" "experiments --only E12" 0 in
   Alcotest.(check bool) "table" true (Astring_contains.contains out "Burns-Lynch")
 
+(* E5 depends on the seed, so a flagless run only matches the tables in
+   EXPERIMENTS.md if the verb defaults to the seed they were made with. *)
+let test_experiments_default_seed () =
+  let _, flagless = check_runs "experiments E5" "experiments --only E5" 0 in
+  let _, cited =
+    check_runs "experiments E5 --seed" "experiments --only E5 --seed 20060723" 0
+  in
+  Alcotest.(check string) "defaults to the EXPERIMENTS.md seed" cited flagless
+
 let test_unknown_algo () =
   let status, _ = run_cmd "run -a nonsense -n 2" in
   Alcotest.(check int) "exit 2" 2 status;
@@ -159,7 +168,38 @@ let test_unknown_algo () =
 
 let test_bad_perm () =
   let status, _ = run_cmd "pipeline -a bakery -n 3 -p 0,1" in
-  Alcotest.(check int) "exit 2" 2 status
+  Alcotest.(check int) "exit 2" 2 status;
+  (* a repeated index or a non-number is a usage error, not a crash *)
+  List.iter
+    (fun args ->
+      let status, out = run_cmd args in
+      Alcotest.(check int) (args ^ ": exit 2") 2 status;
+      Alcotest.(check bool) (args ^ ": names the permutation") true
+        (Astring_contains.contains out "bad permutation"))
+    [
+      "construct -a bakery -n 3 -p 0,1,1";
+      "pipeline -a bakery -n 3 -p 0,1,1";
+      "construct -a bakery -n 3 -p a,b,c";
+      "pipeline -a bakery -n 3 -p a,b,c";
+    ]
+
+(* A count below 1 would certify nothing (--rounds 0 explores a space
+   with no critical sections and reports it verified) or crash on an
+   Invalid_argument: each is a one-line usage error instead. *)
+let test_numeric_usage_errors () =
+  List.iter
+    (fun (args, flag) ->
+      let status, out = run_cmd args in
+      Alcotest.(check int) (args ^ ": exit 2") 2 status;
+      Alcotest.(check bool) (args ^ ": names the flag") true
+        (Astring_contains.contains out (flag ^ " must be >= 1"));
+      Alcotest.(check int) (args ^ ": one line") 1
+        (List.length (String.split_on_char '\n' (String.trim out))))
+    [
+      ("check -a broken_spinlock -n 2 --rounds 0 --json", "--rounds");
+      ("check -a peterson2 -n 2 --max-states 0", "--max-states");
+      ("adversary -a bakery -n 4 --tries 0", "--tries");
+    ]
 
 let test_lint_registry_clean () =
   let _, out = check_runs "lint" "lint --sizes 2,3 -j 2" 0 in
@@ -476,8 +516,11 @@ let suite =
     Alcotest.test_case "workload" `Quick test_workload;
     Alcotest.test_case "adversary" `Quick test_adversary;
     Alcotest.test_case "experiments --only" `Quick test_experiments_only;
+    Alcotest.test_case "experiments default seed" `Quick
+      test_experiments_default_seed;
     Alcotest.test_case "unknown algorithm" `Quick test_unknown_algo;
     Alcotest.test_case "bad permutation" `Quick test_bad_perm;
+    Alcotest.test_case "numeric usage errors" `Quick test_numeric_usage_errors;
     Alcotest.test_case "lint registry clean" `Slow test_lint_registry_clean;
     Alcotest.test_case "lint --no-allowlist fails" `Quick
       test_lint_no_allowlist_fails;

@@ -95,7 +95,7 @@ let control_kill_layers name ~n =
   let algo = registry name in
   let legs = Campaign.stack ~short_circuit:false algo ~n in
   List.filter_map
-    (fun (layer, out, _) ->
+    (fun (layer, out) ->
       match out with
       | Campaign.Kill _ -> Some (Campaign.layer_name layer)
       | Campaign.Clean | Campaign.Inconclusive _ -> None)
@@ -138,7 +138,7 @@ let test_domain_shrink_lint_only () =
       let m = Mutant.make base ~n:2 op in
       let legs = Campaign.stack m.Mutant.algo ~n:2 in
       match legs with
-      | [ (Campaign.Lint, Campaign.Kill { name; _ }, _) ] ->
+      | [ (Campaign.Lint, Campaign.Kill { name; _ }) ] ->
           Alcotest.(check string)
             (m.Mutant.op_id ^ " rule")
             "register-discipline/domain-violation" name
@@ -159,7 +159,7 @@ let test_escalation_catches_reentry () =
   let legs = Campaign.stack m.Mutant.algo ~n:2 in
   let killer =
     List.find_map
-      (fun (layer, out, _) ->
+      (fun (layer, out) ->
         match out with
         | Campaign.Kill { name; _ } -> Some (Campaign.layer_name layer, name)
         | _ -> None)
@@ -177,10 +177,10 @@ let test_escalation_off () =
   let config = { Campaign.default with escalate = false } in
   let legs = Campaign.stack ~config m.Mutant.algo ~n:2 in
   Alcotest.(check bool) "no deep check leg" false
-    (List.exists (fun (l, _, _) -> l = Campaign.Deep_check) legs);
+    (List.exists (fun (l, _) -> l = Campaign.Deep_check) legs);
   Alcotest.(check bool) "and no kill without it" false
     (List.exists
-       (fun (_, out, _) -> match out with Campaign.Kill _ -> true | _ -> false)
+       (fun (_, out) -> match out with Campaign.Kill _ -> true | _ -> false)
        legs)
 
 (* ----------------------------- the campaign -------------------------- *)

@@ -176,6 +176,15 @@ let test_mc_bound () =
     Alcotest.(check int) "states = bound" 100 r.Lb_mutex.Model_check.states
   | _ -> Alcotest.fail "expected bound exceeded"
 
+(* rounds = 0 explores a space with no critical section in it, so a
+   broken lock would come back Verified: refused, like max_states = 0. *)
+let test_mc_rejects_zero_rounds () =
+  Alcotest.check_raises "rounds 0"
+    (Invalid_argument "Model_check.explore: rounds must be >= 1") (fun () ->
+      ignore
+        (Lb_mutex.Model_check.explore Lb_algos.Broken_spinlock.algorithm ~n:2
+           ~rounds:0))
+
 let test_mc_rounds_2 () =
   let r = Lb_mutex.Model_check.explore Lb_algos.Peterson2.algorithm ~n:2 ~rounds:2 in
   match r.Lb_mutex.Model_check.verdict with
@@ -657,6 +666,8 @@ let suite =
     Alcotest.test_case "model check finds broken" `Quick test_mc_finds_broken;
     Alcotest.test_case "model check bound" `Quick test_mc_bound;
     Alcotest.test_case "model check rounds=2" `Quick test_mc_rounds_2;
+    Alcotest.test_case "model check rejects rounds=0" `Quick
+      test_mc_rejects_zero_rounds;
     Alcotest.test_case "model check adversarial reprs" `Quick
       test_mc_adversarial_reprs;
     Alcotest.test_case "model check matches reference count" `Quick
