@@ -482,23 +482,27 @@ let construct_cmd =
       (Lb_cost.State_change.cost algo ~n exec);
     Printf.printf "enter order    %s\n"
       (String.concat " " (List.map string_of_int (Lb_shmem.Execution.crit_order exec)));
+    let checks = Lb_core.Verify.all c in
     List.iter
       (fun (label, r) ->
         Printf.printf "%-34s %s\n" label
           (match r with Ok () -> "ok" | Error e -> "FAIL: " ^ e))
-      (Lb_core.Verify.all c);
+      checks;
     if show_meta then
       Lb_core.Metastep.iter c.Lb_core.Construct.arena (fun m ->
           Format.printf "%a@." Lb_core.Metastep.pp m);
-    match dot with
+    (match dot with
     | None -> ()
     | Some path ->
       Lb_core.Dot.save ~path c;
-      Printf.printf "dot saved      %s (render: dot -Tsvg %s)\n" path path
+      Printf.printf "dot saved      %s (render: dot -Tsvg %s)\n" path path);
+    exit (Lb_core.Verify.exit_status checks)
   in
   Cmd.v
     (Cmd.info "construct"
-       ~doc:"Run the paper's construction step (Fig. 1) for one permutation")
+       ~doc:
+         "Run the paper's construction step (Fig. 1) for one permutation \
+          and check its lemmas; exits 1 if any check fails")
     Term.(const run $ algo_arg $ n_arg $ seed_arg $ perm_arg $ show_meta $ dot_arg)
 
 (* ------------------------------ pipeline ----------------------------- *)

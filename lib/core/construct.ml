@@ -40,12 +40,23 @@ type builder = {
 
 (* Per-stage state: the incremental prefix linearization Plin(M, ⪯, m').
    The executed set is always exactly the down-set of m', so the paper's
-   "µ ⋠ m'" is "not executed". *)
+   "µ ⋠ m'" is "not executed". Metastep ids are dense arena indices, so
+   the set is one flag per id, grown with the arena. *)
 type stage_state = {
   sys : System.t;
-  executed : (Metastep.id, unit) Hashtbl.t;
+  mutable executed : bool array;
   mutable m' : Metastep.id;
 }
+
+let is_executed st id = id < Array.length st.executed && st.executed.(id)
+
+let mark_executed st id =
+  if id >= Array.length st.executed then begin
+    let grown = Array.make (2 * (id + 1)) false in
+    Array.blit st.executed 0 grown 0 (Array.length st.executed);
+    st.executed <- grown
+  end;
+  st.executed.(id) <- true
 
 let vec_of tbl key =
   match Hashtbl.find_opt tbl key with
@@ -59,7 +70,7 @@ let vec_of tbl key =
    deterministic topological order; this extends Plin after m' advanced. *)
 let extend b st m =
   let fresh =
-    Poset.down_set_stopping b.order_ m ~stop:(Hashtbl.mem st.executed)
+    Poset.down_set_stopping b.order_ m ~stop:(is_executed st)
   in
   match fresh with
   | [] -> ()
@@ -67,7 +78,7 @@ let extend b st m =
     let ordered = Poset.topo_sort b.order_ fresh in
     List.iter
       (fun id ->
-        Hashtbl.replace st.executed id ();
+        mark_executed st id;
         List.iter
           (fun step -> ignore (System.apply st.sys step))
           (Metastep.seq (Metastep.get b.arena_ id)))
@@ -89,7 +100,7 @@ let first_unexecuted_write b st reg =
     if i >= Vec.length chain then None
     else begin
       let id = Vec.get chain i in
-      if Hashtbl.mem st.executed id then go (i + 1) else Some id
+      if is_executed st id then go (i + 1) else Some id
     end
   in
   go 0
@@ -98,28 +109,23 @@ let first_unexecuted_write b st reg =
 let unexecuted_writes b st reg =
   Vec.to_list
     (Vec.filter
-       (fun id -> not (Hashtbl.mem st.executed id))
+       (fun id -> not (is_executed st id))
        (vec_of b.chains reg))
 
 let unexecuted_reads b st reg =
   Vec.to_list
     (Vec.filter
-       (fun id -> not (Hashtbl.mem st.executed id))
+       (fun id -> not (is_executed st id))
        (vec_of b.reads_on reg))
 
 let stage_fuel = 1_000_000
 
 (* One stage of Construct (the paper's Generate): insert all steps of the
-   stage's process until it completes its exit section. *)
-let generate b ~stage =
+   stage's process until it completes its exit section, replaying from a
+   copy of the initial system [s0]. *)
+let generate b ~s0 ~stage =
   let j = Permutation.process_at b.pi_ stage in
-  let st =
-    {
-      sys = System.init b.algo_ ~n:b.n_;
-      executed = Hashtbl.create 256;
-      m' = -1;
-    }
-  in
+  let st = { sys = System.copy s0; executed = [||]; m' = -1 } in
   let stuck detail =
     raise
       (Stage_stuck { algo = b.algo_.Algorithm.name; pi = b.pi_; stage; detail })
@@ -159,7 +165,10 @@ let generate b ~stage =
         let m = Metastep.new_write b.arena_ ~reg:l ~win:step in
         Poset.add_element b.order_ m.Metastep.id;
         Vec.push (vec_of b.chains l) m.Metastep.id;
-        let mr = Poset.maximal_among b.order_ (unexecuted_reads b st l) in
+        let mr =
+          Poset.maximal_among b.order_ (unexecuted_reads b st l)
+            ~stop:(is_executed st)
+        in
         if mr <> [] then begin
           m.Metastep.pread <- mr;
           List.iter
@@ -222,8 +231,9 @@ let run_stages algo ~n ~stages pi =
       proc_meta_ = Array.init n (fun _ -> Vec.create ());
     }
   in
+  let s0 = System.init algo ~n in
   for stage = 0 to stages - 1 do
-    generate b ~stage
+    generate b ~s0 ~stage
   done;
   let write_chain = Hashtbl.create (Hashtbl.length b.chains) in
   Hashtbl.iter (fun reg v -> Hashtbl.replace write_chain reg (Vec.to_array v)) b.chains;

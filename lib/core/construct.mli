@@ -21,7 +21,14 @@
        order (smallest metastep id first) and replayed on a live
        {!Lb_shmem.System.t}. The set of executed metasteps always equals
        the down-set of [m'], so the paper's "[µ ⋠ m']" tests become
-       executed-set membership tests.}
+       executed-set membership tests. Every stage replays onto its own
+       copy of one initial system.}
+    {- The maximal outstanding reads on a register, which a new write
+       metastep is ordered after, come from one backward search from all
+       of them at once ({!Poset.maximal_among}). It stops at executed
+       metasteps: the executed set is down-closed, so no path between
+       two outstanding reads crosses it. The reads the search never
+       reaches are the maximal ones.}
     {- The replay validates every emitted step against the automaton's
        pending action, so a construction bug cannot silently produce a
        sequence that is not an execution of the algorithm.}} *)

@@ -108,9 +108,16 @@ let check_staged algo ~n r =
   let* () =
     if r.bits > 0 then Ok () else Error ("encoding", "empty encoding")
   in
-  let reparsed = Encode.parse ~n r.encoding.Encode.bits in
-  if reparsed = r.encoding.Encode.cells then Ok ()
-  else Error ("roundtrip", "cells do not round-trip through the binary form")
+  let* () =
+    let reparsed = Encode.parse ~n r.encoding.Encode.bits in
+    if reparsed = r.encoding.Encode.cells then Ok ()
+    else Error ("roundtrip", "cells do not round-trip through the binary form")
+  in
+  List.fold_left
+    (fun acc (label, check) ->
+      let* () = acc in
+      Result.map_error (fun m -> (label, m)) (check r.construction))
+    (Ok ()) Verify.structural
 
 let check algo ~n r =
   match check_staged algo ~n r with

@@ -34,10 +34,11 @@ exception
   }
 (** A verification stage of {!check} rejected a {!result}. [stage] is one
     of ["canonical"], ["decoded"] (execution-level checks), ["projection"],
-    ["cost"], ["encoding"] or ["roundtrip"], so a quarantined sweep entry
-    or a CI log names the broken link of the construct → encode → decode
-    chain, not just "check failed". A printer is registered with
-    [Printexc], so generic handlers render it readably. *)
+    ["cost"], ["encoding"], ["roundtrip"] or the label of one of the
+    {!Verify.structural} checks, so a quarantined sweep entry or a CI log
+    names the broken link of the construct → encode → decode chain, not
+    just "check failed". A printer is registered with [Printexc], so
+    generic handlers render it readably. *)
 
 val check : Lb_shmem.Algorithm.t -> n:int -> result -> (unit, string) Result.t
 (** Verifies, returning the first failure:
@@ -52,7 +53,12 @@ val check : Lb_shmem.Algorithm.t -> n:int -> result -> (unit, string) Result.t
        [decoded|i = canonical|i] for every [i] (both are linearizations
        of [(M, ⪯)], Lemma 5.4 / Theorem 7.4);}
     {- their SC costs agree (Lemma 6.1);}
-    {- [|E_pi| > 0] and the parsed cells round-trip.}} *)
+    {- [|E_pi| > 0] and the parsed cells round-trip;}
+    {- the construction passes the {!Verify.structural} checks: [⪯] is
+       acyclic (Lemma 5.2), every register's writes and every process's
+       metasteps form [⪯]-chains (Lemma 5.3, §6), the metasteps are
+       well formed (Definition 5.1) and every write metastep's winner is
+       its pi-minimal owner.}} *)
 
 val run_checked : Lb_shmem.Algorithm.t -> n:int -> Permutation.t -> result
 (** {!run} followed by {!check}; raises {!Check_failed} on a check

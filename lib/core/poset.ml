@@ -1,11 +1,19 @@
 module Vec = Lb_util.Vec
 
+(* Ids index every array directly, and all six arrays grow together. A
+   query claims a fresh generation [gen] and marks what it visits by
+   writing it into [stamp], so visited sets never need clearing.
+   [queue] is the search frontier (and topo_sort's heap); [deg] holds
+   topo_sort's in-degrees. *)
 type t = {
   order : int Vec.t;  (* registration order *)
-  present : (int, unit) Hashtbl.t;
-  preds : (int, int list ref) Hashtbl.t;
-  succs : (int, int list ref) Hashtbl.t;
-  edges : (int * int, unit) Hashtbl.t;
+  mutable present : bool array;
+  mutable preds : int list array;
+  mutable succs : int list array;
+  mutable stamp : int array;
+  mutable queue : int array;
+  mutable deg : int array;
+  mutable gen : int;
 }
 
 exception Cycle of int * int
@@ -13,20 +21,40 @@ exception Cycle of int * int
 let create () =
   {
     order = Vec.create ();
-    present = Hashtbl.create 64;
-    preds = Hashtbl.create 64;
-    succs = Hashtbl.create 64;
-    edges = Hashtbl.create 64;
+    present = [||];
+    preds = [||];
+    succs = [||];
+    stamp = [||];
+    queue = [||];
+    deg = [||];
+    gen = 0;
   }
 
+let capacity t = Array.length t.preds
+
+let grow t id =
+  let cap = max (id + 1) (max 64 (2 * capacity t)) in
+  let extend a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  in
+  t.present <- extend t.present false;
+  t.preds <- extend t.preds [];
+  t.succs <- extend t.succs [];
+  t.stamp <- extend t.stamp 0;
+  t.queue <- extend t.queue 0;
+  t.deg <- extend t.deg 0
+
+let mem t id = id >= 0 && id < capacity t && t.present.(id)
+
 let add_element t id =
-  if Hashtbl.mem t.present id then invalid_arg "Poset.add_element: duplicate";
-  Hashtbl.replace t.present id ();
-  Hashtbl.replace t.preds id (ref []);
-  Hashtbl.replace t.succs id (ref []);
+  if id < 0 then invalid_arg "Poset.add_element: negative id";
+  if mem t id then invalid_arg "Poset.add_element: duplicate";
+  if id >= capacity t then grow t id;
+  t.present.(id) <- true;
   Vec.push t.order id
 
-let mem t id = Hashtbl.mem t.present id
 let cardinal t = Vec.length t.order
 let elements t = Vec.to_list t.order
 
@@ -36,34 +64,46 @@ let check t id =
 
 let preds t id =
   check t id;
-  !(Hashtbl.find t.preds id)
+  t.preds.(id)
 
 let succs t id =
   check t id;
-  !(Hashtbl.find t.succs id)
+  t.succs.(id)
 
-(* BFS over direct successors *)
+let next_gen t =
+  t.gen <- t.gen + 1;
+  t.gen
+
+(* Breadth-first search along [next] from the neighbours of [roots]:
+   each unstamped neighbour that passes [keep] is stamped, enqueued and
+   handed to [visit]; returns [true] as soon as [visit] does. The roots
+   are not stamped, so a search from several roots can reach one root
+   from another. *)
+let search t ~next ~roots ~keep ~visit =
+  let g = next_gen t in
+  let tail = ref 0 and found = ref false in
+  let reach y =
+    if (not !found) && t.stamp.(y) <> g && keep y then begin
+      t.stamp.(y) <- g;
+      t.queue.(!tail) <- y;
+      incr tail;
+      if visit y then found := true
+    end
+  in
+  List.iter (fun x -> List.iter reach (next x)) roots;
+  let head = ref 0 in
+  while (not !found) && !head < !tail do
+    let x = t.queue.(!head) in
+    incr head;
+    List.iter reach (next x)
+  done;
+  !found
+
 let reaches t a b =
-  if a = b then true
-  else begin
-    let visited = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Queue.push a queue;
-    Hashtbl.replace visited a ();
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      List.iter
-        (fun y ->
-          if y = b then found := true
-          else if not (Hashtbl.mem visited y) then begin
-            Hashtbl.replace visited y ();
-            Queue.push y queue
-          end)
-        (succs t x)
-    done;
-    !found
-  end
+  a = b
+  || search t ~next:(Array.get t.succs) ~roots:[ a ]
+       ~keep:(fun _ -> true)
+       ~visit:(fun y -> y = b)
 
 let leq t a b =
   check t a;
@@ -73,84 +113,114 @@ let leq t a b =
 let add_edge t a b =
   check t a;
   check t b;
-  if a <> b && not (Hashtbl.mem t.edges (a, b)) then begin
+  if a <> b && not (List.mem b t.succs.(a)) then begin
     if reaches t b a then raise (Cycle (a, b));
-    Hashtbl.replace t.edges (a, b) ();
-    let sa = Hashtbl.find t.succs a and pb = Hashtbl.find t.preds b in
-    sa := b :: !sa;
-    pb := a :: !pb
+    t.succs.(a) <- b :: t.succs.(a);
+    t.preds.(b) <- a :: t.preds.(b)
   end
 
 let down_set_stopping t m ~stop =
   check t m;
   if stop m then []
   else begin
-    let visited = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Queue.push m queue;
-    Hashtbl.replace visited m ();
     let out = ref [ m ] in
-    while not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      List.iter
-        (fun y ->
-          if (not (Hashtbl.mem visited y)) && not (stop y) then begin
-            Hashtbl.replace visited y ();
-            out := y :: !out;
-            Queue.push y queue
-          end)
-        (preds t x)
-    done;
+    ignore
+      (search t ~next:(Array.get t.preds) ~roots:[ m ]
+         ~keep:(fun y -> not (stop y))
+         ~visit:(fun y ->
+           out := y :: !out;
+           false));
     !out
   end
 
 let down_set t m = down_set_stopping t m ~stop:(fun _ -> false)
 
-let maximal_among t xs =
-  List.filter
-    (fun x -> not (List.exists (fun y -> x <> y && leq t x y) xs))
-    xs
+(* One backward search from every member at once: whatever it reaches
+   lies strictly below some member, so the unreached members are the
+   maximal ones. *)
+let maximal_among t xs ~stop =
+  List.iter (check t) xs;
+  ignore
+    (search t ~next:(Array.get t.preds) ~roots:xs
+       ~keep:(fun y -> not (stop y))
+       ~visit:(fun _ -> false));
+  List.filter (fun x -> t.stamp.(x) <> t.gen) xs
 
-let minimal_among t xs =
-  List.filter
-    (fun x -> not (List.exists (fun y -> x <> y && leq t y x) xs))
-    xs
+(* A binary min-heap over [t.queue.(0 .. size-1)]. *)
+let heap_push t size x =
+  let q = t.queue in
+  let i = ref size in
+  while !i > 0 && q.((!i - 1) / 2) > x do
+    q.(!i) <- q.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  q.(!i) <- x
+
+let heap_pop t size =
+  let q = t.queue in
+  let top = q.(0) and last = q.(size - 1) in
+  let size = size - 1 in
+  let i = ref 0 and settled = ref false in
+  while not !settled do
+    let l = (2 * !i) + 1 in
+    if l >= size then settled := true
+    else begin
+      let c = if l + 1 < size && q.(l + 1) < q.(l) then l + 1 else l in
+      if q.(c) < last then begin
+        q.(!i) <- q.(c);
+        i := c
+      end
+      else settled := true
+    end
+  done;
+  if size > 0 then q.(!i) <- last;
+  top
 
 let topo_sort t xs =
-  let inset = Hashtbl.create (List.length xs) in
-  List.iter (fun x -> Hashtbl.replace inset x ()) xs;
-  let indeg = Hashtbl.create (List.length xs) in
+  let fail () =
+    invalid_arg "Poset.topo_sort: input not acyclic or contains duplicates"
+  in
+  let g = next_gen t in
+  let total =
+    List.fold_left
+      (fun k x ->
+        check t x;
+        if t.stamp.(x) = g then fail ();
+        t.stamp.(x) <- g;
+        k + 1)
+      0 xs
+  in
+  let size = ref 0 in
   List.iter
     (fun x ->
       let d =
-        List.length (List.filter (fun p -> Hashtbl.mem inset p) (preds t x))
+        List.fold_left
+          (fun d p -> if t.stamp.(p) = g then d + 1 else d)
+          0 t.preds.(x)
       in
-      Hashtbl.replace indeg x d)
+      t.deg.(x) <- d;
+      if d = 0 then begin
+        heap_push t !size x;
+        incr size
+      end)
     xs;
-  let module Iset = Set.Make (Int) in
-  let ready = ref Iset.empty in
-  List.iter (fun x -> if Hashtbl.find indeg x = 0 then ready := Iset.add x !ready) xs;
-  let out = ref [] in
-  let count = ref 0 in
-  while not (Iset.is_empty !ready) do
-    let x = Iset.min_elt !ready in
-    ready := Iset.remove x !ready;
+  let out = ref [] and count = ref 0 in
+  while !size > 0 do
+    let x = heap_pop t !size in
+    decr size;
     out := x :: !out;
     incr count;
     List.iter
       (fun y ->
-        if Hashtbl.mem inset y then begin
-          let d = Hashtbl.find indeg y - 1 in
-          Hashtbl.replace indeg y d;
-          if d = 0 then ready := Iset.add y !ready
+        if t.stamp.(y) = g then begin
+          let d = t.deg.(y) - 1 in
+          t.deg.(y) <- d;
+          if d = 0 then begin
+            heap_push t !size y;
+            incr size
+          end
         end)
-      (succs t x)
+      t.succs.(x)
   done;
-  if !count <> List.length xs then
-    invalid_arg "Poset.topo_sort: input not acyclic or contains duplicates";
+  if !count <> total then fail ();
   List.rev !out
-
-let is_chain t xs =
-  List.for_all
-    (fun x -> List.for_all (fun y -> leq t x y || leq t y x) xs)
-    xs

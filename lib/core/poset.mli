@@ -4,7 +4,13 @@
     are added once; edges only accumulate, so reachability ([leq]) is the
     reflexive–transitive closure of the edge relation. The construction
     adds edges only from already-present elements, which keeps the relation
-    acyclic; {!add_edge} enforces this with an explicit check. *)
+    acyclic; {!add_edge} enforces this with an explicit check.
+
+    Ids are non-negative and index arrays directly, so they should be
+    dense — metastep ids are arena indices. Queries write visit stamps
+    inside the poset: a poset must not be queried from two domains at
+    once, nor from inside a [stop] callback. Every construction is built,
+    queried and dropped by one domain. *)
 
 type t
 
@@ -12,7 +18,7 @@ val create : unit -> t
 
 val add_element : t -> int -> unit
 (** Register a new element id. Ids must be registered before use; raises
-    [Invalid_argument] on duplicates. *)
+    [Invalid_argument] on duplicates and on negative ids. *)
 
 val mem : t -> int -> bool
 
@@ -29,10 +35,10 @@ val add_edge : t -> int -> int -> unit
     Raises {!Cycle} if [b ⪯ a] already holds (with [a <> b]). *)
 
 val preds : t -> int -> int list
-(** Direct predecessors. *)
+(** Direct predecessors, most recently added first. *)
 
 val succs : t -> int -> int list
-(** Direct successors. *)
+(** Direct successors, most recently added first. *)
 
 val leq : t -> int -> int -> bool
 (** [leq t a b] — does [a ⪯ b] hold (reflexively, transitively)? *)
@@ -45,16 +51,17 @@ val down_set_stopping : t -> int -> stop:(int -> bool) -> int list
     [stop] (the stopped elements themselves are excluded). Used to collect
     the not-yet-executed part of a down-set cheaply. *)
 
-val maximal_among : t -> int list -> int list
-(** Elements of the list with no strict successor in the list. *)
-
-val minimal_among : t -> int list -> int list
+val maximal_among : t -> int list -> stop:(int -> bool) -> int list
+(** The elements of the list with no strict successor in the list, in
+    list order. One backward search from the whole list, which does not
+    traverse elements satisfying [stop]: the answer is exact when no
+    member satisfies [stop] and no path between two members passes
+    through one — which holds when [stop] is down-closed, as the
+    construction's executed set is. *)
 
 val topo_sort : t -> int list -> int list
 (** Topological order of the given elements (which must be closed enough
     that comparisons outside the list don't matter — we only use edges
     between listed elements), smallest id first among ready elements, so
-    the order is deterministic. *)
-
-val is_chain : t -> int list -> bool
-(** Are the listed elements totally ordered by [⪯]? *)
+    the order is deterministic. Raises [Invalid_argument] on an unknown
+    or repeated element. *)

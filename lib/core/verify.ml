@@ -5,48 +5,38 @@ let acyclic (c : Construct.t) =
   | _ -> Ok ()
   | exception Invalid_argument m -> Error m
 
+(* Name the first consecutive pair of [ids] out of ⪯ order. Walking
+   consecutive pairs suffices: by transitivity it also shows that the
+   whole list is a chain. *)
+let first_unordered (c : Construct.t) ids =
+  let rec go i =
+    if i + 1 >= Array.length ids then None
+    else if Poset.leq c.Construct.order ids.(i) ids.(i + 1) then go (i + 1)
+    else Some (ids.(i), ids.(i + 1))
+  in
+  go 0
+
 let write_chains_total (c : Construct.t) =
   let bad = ref None in
   Hashtbl.iter
     (fun reg chain ->
-      if !bad = None then begin
-        let ids = Array.to_list chain in
-        if not (Poset.is_chain c.Construct.order ids) then
-          bad := Some (Printf.sprintf "writes on r%d not totally ordered" reg)
-        else begin
-          (* the recorded chain must list them in ⪯ order *)
-          let rec check = function
-            | a :: (b :: _ as rest) ->
-              if not (Poset.leq c.Construct.order a b) then
-                bad :=
-                  Some (Printf.sprintf "chain on r%d out of ⪯ order" reg)
-              else check rest
-            | [ _ ] | [] -> ()
-          in
-          check ids
-        end
-      end)
+      if !bad = None then
+        match first_unordered c chain with
+        | None -> ()
+        | Some (a, b) ->
+          bad :=
+            Some (Printf.sprintf "chain on r%d out of ⪯ order at m%d, m%d" reg a b))
     c.Construct.write_chain;
   match !bad with None -> Ok () | Some m -> Error m
 
 let process_chains_total (c : Construct.t) =
   let rec per_proc i =
     if i >= c.Construct.n then Ok ()
-    else begin
-      let ids = Array.to_list (Construct.metasteps_of c i) in
-      if not (Poset.is_chain c.Construct.order ids) then
-        Error (Printf.sprintf "metasteps of p%d not totally ordered" i)
-      else begin
-        let rec ordered = function
-          | a :: (b :: _ as rest) ->
-            if not (Poset.leq c.Construct.order a b) then
-              Error (Printf.sprintf "chain of p%d out of ⪯ order" i)
-            else ordered rest
-          | [ _ ] | [] -> per_proc (i + 1)
-        in
-        ordered ids
-      end
-    end
+    else
+      match first_unordered c (Construct.metasteps_of c i) with
+      | None -> per_proc (i + 1)
+      | Some (a, b) ->
+        Error (Printf.sprintf "chain of p%d out of ⪯ order at m%d, m%d" i a b)
   in
   per_proc 0
 
@@ -288,14 +278,22 @@ let lemma_5_10 (c : Construct.t) =
       done;
       match !err with None -> Ok () | Some e -> Error e)
 
-let all ?samples ?seed c =
+let structural =
   [
-    ("acyclic (Lemma 5.2)", acyclic c);
-    ("write chains total (Lemma 5.3)", write_chains_total c);
-    ("process chains total", process_chains_total c);
-    ("metasteps well-formed (Def 5.1)", metasteps_well_formed c);
-    ("winner pi-minimal (Lemma 5.8)", winner_is_pi_minimal c);
-    ("projections stable (Lemma 5.4)", projections_stable ?samples ?seed c);
-    ("cost invariant (Lemma 6.1)", cost_invariant ?samples ?seed c);
-    ("enter order = pi (Theorem 5.5)", enter_order_is_pi c);
+    ("acyclic (Lemma 5.2)", acyclic);
+    ("write chains total (Lemma 5.3)", write_chains_total);
+    ("process chains total", process_chains_total);
+    ("metasteps well-formed (Def 5.1)", metasteps_well_formed);
+    ("winner pi-minimal (Lemma 5.8)", winner_is_pi_minimal);
   ]
+
+let all ?samples ?seed c =
+  List.map (fun (label, check) -> (label, check c)) structural
+  @ [
+      ("projections stable (Lemma 5.4)", projections_stable ?samples ?seed c);
+      ("cost invariant (Lemma 6.1)", cost_invariant ?samples ?seed c);
+      ("enter order = pi (Theorem 5.5)", enter_order_is_pi c);
+    ]
+
+let exit_status results =
+  if List.for_all (fun (_, r) -> Result.is_ok r) results then 0 else 1

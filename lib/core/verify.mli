@@ -1,7 +1,9 @@
-(** Structural invariant checks on a finished construction — executable
-    versions of the paper's lemmas, used by the test suite and the E7
-    experiment. Each check returns [Ok ()] or a description of the first
-    violation. *)
+(** Invariant checks on a finished construction — executable versions of
+    the paper's lemmas. The five {!structural} checks run in every
+    {!Pipeline.check}, so every certified permutation gets them; {!all}
+    adds the sampled and Theorem 5.5 checks, run by the [construct] verb,
+    the E7 experiment and the test suite. Each check returns [Ok ()] or a
+    description of the first violation. *)
 
 val acyclic : Construct.t -> (unit, string) Result.t
 (** Lemma 5.2: [⪯] is a partial order (our poset rejects cycles on edge
@@ -9,10 +11,13 @@ val acyclic : Construct.t -> (unit, string) Result.t
 
 val write_chains_total : Construct.t -> (unit, string) Result.t
 (** Lemma 5.3: for every register, its write metasteps are totally ordered
-    by [⪯], and the recorded chain lists them in that order. *)
+    by [⪯], and the recorded chain lists them in that order. Checked on
+    consecutive pairs of the chain, which by transitivity shows both. *)
 
 val process_chains_total : Construct.t -> (unit, string) Result.t
-(** §6: the metasteps containing any one process are totally ordered. *)
+(** §6: the metasteps containing any one process are totally ordered, in
+    the order [proc_meta] lists them (checked like
+    {!write_chains_total}). *)
 
 val metasteps_well_formed : Construct.t -> (unit, string) Result.t
 (** Definition 5.1: every write metastep has a winning write; all steps of
@@ -54,5 +59,15 @@ val lemma_5_10 : Construct.t -> (unit, string) Result.t
     the decoder's preread count always credits the metastep about to
     fire. Quadratic in |M| — used by tests at small n, not by {!all}. *)
 
+val structural : (string * (Construct.t -> (unit, string) Result.t)) list
+(** The five structural checks, labelled, in order: {!acyclic},
+    {!write_chains_total}, {!process_chains_total},
+    {!metasteps_well_formed} and {!winner_is_pi_minimal}. *)
+
 val all : ?samples:int -> ?seed:int -> Construct.t -> (string * (unit, string) Result.t) list
-(** Every check above, labelled. *)
+(** {!structural}, then {!projections_stable}, {!cost_invariant} and
+    {!enter_order_is_pi}, labelled. *)
+
+val exit_status : (string * (unit, string) Result.t) list -> int
+(** [0] when every labelled result is [Ok], else [1]: the [construct]
+    verb's exit status over {!all}. *)

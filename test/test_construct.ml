@@ -3,6 +3,8 @@ module C = Lb_core.Construct
 module P = Lb_core.Permutation
 module V = Lb_core.Verify
 module L = Lb_core.Linearize
+module M = Lb_core.Metastep
+module Pl = Lb_core.Pipeline
 
 let ya = Lb_algos.Yang_anderson.algorithm
 let bakery = Lb_algos.Bakery.algorithm
@@ -226,6 +228,132 @@ let test_metastep_order_is_topo () =
         order)
     order
 
+(* Negative tests for Verify's structural checks: each tampering of a
+   fresh construction must be rejected by its own check, and by
+   Pipeline.check under that check's label. *)
+let fresh_result algo = Pl.run algo ~n:4 (P.reverse 4)
+
+let swap a i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let swap_write_chain (c : C.t) =
+  let write_chain = Hashtbl.copy c.C.write_chain in
+  let reg =
+    Hashtbl.fold
+      (fun reg ids acc -> if Array.length ids >= 2 then min reg acc else acc)
+      write_chain max_int
+  in
+  if reg = max_int then Alcotest.fail "no register with two write metasteps";
+  let ids = Array.copy (Hashtbl.find write_chain reg) in
+  swap ids 0 1;
+  Hashtbl.replace write_chain reg ids;
+  { c with C.write_chain }
+
+let swap_proc_meta (c : C.t) =
+  let proc_meta = Array.map Array.copy c.C.proc_meta in
+  swap proc_meta.(0) 0 1;
+  { c with C.proc_meta }
+
+let find_metastep (c : C.t) pred =
+  let found = ref None in
+  M.iter c.C.arena (fun m -> if !found = None && pred m then found := Some m);
+  match !found with
+  | Some m -> m
+  | None -> Alcotest.fail "no metastep to tamper with"
+
+(* promote a losing write over the pi-minimal winner *)
+let demote_winner (c : C.t) =
+  let m =
+    find_metastep c (fun m -> m.M.kind = M.Write_meta && m.M.writes <> [])
+  in
+  let w = Option.get m.M.win in
+  m.M.win <- Some (List.hd m.M.writes);
+  m.M.writes <- w :: List.tl m.M.writes;
+  c
+
+let break_pread_of (c : C.t) =
+  let m = find_metastep c (fun m -> m.M.pread_of <> None) in
+  m.M.pread_of <- None;
+  c
+
+(* lamport_fast's constructions hide losing writes inside write
+   metasteps; bakery's have prereads. *)
+let tamper_cases =
+  [
+    ("write_chain swap", "write chains total (Lemma 5.3)", V.write_chains_total,
+     bakery, swap_write_chain);
+    ("proc_meta swap", "process chains total", V.process_chains_total, bakery,
+     swap_proc_meta);
+    ("non-minimal winner", "winner pi-minimal (Lemma 5.8)",
+     V.winner_is_pi_minimal, Lb_algos.Lamport_fast.algorithm, demote_winner);
+    ("broken pread_of", "metasteps well-formed (Def 5.1)",
+     V.metasteps_well_formed, bakery, break_pread_of);
+  ]
+
+let test_tampering_rejected (what, label, check, algo, tamper) () =
+  let r = fresh_result algo in
+  check_ok ("fresh " ^ label) (check r.Pl.construction);
+  let tampered = tamper r.Pl.construction in
+  (match check tampered with
+  | Ok () -> Alcotest.failf "%s: %s accepted it" what label
+  | Error _ -> ());
+  match Pl.check algo ~n:4 { r with Pl.construction = tampered } with
+  | Ok () -> Alcotest.failf "%s: Pipeline.check accepted it" what
+  | Error e ->
+    if not (String.starts_with ~prefix:(label ^ ": ") e) then
+      Alcotest.failf "%s: Pipeline.check error %S does not name %S" what e
+        label
+
+let test_exit_status () =
+  let c = (fresh_result bakery).Pl.construction in
+  Alcotest.(check int) "all checks pass" 0 (V.exit_status (V.all c));
+  Alcotest.(check int) "a failing check" 1
+    (V.exit_status (V.all (swap_proc_meta c)))
+
+(* Digests of whole constructions — every metastep's printout and
+   expansion, every element's predecessor and successor lists, and every
+   process's chain — recorded from the implementation that compared
+   outstanding reads pairwise and kept the order in hash tables. *)
+let construction_digest (c : C.t) =
+  let b = Buffer.create 65536 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  M.iter c.C.arena (fun m ->
+      let id = m.M.id in
+      Printf.bprintf b "%s|%s|%s|%s\n"
+        (Format.asprintf "%a" M.pp m)
+        (String.concat ";" (List.map Step.to_string (M.seq m)))
+        (ints (Lb_core.Poset.preds c.C.order id))
+        (ints (Lb_core.Poset.succs c.C.order id)));
+  Array.iter
+    (fun ids -> Printf.bprintf b "%s\n" (ints (Array.to_list ids)))
+    c.C.proc_meta;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_digests =
+  [
+    ("yang_anderson", 16, 1, "cae7103a8eaaa6bfc7b8d40f60887462");
+    ("yang_anderson", 16, 2, "d1b28a1f136bed6c55212526e3429504");
+    ("yang_anderson", 16, 3, "da0512946faa4ea14e9b3149ada540ac");
+    ("bakery", 12, 1, "eb65a6cc17f88cf31293d93014a0ad05");
+    ("bakery", 12, 2, "8321c7ca64df76edf878ef6ea2cabc41");
+    ("bakery", 12, 3, "92e124b29f3eb83c7924fc41bbe37beb");
+    ("filter", 6, 1, "463ca84d52c8a5ac33684e9de749d169");
+    ("filter", 6, 2, "132fa3607ea9b646b41b215cf912fde3");
+    ("filter", 6, 3, "e7a22f35d299b49462ce6754f47f913a");
+  ]
+
+let test_construction_digests () =
+  List.iter
+    (fun (name, n, seed, expected) ->
+      let pi = P.random (Lb_util.Rng.create seed) n in
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d seed=%d" name n seed)
+        expected
+        (construction_digest (C.run (Lb_algos.Registry.find_exn name) ~n pi)))
+    expected_digests
+
 let suite =
   verify_cases
   @ [
@@ -243,4 +371,13 @@ let suite =
       Alcotest.test_case "Lemma 5.4 across stages" `Quick test_lemma_5_4_across_stages;
       Alcotest.test_case "run_stages partial" `Quick test_run_stages_partial;
       Alcotest.test_case "metastep order is topological" `Quick test_metastep_order_is_topo;
+    ]
+  @ List.map
+      (fun ((what, _, _, _, _) as case) ->
+        Alcotest.test_case ("structural checks reject " ^ what) `Quick
+          (test_tampering_rejected case))
+      tamper_cases
+  @ [
+      Alcotest.test_case "construct exit status" `Quick test_exit_status;
+      Alcotest.test_case "construction digests" `Quick test_construction_digests;
     ]
