@@ -937,7 +937,7 @@ let certify_cmd =
         let exe = Sys.executable_name in
         let args =
           [
-            exe; "work"; "--store"; dir; "--algo"; algo_name; "--n";
+            exe; "work"; "--store"; dir; "--algo"; algo_name; "-n";
             string_of_int n; "--seed"; string_of_int seed; "--perms";
             string_of_int perms;
           ]

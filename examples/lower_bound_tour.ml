@@ -52,12 +52,9 @@ let () =
      algorithm's transition function alone; per-process projections match\n\
      the canonical linearization: %b.\n"
     (Lb_shmem.Execution.length decoded)
-    (List.for_all
-       (fun i ->
-         List.equal Lb_shmem.Step.equal
-           (Lb_shmem.Execution.projection decoded i)
-           (Lb_shmem.Execution.projection exec i))
-       (List.init n Fun.id));
+    (Array.for_all2 (List.equal Lb_shmem.Step.equal)
+       (Lb_shmem.Execution.projections decoded ~n)
+       (Lb_shmem.Execution.projections exec ~n));
 
   rule "The counting argument (Theorem 7.5)";
   let cert = Lb_core.Pipeline.certify algo ~n ~perms:(P.all n) ~exhaustive:true () in

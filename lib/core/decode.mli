@@ -22,7 +22,32 @@
        every time a signature is installed on that register.}
     {- The paper's defensive while-loops (lines 11-12 etc.) are replaced
        by strict assertions: every critical step has its own [C] cell, so
-       a process's pending step always matches its next cell's type.}} *)
+       a process's pending step always matches its next cell's type.}
+    {- Fig. 3 leaves open the order in which one round fires several
+       complete write metasteps. That order fixes the decoded execution,
+       and with it the fingerprint certificates and store entries
+       record, so it is pinned (see {!visit_order}).}}
+
+    {b Firing order.} A register is {e registered} by the first [PR],
+    [W], [W]-signature or [R] cell that names it. Within a round,
+    complete registers fire in ascending [Hashtbl.hash r land (B - 1)],
+    ties broken newest-registered first, where [B] is the smallest power
+    of two [>= 64] with [registered <= 2B]. This is the order
+    [Hashtbl.iter] takes over an unseeded [Hashtbl.create 64] filled
+    with [Hashtbl.replace] in registration order under OCaml 5.1's
+    stdlib, which is what the decoder iterated before it kept its
+    registers in an array; the test suite checks the two agree. The key
+    uses the unseeded [Hashtbl.hash], so the output does not depend on
+    [OCAMLRUNPARAM=R]. The end-of-run leftover check reports the first
+    offending register in the same order.
+
+    {b Cost.} O(cells + rounds·n + fires·log fires) set and system
+    operations: register state is an array indexed by register id, a
+    cell that changes a register's counts or signature lists it as one
+    of the round's candidates, and only candidates can fire — every
+    complete register fires in its own round, and firing changes no
+    register's counts. Trace events are built only when [trace] is
+    passed. *)
 
 exception
   Decode_error of {
@@ -61,6 +86,11 @@ val run :
     order in which the main loop polls processes; the decoded execution's
     per-process projections are invariant under it (the nondeterminism
     tolerated by Lemma 7.2) — the test suite checks this. *)
+
+val visit_order : Lb_shmem.Step.reg list -> Lb_shmem.Step.reg list
+(** [visit_order regs] lists the distinct registers [regs], given in
+    registration order, in the order {!run} fires them when all are
+    complete in one round. *)
 
 val run_bits :
   Lb_shmem.Algorithm.t -> n:int -> bool array -> Lb_shmem.Execution.t

@@ -64,9 +64,9 @@ let ( let* ) = Result.bind
    "check failed". *)
 let check_execution algo ~n ~stage pi exec =
   let fail fmt = Printf.ksprintf (fun m -> Error (stage, m)) fmt in
-  let* () =
+  let* cost =
     match Lb_mutex.Checker.check_algorithm algo ~n exec with
-    | Ok () -> Ok ()
+    | Ok cost -> Ok cost
     | Error (`Violation v) -> fail "%s" (Lb_mutex.Checker.violation_to_string v)
     | Error (`Mismatch m) -> fail "replay: %s" m
   in
@@ -76,34 +76,42 @@ let check_execution algo ~n ~stage pi exec =
     else fail "not every process completed once"
   in
   let order = Execution.crit_order exec in
-  if order = Array.to_list (Permutation.to_array pi) then Ok ()
+  if order = Array.to_list (Permutation.to_array pi) then Ok cost
   else
     fail "CS order %s differs from pi %s"
       (String.concat "," (List.map string_of_int order))
       (Permutation.to_string pi)
 
 let check_staged algo ~n r =
-  let* () = check_execution algo ~n ~stage:"canonical" r.pi r.canonical in
-  let* () = check_execution algo ~n ~stage:"decoded" r.pi r.decoded in
+  let* canonical_cost =
+    check_execution algo ~n ~stage:"canonical" r.pi r.canonical
+  in
+  let* decoded_cost = check_execution algo ~n ~stage:"decoded" r.pi r.decoded in
   let* () =
+    let decoded = Execution.projections r.decoded ~n
+    and canonical = Execution.projections r.canonical ~n in
     let rec go i =
       if i >= n then Ok ()
-      else if
-        List.equal Step.equal
-          (Execution.projection r.decoded i)
-          (Execution.projection r.canonical i)
-      then go (i + 1)
+      else if List.equal Step.equal decoded.(i) canonical.(i) then go (i + 1)
       else Error ("projection", Printf.sprintf "projection of p%d differs" i)
     in
     go 0
   in
   let* () =
-    let dc = Lb_cost.State_change.cost algo ~n r.decoded in
-    if dc = r.cost then Ok ()
+    if canonical_cost = r.cost then Ok ()
     else
       Error
         ( "cost",
-          Printf.sprintf "decoded cost %d <> canonical cost %d" dc r.cost )
+          Printf.sprintf "canonical cost %d <> recorded cost %d" canonical_cost
+            r.cost )
+  in
+  let* () =
+    if decoded_cost = r.cost then Ok ()
+    else
+      Error
+        ( "cost",
+          Printf.sprintf "decoded cost %d <> canonical cost %d" decoded_cost
+            r.cost )
   in
   let* () =
     if r.bits > 0 then Ok () else Error ("encoding", "empty encoding")

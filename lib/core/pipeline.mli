@@ -52,13 +52,18 @@ val check : Lb_shmem.Algorithm.t -> n:int -> result -> (unit, string) Result.t
     {- decode and the canonical linearization agree per process:
        [decoded|i = canonical|i] for every [i] (both are linearizations
        of [(M, ⪯)], Lemma 5.4 / Theorem 7.4);}
-    {- their SC costs agree (Lemma 6.1);}
+    {- the canonical linearization's SC cost is the recorded [cost], and
+       the decoded execution's cost equals it (Lemma 6.1);}
     {- [|E_pi| > 0] and the parsed cells round-trip;}
     {- the construction passes the {!Verify.structural} checks: [⪯] is
        acyclic (Lemma 5.2), every register's writes and every process's
        metasteps form [⪯]-chains (Lemma 5.3, §6), the metasteps are
        well formed (Definition 5.1) and every write metastep's winner is
-       its pi-minimal owner.}} *)
+       its pi-minimal owner.}}
+    Each execution is replayed once: the replay that validates it
+    against the algorithm's automata ({!Lb_mutex.Checker.check_algorithm})
+    also yields the SC cost the cost stage compares, and the per-process
+    projections come from one pass over each execution. *)
 
 val run_checked : Lb_shmem.Algorithm.t -> n:int -> Permutation.t -> result
 (** {!run} followed by {!check}; raises {!Check_failed} on a check

@@ -103,28 +103,22 @@ let winner_is_pi_minimal (c : Construct.t) =
       end);
   match !bad with None -> Ok () | Some m -> Error m
 
-let canonical_projections c =
-  let canonical = Linearize.execution c in
-  List.init c.Construct.n (fun i -> Execution.projection canonical i)
-
 let projections_stable ?(samples = 5) ?(seed = 42) (c : Construct.t) =
   let rng = Lb_util.Rng.create seed in
-  let reference = canonical_projections c in
+  let n = c.Construct.n in
+  let reference = Execution.projections (Linearize.execution c) ~n in
   let rec go k =
     if k >= samples then Ok ()
     else begin
       let exec = Linearize.random_execution rng c in
-      match Execution.replay c.Construct.algo ~n:c.Construct.n exec with
+      match Execution.replay c.Construct.algo ~n exec with
       | exception System.Step_mismatch { who; _ } ->
         Error (Printf.sprintf "sample %d: replay mismatch at p%d" k who)
       | _ ->
+        let sample = Execution.projections exec ~n in
         let rec proj i =
-          if i >= c.Construct.n then go (k + 1)
-          else if
-            List.equal Step.equal
-              (Execution.projection exec i)
-              (List.nth reference i)
-          then proj (i + 1)
+          if i >= n then go (k + 1)
+          else if List.equal Step.equal sample.(i) reference.(i) then proj (i + 1)
           else Error (Printf.sprintf "sample %d: projection of p%d differs" k i)
         in
         proj 0

@@ -33,8 +33,10 @@ val check_algorithm :
   Lb_shmem.Algorithm.t ->
   n:int ->
   Lb_shmem.Execution.t ->
-  (unit, [ `Violation of violation | `Mismatch of string ]) result
-(** {!check} plus a replay through the algorithm's automata. *)
+  (int, [ `Violation of violation | `Mismatch of string ]) result
+(** {!check} plus a replay through the algorithm's automata. The replay
+    is {!Lb_cost.State_change.cost}'s, so [Ok c] carries the execution's
+    SC cost [c] and callers need not replay it again. *)
 
 val phases_at : n:int -> Lb_shmem.Execution.t -> upto:int -> phase array
 (** Phase of every process after the first [upto] steps. *)

@@ -17,8 +17,13 @@ let equal a b =
   let rec go i = i >= Vec.length a || (Step.equal (Vec.get a i) (Vec.get b i) && go (i + 1)) in
   go 0
 
-let projection t i =
-  List.filter (fun (s : Step.t) -> s.Step.who = i) (steps t)
+let projections t ~n =
+  let acc = Array.make n [] in
+  for j = Vec.length t - 1 downto 0 do
+    let (s : Step.t) = Vec.get t j in
+    if s.Step.who >= 0 && s.Step.who < n then acc.(s.Step.who) <- s :: acc.(s.Step.who)
+  done;
+  acc
 
 let replay_prefix algo ~n t ~len =
   let sys = System.init algo ~n in
@@ -75,10 +80,10 @@ let count_crit t which =
   counts
 
 let fingerprint t =
-  let buf = Buffer.create (Vec.length t * 8) in
+  let buf = Buffer.create (Vec.length t * 16) in
   Vec.iter
     (fun s ->
-      Buffer.add_string buf (Step.to_string s);
+      Step.add_to_buffer buf s;
       Buffer.add_char buf ';')
     t;
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -28,8 +28,10 @@ val copy : t -> t
 val equal : t -> t -> bool
 (** Structural equality of the step sequences. *)
 
-val projection : t -> int -> Step.t list
-(** [projection alpha i] is [alpha|i]: the subsequence of [i]'s steps. *)
+val projections : t -> n:int -> Step.t list array
+(** [(projections alpha ~n).(i)] is [alpha|i]: the subsequence of [i]'s
+    steps, for every [i < n], built in one pass. Steps of processes
+    outside [0 .. n-1] appear in no projection. *)
 
 val replay : Algorithm.t -> n:int -> t -> System.t
 (** Replay from the initial state; raises {!System.Step_mismatch} when the

@@ -43,17 +43,55 @@ let equal_action (a : action) (b : action) = a = b
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 
-let pp_rmw ppf = function
-  | Test_and_set -> Format.fprintf ppf "tas"
-  | Fetch_add v -> Format.fprintf ppf "fadd(%d)" v
-  | Swap v -> Format.fprintf ppf "swap(%d)" v
-  | Cas { expect; replace } -> Format.fprintf ppf "cas(%d,%d)" expect replace
+let add_int buf i = Buffer.add_string buf (string_of_int i)
 
-let pp_action ppf = function
-  | Read r -> Format.fprintf ppf "read(r%d)" r
-  | Write (r, v) -> Format.fprintf ppf "write(r%d,%d)" r v
-  | Rmw (r, op) -> Format.fprintf ppf "rmw(r%d,%a)" r pp_rmw op
-  | Crit c -> Format.fprintf ppf "%s" (crit_name c)
+let add_rmw_to_buffer buf = function
+  | Test_and_set -> Buffer.add_string buf "tas"
+  | Fetch_add v ->
+    Buffer.add_string buf "fadd(";
+    add_int buf v;
+    Buffer.add_char buf ')'
+  | Swap v ->
+    Buffer.add_string buf "swap(";
+    add_int buf v;
+    Buffer.add_char buf ')'
+  | Cas { expect; replace } ->
+    Buffer.add_string buf "cas(";
+    add_int buf expect;
+    Buffer.add_char buf ',';
+    add_int buf replace;
+    Buffer.add_char buf ')'
 
-let pp ppf t = Format.fprintf ppf "p%d:%a" t.who pp_action t.action
-let to_string t = Format.asprintf "%a" pp t
+let add_action_to_buffer buf = function
+  | Read r ->
+    Buffer.add_string buf "read(r";
+    add_int buf r;
+    Buffer.add_char buf ')'
+  | Write (r, v) ->
+    Buffer.add_string buf "write(r";
+    add_int buf r;
+    Buffer.add_char buf ',';
+    add_int buf v;
+    Buffer.add_char buf ')'
+  | Rmw (r, op) ->
+    Buffer.add_string buf "rmw(r";
+    add_int buf r;
+    Buffer.add_char buf ',';
+    add_rmw_to_buffer buf op;
+    Buffer.add_char buf ')'
+  | Crit c -> Buffer.add_string buf (crit_name c)
+
+let add_to_buffer buf t =
+  Buffer.add_char buf 'p';
+  add_int buf t.who;
+  Buffer.add_char buf ':';
+  add_action_to_buffer buf t.action
+
+let render add x =
+  let buf = Buffer.create 24 in
+  add buf x;
+  Buffer.contents buf
+
+let to_string t = render add_to_buffer t
+let pp_action ppf a = Format.pp_print_string ppf (render add_action_to_buffer a)
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -64,6 +64,12 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** [add_to_buffer buf t] appends [t]'s rendering, e.g. [p3:write(r5,2)],
+    [p0:rmw(r1,cas(0,1))] or [p2:enter]. It is the one renderer of steps:
+    {!to_string}, {!pp} and {!pp_action} print the same bytes, and
+    {!Execution.fingerprint} digests them. *)
+
 val pp_action : Format.formatter -> action -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -385,6 +385,27 @@ let test_certify_store_warm () =
         (Astring_contains.contains out "23 hits, 1 computed");
       ignore (check_runs "verify healed" (Printf.sprintf "store verify %s" dir) 0))
 
+(* Stored fingerprints are a function of the bits alone: randomising the
+   stdlib's hash tables (OCAMLRUNPARAM=R) must not change a single byte
+   of the store's objects. *)
+let test_certify_store_hash_seed () =
+  with_temp_dir (fun plain ->
+      with_temp_dir (fun seeded ->
+          let certify env dir =
+            Printf.sprintf
+              "env OCAMLRUNPARAM=%s %s certify -a yang_anderson -n 16 --perms 8 \
+               --store %s > /dev/null 2>&1"
+              env exe (Filename.quote dir)
+          in
+          Alcotest.(check int) "plain run" 0 (Sys.command (certify "b" plain));
+          Alcotest.(check int) "randomised run" 0
+            (Sys.command (certify "b,R" seeded));
+          Alcotest.(check int) "diff -r objects/ is empty" 0
+            (Sys.command
+               (Printf.sprintf "diff -r %s %s > /dev/null"
+                  (Filename.quote (Filename.concat plain "objects"))
+                  (Filename.quote (Filename.concat seeded "objects"))))))
+
 let test_certify_store_events () =
   with_temp_dir (fun dir ->
       let log = Filename.temp_file "mutexlb_cli" ".jsonl" in
@@ -540,6 +561,8 @@ let suite =
     Alcotest.test_case "certify --store warm + maintenance" `Quick
       test_certify_store_warm;
     Alcotest.test_case "certify --store --events" `Quick test_certify_store_events;
+    Alcotest.test_case "certify --store hash seed" `Quick
+      test_certify_store_hash_seed;
     Alcotest.test_case "store flags require --store" `Quick
       test_store_flags_require_store;
     Alcotest.test_case "store gc lease refusal" `Quick test_store_gc_lease;

@@ -558,26 +558,39 @@ let test_chaos_subprocess_storm () =
       oracle_manifest (read_file m)
   | ms -> Alcotest.failf "expected one manifest, found %d" (List.length ms)
 
-(* certify --workers K drives the same machinery from one command *)
+(* certify --workers K drives the same machinery from one command: the
+   workers compute every unit, so the aggregate pass only reads hits *)
 let test_certify_workers_cli () =
   let dir = fresh_dir () in
   let out = Filename.temp_file "mutexlb_distrib" ".out" in
+  let err = Filename.temp_file "mutexlb_distrib" ".err" in
   Fun.protect
     ~finally:(fun () ->
       rm_rf dir;
-      Sys.remove out)
+      Sys.remove out;
+      Sys.remove err)
   @@ fun () ->
   let cmd =
     Printf.sprintf
       "%s certify --algo yang_anderson -n 4 --seed 7 --perms 12 --store %s \
-       --workers 2 -j 1 > %s 2>/dev/null"
-      exe (Filename.quote dir) (Filename.quote out)
+       --workers 2 -j 1 > %s 2> %s"
+      exe (Filename.quote dir) (Filename.quote out) (Filename.quote err)
   in
   Alcotest.(check int) "exit 0" 0 (Sys.command cmd);
   let oracle_cert, _ = oracle () in
   let text = read_file out in
   Alcotest.(check bool) "prints the oracle certificate" true
-    (Astring_contains.contains text (cert_text oracle_cert))
+    (Astring_contains.contains text (cert_text oracle_cert));
+  let failed_workers =
+    List.filter
+      (fun line ->
+        Astring_contains.contains line "certify: worker"
+        && Astring_contains.contains line "exited")
+      (String.split_on_char '\n' (read_file err))
+  in
+  Alcotest.(check (list string)) "every worker exited 0" [] failed_workers;
+  Alcotest.(check bool) "the aggregate pass only reads hits" true
+    (Astring_contains.contains text "12 hits, 0 computed")
 
 (* --retry: temp-fails back off and retry, then give up with the same
    exit code the single attempt would have used *)

@@ -129,16 +129,14 @@ let test_decode_equals_linearization () =
   List.iter
     (fun pi ->
       let c, e = encode_of ya 4 pi in
-      let decoded = D.run_bits ya ~n:4 e.E.bits in
-      let canonical = L.execution c in
+      let decoded = Execution.projections (D.run_bits ya ~n:4 e.E.bits) ~n:4 in
+      let canonical = Execution.projections (L.execution c) ~n:4 in
       (* same per-process projections (Theorem 7.4: both linearize (M,⪯)) *)
       for i = 0 to 3 do
         Alcotest.(check bool)
           (Printf.sprintf "projection p%d" i)
           true
-          (List.equal Step.equal
-             (Execution.projection decoded i)
-             (Execution.projection canonical i))
+          (List.equal Step.equal decoded.(i) canonical.(i))
       done)
     (P.all 4)
 
@@ -212,12 +210,9 @@ let bit_flip_robustness =
       | decoded ->
         (* decoding "succeeded": it must not reproduce alpha_pi *)
         not
-          (List.for_all
-             (fun i ->
-               List.equal Step.equal
-                 (Execution.projection decoded i)
-                 (Execution.projection original i))
-             (List.init n Fun.id)))
+          (Array.for_all2 (List.equal Step.equal)
+             (Execution.projections decoded ~n)
+             (Execution.projections original ~n)))
 
 let test_ascii_roundtrip () =
   List.iter
@@ -255,12 +250,171 @@ let scan_order_invariance =
       let reference = D.run ya ~n e.E.cells in
       let scan = P.to_array (P.random (Lb_util.Rng.create (salt + 1)) n) in
       let other = D.run ~scan_order:scan ya ~n e.E.cells in
-      List.for_all
-        (fun i ->
-          List.equal Step.equal
-            (Execution.projection reference i)
-            (Execution.projection other i))
-        (List.init n Fun.id))
+      Array.for_all2 (List.equal Step.equal)
+        (Execution.projections reference ~n)
+        (Execution.projections other ~n))
+
+(* Decode's output, pinned. The firing order fixes the decoded execution
+   and with it the fingerprint certificates and store entries record.
+   These values are the oracle for that order: they were generated by
+   the earlier decoder, which walked a [Hashtbl], and must never change.
+   Each fixture is
+   (algorithm, n, seed): pi is drawn from [seed], and eight single-bit
+   flips of E_pi from [seed + 1]. A flipped input pins its outcome: the
+   fingerprint, or the exception with its detail and cells consumed. *)
+let decode_digests =
+  [
+    ( ("yang_anderson", 16, 1),
+      "a7df62cab0d3e461d2752a0fd6886cd4",
+      "705448d54e4332642eb5fb63c9908ebd",
+      [
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Decode_error(56, p14: cell expects a write but pending is read(r43))";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+      ] );
+    ( ("yang_anderson", 32, 2),
+      "6b705e0a73ce76247aed809e6663d35c",
+      "2b5bf49b726529125653f4c6660a6f10",
+      [
+        "Decode_error(675, no progress (waiting=0,4,10,11,13,14,15,18,19,20,21,22,25,26,27,28))";
+        "Decode_error(438, no progress (waiting=0,4,6,10,11,12,13,14,15,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31))";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(302, no progress (waiting=0,1,2,3,4,5,6,8,10,11,12,13,14,15,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31))";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(773, no progress (waiting=0,4,10,11,13,15,18,19,20,21,25,27,28))";
+        "Decode_error(810, no progress (waiting=0,10,11,13,15,18,19,20,21,25,27))";
+      ] );
+    ( ("bakery", 12, 3),
+      "0829e866acffef72e2e5693acd67a7f6",
+      "39863b767c7172778aa4a39873567e51",
+      [
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Decode_error(481, p11: C cell but pending is read(r1))";
+        "Decode_error(57, p7: C cell but pending is read(r20))";
+        "Decode_error(60, no progress (waiting=0,1,2,3,4,5,6,7,8,9,10,11))";
+        "Decode_error(49, no progress (waiting=0,1,2,3,4,5,6,7,8,9,10,11))";
+        "Decode_error(123, no progress (waiting=0,1,2,3,4,5,8,9,10,11))";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+      ] );
+    ( ("filter", 6, 4),
+      "32d91051ae18ec4bf4423c7771018c43",
+      "1425d3f7d8b9ff82b2bca40d696dcbda",
+      [
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Lb_bitio.Bit_reader.Exhausted";
+        "Decode_error(203, p1: cell expects a read but pending is exit)";
+        "Decode_error(184, p1: C cell but pending is read(r5))";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Decode_error(108, no progress (waiting=1,2,3,4))";
+        "Decode_error(237, p2: cell expects a write but pending is enter)";
+        "Decode_error(37, p5: C cell but pending is read(r2))";
+      ] );
+    ( ("tournament", 8, 5),
+      "d5a35348c84eec109f602967d8861d53",
+      "e40a7779e67624d5c1b1d78c147abca5",
+      [
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(120, no progress (waiting=3,6))";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(96, no progress (waiting=2,3,5,6))";
+        "Decode_error(51, no progress (waiting=0,1,2,3,4,5,6,7))";
+      ] );
+    ( ("szymanski", 5, 6),
+      "6393b2730064b0d40379b6a8ed71890b",
+      "f4d4fae26ebc93357ad8669e6af54443",
+      [
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Lb_bitio.Bit_reader.Exhausted";
+        "Decode_error(52, no progress (waiting=1,2,3))";
+        "Decode_error(102, no progress (waiting=3))";
+      ] );
+    ( ("lamport_fast", 6, 7),
+      "accdbb7e2bb0eac91758f3d5ef4ea192",
+      "ff6fc8bf703f094c0b58612f784a3a69",
+      [
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Lb_bitio.Bit_reader.Exhausted";
+        "Decode_error(100, p1: cell expects a read but pending is write(r0,2))";
+        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(38, p4: cell expects a read but pending is exit)";
+      ] );
+  ]
+
+let decode_outcome algo ~n bits =
+  match D.run_bits algo ~n bits with
+  | d -> Execution.fingerprint d
+  | exception D.Decode_error { detail; consumed } ->
+    Printf.sprintf "Decode_error(%d, %s)" consumed detail
+  | exception e -> Printexc.to_string e
+
+let test_decode_digests () =
+  List.iter
+    (fun ((name, n, seed), fingerprint, events_md5, flips) ->
+      let algo = Lb_algos.Registry.find_exn name in
+      let label what = Printf.sprintf "%s n=%d seed=%d: %s" name n seed what in
+      let pi = P.random (Lb_util.Rng.create seed) n in
+      let _, e = encode_of algo n pi in
+      let events = Buffer.create 4096 in
+      let d =
+        D.run
+          ~trace:(fun ev ->
+            Buffer.add_string events (Format.asprintf "%a" D.pp_event ev);
+            Buffer.add_char events '\n')
+          algo ~n e.E.cells
+      in
+      Alcotest.(check string) (label "fingerprint") fingerprint
+        (Execution.fingerprint d);
+      Alcotest.(check string) (label "event stream") events_md5
+        (Digest.to_hex (Digest.string (Buffer.contents events)));
+      Alcotest.(check string) (label "untraced run") fingerprint
+        (Execution.fingerprint (D.run_bits algo ~n e.E.bits));
+      let rng = Lb_util.Rng.create (seed + 1) in
+      List.iteri
+        (fun k expected ->
+          let bits = Array.copy e.E.bits in
+          let pos = Lb_util.Rng.int rng (Array.length bits) in
+          bits.(pos) <- not bits.(pos);
+          Alcotest.(check string)
+            (label (Printf.sprintf "flip %d at bit %d" k pos))
+            expected (decode_outcome algo ~n bits))
+        flips)
+    decode_digests
+
+(* The firing order is defined by a key (see decode.mli) instead of by
+   walking a hash table; it must agree with what [Hashtbl.iter] does on
+   a [Hashtbl.create 64]. 1-600 registers cross the resizes at 129 and
+   257 keys, so a stdlib change to bucketing or resizing fails here
+   rather than silently changing fingerprints. *)
+let visit_order_is_hashtbl_order =
+  QCheck.Test.make ~name:"visit order = Hashtbl.iter order" ~count:200
+    QCheck.(pair (int_range 1 600) (int_range 0 100_000))
+    (fun (k, salt) ->
+      let ids =
+        Array.to_list
+          (Array.sub (Lb_util.Rng.permutation (Lb_util.Rng.create salt) (4 * k)) 0 k)
+      in
+      let tbl = Hashtbl.create ~random:false 64 in
+      List.iter (fun r -> Hashtbl.replace tbl r ()) ids;
+      let iterated = ref [] in
+      Hashtbl.iter (fun r () -> iterated := r :: !iterated) tbl;
+      D.visit_order ids = List.rev !iterated)
 
 let test_trace_events () =
   let _, e = encode_of ya 2 (P.identity 2) in
@@ -288,6 +442,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest bit_flip_robustness;
     QCheck_alcotest.to_alcotest scan_order_invariance;
+    QCheck_alcotest.to_alcotest visit_order_is_hashtbl_order;
+    Alcotest.test_case "decode digests" `Quick test_decode_digests;
     Alcotest.test_case "ascii roundtrip + decode" `Quick test_ascii_roundtrip;
     Alcotest.test_case "ascii rejects garbage" `Quick test_ascii_rejects_garbage;
     Alcotest.test_case "decoder trace events" `Quick test_trace_events;

@@ -12,7 +12,9 @@ let test_checker_accepts_valid () =
   | Ok () -> ()
   | Error v -> Alcotest.fail (Lb_mutex.Checker.violation_to_string v));
   match Lb_mutex.Checker.check_algorithm ya ~n:3 exec with
-  | Ok () -> ()
+  | Ok cost ->
+    Alcotest.(check int) "returns the SC cost of its replay"
+      (Lb_cost.State_change.cost ya ~n:3 exec) cost
   | Error _ -> Alcotest.fail "check_algorithm rejected a canonical run"
 
 let test_checker_rejects_double_enter () =
@@ -102,7 +104,7 @@ let test_checker_mismatch_detection () =
   in
   match Lb_mutex.Checker.check_algorithm ya ~n:2 exec with
   | Error (`Mismatch _) -> ()
-  | Error (`Violation _) | Ok () -> Alcotest.fail "expected replay mismatch"
+  | Error (`Violation _) | Ok _ -> Alcotest.fail "expected replay mismatch"
 
 (* ----------------------------- Canonical ----------------------------- *)
 

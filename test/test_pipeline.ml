@@ -44,11 +44,11 @@ let test_unsafe_algorithm_still_constructs () =
     (fun pi ->
       let r = Pl.run broken ~n pi in
       (* decode still reproduces each process's experience *)
+      let decoded = Lb_shmem.Execution.projections r.Pl.decoded ~n
+      and canonical = Lb_shmem.Execution.projections r.Pl.canonical ~n in
       for i = 0 to n - 1 do
         Alcotest.(check bool) "projection matches" true
-          (List.equal Lb_shmem.Step.equal
-             (Lb_shmem.Execution.projection r.Pl.decoded i)
-             (Lb_shmem.Execution.projection r.Pl.canonical i))
+          (List.equal Lb_shmem.Step.equal decoded.(i) canonical.(i))
       done;
       (match Lb_mutex.Checker.check ~n r.Pl.decoded with
       | Ok () -> ()
@@ -118,6 +118,18 @@ let test_check_catches_wrong_pi () =
   match Pl.check ya ~n:2 { r with Pl.pi = P.reverse 2 } with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "wrong pi not caught"
+
+let test_check_catches_wrong_cost () =
+  (* r.cost is what records and certificates carry: check recomputes it
+     from the canonical replay instead of taking it on trust *)
+  let r = Pl.run ya ~n:3 (P.reverse 3) in
+  match Pl.check ya ~n:3 { r with Pl.cost = r.Pl.cost + 1 } with
+  | Ok () -> Alcotest.fail "wrong recorded cost not caught"
+  | Error msg ->
+    Alcotest.(check string) "cost stage, canonical comparison first"
+      (Printf.sprintf "cost: canonical cost %d <> recorded cost %d" r.Pl.cost
+         (r.Pl.cost + 1))
+      msg
 
 let test_certificate_exhaustive () =
   let cert = Pl.certify ya ~n:4 ~perms:(P.all 4) ~exhaustive:true () in
@@ -217,6 +229,7 @@ let suite =
     Alcotest.test_case "result fields" `Quick test_result_fields;
     Alcotest.test_case "check catches corruption" `Quick test_check_catches_corruption;
     Alcotest.test_case "check catches wrong pi" `Quick test_check_catches_wrong_pi;
+    Alcotest.test_case "check catches wrong cost" `Quick test_check_catches_wrong_cost;
     Alcotest.test_case "certificate exhaustive S4" `Quick test_certificate_exhaustive;
     Alcotest.test_case "certificate sampled" `Quick test_certificate_sampled;
     Alcotest.test_case "certify empty rejected" `Quick test_certify_empty_rejected;

@@ -82,6 +82,21 @@ let test_step_strings () =
   Alcotest.(check string) "read" "p1:read(r2)" (Step.to_string (step 1 (Step.Read 2)));
   Alcotest.(check string) "write" "p0:write(r1,5)" (Step.to_string (step 0 (Step.Write (1, 5))));
   Alcotest.(check string) "crit" "p2:enter" (Step.to_string (step 2 (Step.Crit Step.Enter)));
+  (* the bytes every fingerprint digests; pp prints the same *)
+  List.iter
+    (fun (expected, s) ->
+      Alcotest.(check string) expected expected (Step.to_string s);
+      Alcotest.(check string) (expected ^ " via pp") expected
+        (Format.asprintf "%a" Step.pp s))
+    [
+      ("p0:rmw(r1,tas)", step 0 (Step.Rmw (1, Step.Test_and_set)));
+      ("p3:rmw(r0,fadd(-2))", step 3 (Step.Rmw (0, Step.Fetch_add (-2))));
+      ("p1:rmw(r4,swap(7))", step 1 (Step.Rmw (4, Step.Swap 7)));
+      ( "p2:rmw(r5,cas(0,1))",
+        step 2 (Step.Rmw (5, Step.Cas { expect = 0; replace = 1 })) );
+      ("p12:write(r10,-3)", step 12 (Step.Write (10, -3)));
+      ("p0:try", step 0 (Step.Crit Step.Try));
+    ];
   Alcotest.(check string) "crit names" "try exit rem"
     (String.concat " " (List.map Step.crit_name [ Step.Try; Step.Exit; Step.Rem ]))
 
@@ -179,8 +194,14 @@ let test_execution_replay () =
 
 let test_execution_projection () =
   let exec = toy_exec_n2 () in
-  Alcotest.(check int) "p0 projection" 7 (List.length (Execution.projection exec 0));
-  Alcotest.(check int) "p1 projection" 7 (List.length (Execution.projection exec 1))
+  let projs = Execution.projections exec ~n:2 in
+  Alcotest.(check int) "p0 projection" 7 (List.length projs.(0));
+  Alcotest.(check int) "p1 projection" 7 (List.length projs.(1));
+  Alcotest.(check bool) "p0's steps, in order" true
+    (List.equal Step.equal projs.(0)
+       (List.filter (fun (s : Step.t) -> s.Step.who = 0) (Execution.steps exec)));
+  Alcotest.(check (list int)) "steps of processes >= n are dropped" [ 7 ]
+    (Array.to_list (Array.map List.length (Execution.projections exec ~n:1)))
 
 let test_execution_crit_order () =
   let exec = toy_exec_n2 () in
