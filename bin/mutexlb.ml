@@ -1428,7 +1428,10 @@ let store_cmd =
                   Breaks leases left by dead $(i,remote) hosts or rsync'd \
                   stores, which pid-liveness probing cannot see. Live \
                   holders refresh their lease on every checkpoint, so a \
-                  TTL comfortably above the checkpoint cadence is safe.")
+                  TTL comfortably above the checkpoint cadence is safe; a \
+                  TTL below a live sweep's checkpoint interval breaks its \
+                  lease, and that sweep stops at its next checkpoint \
+                  (certify exits 75).")
     in
     let run dir dry force wait lease_ttl =
       let st = Lb_store.Store.open_ ~dir in

@@ -1,14 +1,18 @@
 let default_ttl = 30.0
 let heartbeat_every = default_ttl /. 6.
 
-type t = { c_store : Store.t; c_sweep : string; c_dir : string }
+type t = { c_dir : string }
 
 let claims_root st = Filename.concat (Store.dir st) "claims"
 
 let open_ st ~sweep_id =
   let dir = Filename.concat (claims_root st) sweep_id in
   Lb_util.Fsio.mkdir_p dir;
-  { c_store = st; c_sweep = sweep_id; c_dir = dir }
+  { c_dir = dir }
+
+(* Not created here: the first take creates it (see [create_excl]), so
+   a read-only probe leaves a store without a locks directory as is. *)
+let locks st = { c_dir = Filename.concat (Store.dir st) "locks" }
 
 let dir t = t.c_dir
 
@@ -35,12 +39,14 @@ let quit_path t ~key ~epoch =
 
 let failed_path t ~key = Filename.concat t.c_dir (key ^ ".failed")
 
-(* [<32 hex>.<epoch>.claim|quit] -> (key, epoch, is_claim). Anything
+(* [<key>.<epoch>.claim|quit] -> (key, epoch, is_claim). Anything
    else in the directory — .failed records, torn temp files, fuzz
-   debris — parses to None and is ignored by the protocol. *)
+   debris, a GC epoch file — parses to None and is ignored by the
+   protocol. Which keys count is the caller's business: a sweep's keys
+   are store keys, the writer lease's is [writer]. *)
 let parse_name name =
   match String.split_on_char '.' name with
-  | [ key; e; kind ] when Store_key.is_key key -> (
+  | [ key; e; kind ] when key <> "" -> (
     match (int_of_string_opt e, kind) with
     | Some e, "claim" when e >= 1 -> Some (key, e, true)
     | Some e, "quit" when e >= 1 -> Some (key, e, false)
@@ -55,111 +61,138 @@ let age_of path =
   | st -> abs_float (Unix.gettimeofday () -. st.Unix.st_mtime)
   | exception Unix.Unix_error _ -> infinity
 
-let snapshot t =
+(* Each key's highest (epoch, is_claim) among the names [keep] accepts.
+   Both files at one epoch (release raced a fuzzer's duplicate): the
+   .claim is the conservative read. *)
+let scan t ~keep =
   let table = Hashtbl.create 64 in
   (match Sys.readdir t.c_dir with
   | names ->
     Array.iter
       (fun name ->
         match parse_name name with
-        | None -> ()
-        | Some (key, e, is_claim) ->
-          let keep =
-            match Hashtbl.find_opt table key with
-            | Some (e', _) when e' > e -> false
-            | Some (e', was_claim) when e' = e ->
-              (* both files at one epoch (release raced a fuzzer's
-                 duplicate): the .claim is the conservative read *)
-              (not was_claim) && is_claim
-            | Some _ | None -> true
-          in
-          if keep then Hashtbl.replace table key (e, is_claim))
-      names
-  | exception Sys_error _ -> ());
-  let slots = Hashtbl.create (Hashtbl.length table) in
-  Hashtbl.iter
-    (fun key (e, is_claim) ->
-      let slot =
-        if is_claim then Held { epoch = e; age = age_of (claim_path t ~key ~epoch:e) }
-        else Released { epoch = e }
-      in
-      Hashtbl.replace slots key slot)
-    table;
-  slots
-
-let probe_slot t ~key =
-  let best = ref Free in
-  (match Sys.readdir t.c_dir with
-  | names ->
-    Array.iter
-      (fun name ->
-        match parse_name name with
-        | Some (k, e, is_claim) when k = key ->
-          let better =
-            match !best with
-            | Free -> true
-            | Held { epoch; _ } | Released { epoch } ->
-              e > epoch || (e = epoch && is_claim)
-          in
-          if better then
-            best :=
-              if is_claim then
-                Held { epoch = e; age = age_of (claim_path t ~key ~epoch:e) }
-              else Released { epoch = e }
+        | Some (key, e, is_claim) when keep key -> (
+          match Hashtbl.find_opt table key with
+          | Some (e', was_claim)
+            when e' > e || (e' = e && (was_claim || not is_claim)) ->
+            ()
+          | Some _ | None -> Hashtbl.replace table key (e, is_claim))
         | Some _ | None -> ())
       names
   | exception Sys_error _ -> ());
-  !best
+  table
 
-(* Diagnostic only — the protocol never reads claim-file content, so a
-   torn write here (or a fuzzer's bit flip later) is harmless. *)
-let claim_body ~purpose =
+let slot_of t ~key (e, is_claim) =
+  if is_claim then Held { epoch = e; age = age_of (claim_path t ~key ~epoch:e) }
+  else Released { epoch = e }
+
+let snapshot t =
+  let table = scan t ~keep:Store_key.is_key in
+  let slots = Hashtbl.create (Hashtbl.length table) in
+  Hashtbl.iter (fun key top -> Hashtbl.replace slots key (slot_of t ~key top)) table;
+  slots
+
+let probe_slot t ~key =
+  match Hashtbl.find_opt (scan t ~keep:(String.equal key)) key with
+  | Some top -> slot_of t ~key top
+  | None -> Free
+
+(* ------------------------------ holder body --------------------------- *)
+
+type held = {
+  h_pid : int;
+  h_host : string;
+  h_purpose : string;
+  h_since : float;
+}
+
+let host = Unix.gethostname ()
+
+let holder_body ~purpose =
   Printf.sprintf "pid %d\nhost %s\npurpose %s\nsince %.3f\n" (Unix.getpid ())
-    (Unix.gethostname ()) purpose (Unix.gettimeofday ())
+    host purpose (Unix.gettimeofday ())
 
+let body_field body name =
+  let p = String.length name + 1 in
+  List.find_map
+    (fun l ->
+      if String.length l > p && String.starts_with ~prefix:(name ^ " ") l then
+        Some (String.sub l p (String.length l - p))
+      else None)
+    (String.split_on_char '\n' body)
+
+let parse_holder body =
+  let field = body_field body in
+  match (field "pid", field "host", field "purpose", field "since") with
+  | Some pid, Some h, Some purpose, Some since -> (
+    match (int_of_string_opt pid, float_of_string_opt since) with
+    | Some pid, Some since ->
+      Some { h_pid = pid; h_host = h; h_purpose = purpose; h_since = since }
+    | _ -> None)
+  | _ -> None
+
+let holder t ~key ~epoch =
+  match Lb_util.Fsio.read ~path:(claim_path t ~key ~epoch) () with
+  | body -> parse_holder body
+  | exception Sys_error _ -> None
+
+(* -------------------------------- take -------------------------------- *)
+
+(* After taking epoch [below], remove the key's older claim and quit
+   files. The readdir bounds the work by what is on disk: an epoch that
+   grows by one per take (the writer lease's) would otherwise cost a
+   loop over its whole history. *)
 let sweep_lower_debris t ~key ~below =
-  for e = 1 to below - 1 do
-    (try Sys.remove (claim_path t ~key ~epoch:e) with Sys_error _ -> ());
-    try Sys.remove (quit_path t ~key ~epoch:e) with Sys_error _ -> ()
-  done
+  if below > 1 then
+    match Sys.readdir t.c_dir with
+    | names ->
+      Array.iter
+        (fun name ->
+          match parse_name name with
+          | Some (k, e, _) when k = key && e < below -> (
+            try Sys.remove (Filename.concat t.c_dir name) with Sys_error _ -> ())
+          | Some _ | None -> ())
+        names
+    | exception Sys_error _ -> ()
 
 let create_excl path body =
-  match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
-  | fd ->
-    let _ = Unix.write_substring fd body 0 (String.length body) in
-    Unix.close fd;
-    true
+  let create () =
+    let fd =
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> ignore (Unix.write_substring fd body 0 (String.length body)))
+  in
+  match create () with
+  | () -> true
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
-    (* claims dir scrubbed under us — recreate and retry once *)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> (
+    (* directory scrubbed under us (or never made) — create it and retry
+       once *)
     Lb_util.Fsio.mkdir_p (Filename.dirname path);
-    (match
-       Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-     with
-    | fd ->
-      let _ = Unix.write_substring fd body 0 (String.length body) in
-      Unix.close fd;
-      true
-    | exception Unix.Unix_error _ -> false)
+    match create () with () -> true | exception Unix.Unix_error _ -> false)
 
-let try_claim ?slot t ~key ~ttl =
-  if ttl <= 0.0 then invalid_arg "Store_claim.try_claim: ttl must be positive";
-  let slot = match slot with Some s -> s | None -> probe_slot t ~key in
+let take t ~key ~purpose ~slot ~stale =
   let target_epoch =
     match slot with
     | Free -> Some 1
     | Released { epoch } -> Some (epoch + 1)
-    | Held { epoch; age } -> if age > ttl then Some (epoch + 1) else None
+    | Held { epoch; age } -> if stale ~epoch ~age then Some (epoch + 1) else None
   in
   match target_epoch with
   | None -> None
   | Some e ->
-    if create_excl (claim_path t ~key ~epoch:e) (claim_body ~purpose:"work")
-    then begin
+    if create_excl (claim_path t ~key ~epoch:e) (holder_body ~purpose) then begin
       sweep_lower_debris t ~key ~below:e;
       Some { cl_t = t; cl_key = key; cl_epoch = e; cl_live = true }
     end
     else None
+
+let try_claim ?slot t ~key ~ttl =
+  if ttl <= 0.0 then invalid_arg "Store_claim.try_claim: ttl must be positive";
+  let slot = match slot with Some s -> s | None -> probe_slot t ~key in
+  take t ~key ~purpose:"work" ~slot ~stale:(fun ~epoch:_ ~age -> age > ttl)
 
 let refresh c =
   c.cl_live
@@ -239,7 +272,8 @@ let live_claims st ~ttl =
         |> List.filter_map (fun name ->
                match parse_name name with
                | Some (key, _e, true)
-                 when age_of (Filename.concat dir name) <= ttl ->
+                 when Store_key.is_key key
+                      && age_of (Filename.concat dir name) <= ttl ->
                  Some (sweep_id, key)
                | Some _ | None -> None)
         |> List.sort_uniq compare

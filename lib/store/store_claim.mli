@@ -1,13 +1,17 @@
-(** Per-manifest-entry work leases — the coordination substrate for
-    distributed sweeps.
+(** Epoch-file claims: the one lease protocol under the store.
 
-    {!Store_lock} serializes {e whole-store} writers; K independent
-    [mutexlb work] processes attacking one sweep need something finer:
-    a lease {e per work unit} (per store key), cheap enough to take and
-    release thousands of times, safe under [kill -9], clock skew and
-    torn writes. This module provides it with plain files under
+    Two kinds of lease run on it. Distributed sweeps take a claim {e per
+    work unit} (per store key) under
 
     {v DIR/claims/<sweep_id>/ v}
+
+    so that K independent [mutexlb work] processes can share one sweep:
+    cheap enough to take and release thousands of times, safe under
+    [kill -9], clock skew and torn writes. {!Store_lock} takes the
+    {e whole-store} writer lease as the claim on the key [writer] in
+    [DIR/locks/] ({!locks}). The protocol is the same; only the rule
+    that decides when a live-looking claim is stale differs (see
+    {!take}).
 
     {2 The claim protocol}
 
@@ -18,29 +22,34 @@
 
     {ul
     {- {b take}: create [<key>.1.claim] with [O_EXCL]. Exactly one of
-       any number of racing workers wins; the rest see [EEXIST].}
+       any number of racing takers wins; the rest see [EEXIST].}
     {- {b heartbeat}: the holder refreshes the file's mtime
-       ([Unix.utimes]). The filesystem stamps the time, so workers on
+       ([Unix.utimes]). The filesystem stamps the time, so processes on
        the same store agree on ages regardless of their process clocks.}
-    {- {b expire / steal}: a claim whose mtime is more than [ttl] away
-       from now (in {e either} direction — a far-future stamp from a
-       skewed or rsync'd host is as dead as a far-past one) is stale.
-       Stealing epoch [E] means creating [<key>.<E+1>.claim] with
-       [O_EXCL]: again exactly one winner, and the zombie holder of
-       epoch [E] {e has no name for the new file} — it can refresh or
-       remove only its own [<key>.<E>.claim], which is now debris. This
-       is the fencing: a worker resuming after expiry can never clobber
-       the re-granted claim.}
+    {- {b expire / steal}: a claim the taker's staleness rule condemns
+       is broken by creating [<key>.<E+1>.claim] with [O_EXCL]: again
+       exactly one winner, however many takers judged epoch [E] stale
+       from the same directory listing, and the zombie holder of epoch
+       [E] {e has no name for the new file} — it can refresh or remove
+       only its own [<key>.<E>.claim], which the winner deletes as
+       debris. This is the fencing: the zombie's next {!refresh} returns
+       [false], and it can never clobber the re-granted claim.}
     {- {b release}: rename own [<key>.<E>.claim] → [<key>.<E>.quit]. A
        [.quit] file keeps the epoch high-water mark on disk (so epoch
        [E] is never reused — the unlink-based alternative would let a
        very stale zombie release a {e successor's} claim) while marking
        the key immediately re-claimable.}}
 
-    Claim file {e content} is purely diagnostic (pid, host, purpose);
-    correctness never reads it, so a torn, truncated or bit-flipped
-    claim file cannot confuse the protocol — the corruption tests check
-    exactly this.
+    A take removes the key's lower-epoch files that are on disk, so a
+    key whose epoch grows for the life of the store (the writer lease's
+    grows by one per acquisition) keeps one file.
+
+    A claim file's {e content} is its holder ({!held}): pid, host,
+    purpose and start time, the same four lines a {!Store_lock} reader
+    file carries. The work-claim rule never reads it, so a torn,
+    truncated or bit-flipped claim file cannot confuse a distributed
+    sweep — the corruption tests check exactly this. The writer rule
+    reads it to spot a holder whose pid is dead.
 
     {2 Exactly-once failure publication}
 
@@ -56,17 +65,21 @@
     as terminal and never re-claim the key. *)
 
 type t
-(** A handle on one sweep's claims directory. *)
+(** A handle on one claims directory: a sweep's, or {!locks}. *)
 
 val open_ : Store.t -> sweep_id:string -> t
 (** Open (creating as needed) [DIR/claims/<sweep_id>/]. *)
+
+val locks : Store.t -> t
+(** The store-wide lock directory [DIR/locks/], which holds the writer
+    lease. Created by the first take, not here. *)
 
 val dir : t -> string
 (** The claims directory path (for the fault machinery and tests). *)
 
 type claim
-(** A held per-key claim. Release exactly once; a crash releases
-    implicitly via TTL expiry. *)
+(** A held per-key claim. Release exactly once; a crash releases it
+    implicitly once a taker's staleness rule condemns it. *)
 
 val key : claim -> string
 val epoch : claim -> int
@@ -74,28 +87,46 @@ val epoch : claim -> int
 type slot =
   | Free  (** no claim file — take epoch 1 *)
   | Held of { epoch : int; age : float }
-      (** live [.claim]; [age = |now - mtime|], stealable when > ttl *)
+      (** live [.claim]; [age = |now - mtime|], stealable when stale *)
   | Released of { epoch : int }  (** [.quit] high-water mark; take epoch+1 *)
 
 val snapshot : t -> (string, slot) Hashtbl.t
 (** One [readdir] pass over the claims directory: the current slot of
-    every key that has any claim or quit file (absent keys are [Free]).
-    Unparsable filenames are ignored as debris. *)
+    every store key that has any claim or quit file (absent keys are
+    [Free]). Unparsable filenames are ignored as debris. *)
+
+val probe_slot : t -> key:string -> slot
+(** One [readdir] pass: the current slot of [key]. *)
+
+val take :
+  t ->
+  key:string ->
+  purpose:string ->
+  slot:slot ->
+  stale:(epoch:int -> age:float -> bool) ->
+  claim option
+(** One attempt to claim [key] from [slot] (a {!probe_slot} or
+    {!snapshot} reading): epoch 1 when [Free], [E+1] after a
+    [Released E], and [E+1] over a [Held E] only when [stale ~epoch
+    ~age] says so. A stale [slot] only ever causes a lost race
+    ([None]), never a double grant, because the [O_EXCL] create is the
+    arbiter. [None] means someone else holds a live claim or won the
+    race. The new file's body is this process's holder with
+    [purpose]. On success, the key's lower-epoch files are removed. *)
 
 val try_claim : ?slot:slot -> t -> key:string -> ttl:float -> claim option
-(** One attempt to claim [key]. [slot] (default: probe the directory)
-    is a {!snapshot} hint — a stale hint only ever causes a lost race
-    ([None]), never a double grant, because the [O_EXCL] create is the
-    arbiter. [None] means someone else holds a live claim (or won the
-    race); back off and rescan. On success, lower-epoch debris for the
-    key is swept. [ttl] must be positive. *)
+(** {!take} with the work-claim rule: a [Held] claim is stale when its
+    mtime is more than [ttl] seconds from now, in either direction.
+    [slot] defaults to {!probe_slot}; [purpose] is ["work"]. [None]
+    means back off and rescan. [ttl] must be positive. *)
 
 val refresh : claim -> bool
 (** Heartbeat: bump own claim file's mtime. [false] if the file is gone
-    — the claim expired and was stolen; the holder should finish its
-    in-flight unit (publication stays safe: entries are idempotent,
-    failures go through {!publish_failure}) but claim nothing more from
-    this handle. *)
+    — the claim expired and was stolen. A fenced work claim covers one
+    unit, so a worker finishes its in-flight unit (publication stays
+    safe: entries are idempotent, failures go through
+    {!publish_failure}) but claims nothing more from this handle; a
+    fenced writer lease stops its whole sweep (see {!Sweep.sweep}). *)
 
 val release : claim -> unit
 (** Rename own [.claim] → [.quit]. Idempotent; a no-op if the claim was
@@ -126,6 +157,33 @@ val live_claims : Store.t -> ttl:float -> (string * string) list
 (** [(sweep_id, key)] of every in-TTL [.claim] across {e all} sweeps of
     the store — GC's "is anyone working here?" probe, the per-entry
     analogue of {!Store_lock.writer_held}. Sorted. *)
+
+(** {2 Holder bodies} *)
+
+type held = {
+  h_pid : int;
+  h_host : string;
+  h_purpose : string;  (** e.g. ["sweep"], ["gc"], ["work"] *)
+  h_since : float;  (** Unix time the file was written *)
+}
+(** Who wrote a claim, lease or reader file. *)
+
+val holder_body : purpose:string -> string
+(** This process's holder as a file body: [pid], [host], [purpose] and
+    [since] lines, each ["name value"]. A reader file appends its GC
+    epoch as one more line. *)
+
+val body_field : string -> string -> string option
+(** [body_field body name]: the value of the first ["name value"] line
+    of [body], if it has a non-empty value. *)
+
+val parse_holder : string -> held option
+(** The holder a {!holder_body} wrote; [None] if a field is missing or
+    malformed (a torn write). *)
+
+val holder : t -> key:string -> epoch:int -> held option
+(** The parsed body of [<key>.<epoch>.claim]; [None] if it is gone or
+    does not parse. *)
 
 val default_ttl : float
 (** The claim TTL used by the CLI and serve paths when none is given:

@@ -11,9 +11,11 @@
 
     {ol
     {- Refuse to run while the {!Store_lock} writer lease is held
-       (a sweep may be mid-flight), unless [force] overrides or [wait]
-       outlasts the holder. A destructive pass takes the lease itself,
-       so no sweep can start under it.}
+       (a sweep may be mid-flight) or a distributed worker holds an
+       in-TTL {!Store_claim} claim, unless [force] overrides or [wait]
+       outlasts the lease holder. A destructive pass takes the lease
+       itself, so no sweep can start under it; breaking a stale lease
+       to do so fences its old holder (see {!Sweep.sweep}).}
     {- Bump the GC epoch to [E], then {e rename} every condemned entry
        into [trash/epoch_E/] instead of unlinking it. Rename is atomic:
        a reader that already resolved the old path keeps reading valid
@@ -60,7 +62,10 @@ val run :
     (algorithm, size), or [None] if the algorithm is unknown or the
     size unsupported (the CLI passes a registry probe; tests can pass
     anything). [lease_ttl] arms {!Store_lock}'s mtime-based stale-lease
-    fallback, so leases from dead remote hosts are breakable. [Error]
+    fallback, so leases from dead remote hosts are breakable. A
+    [lease_ttl] below a live sweep's checkpoint interval breaks that
+    sweep's lease too: the sweep is fenced and stops with
+    {!Store_lock.Busy} instead of writing on beside the gc. [Error]
     is the refusal path: the writer lease is held, or a distributed
     worker holds an in-TTL {!Store_claim} per-entry claim ([claim_ttl],
     default {!Store_claim.default_ttl}, decides freshness) — and

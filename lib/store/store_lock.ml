@@ -1,4 +1,4 @@
-type held = {
+type held = Store_claim.held = {
   h_pid : int;
   h_host : string;
   h_purpose : string;
@@ -17,8 +17,7 @@ let () =
       Some (Format.asprintf "store writer lease busy: held by %a" pp_held h)
     | _ -> None)
 
-let locks_dir st = Filename.concat (Store.dir st) "locks"
-let lease_path st = Filename.concat (locks_dir st) "writer.lease"
+let locks_dir st = Store_claim.dir (Store_claim.locks st)
 let epoch_path st = Filename.concat (locks_dir st) "epoch"
 let readers_dir st = Filename.concat (locks_dir st) "readers"
 
@@ -34,30 +33,10 @@ let pid_alive_here pid =
   | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
   | exception Unix.Unix_error (_, _, _) -> true
 
-let held_to_string h =
-  Printf.sprintf "pid %d\nhost %s\npurpose %s\nsince %.3f\n" h.h_pid h.h_host
-    h.h_purpose h.h_since
+(* ---------------------------- writer lease ---------------------------- *)
 
-let held_of_string s =
-  let lines = String.split_on_char '\n' s in
-  let field name =
-    List.find_map
-      (fun l ->
-        let p = name ^ " " in
-        if String.length l > String.length p
-           && String.sub l 0 (String.length p) = p
-        then Some (String.sub l (String.length p)
-                     (String.length l - String.length p))
-        else None)
-      lines
-  in
-  match (field "pid", field "host", field "purpose", field "since") with
-  | Some pid, Some h, Some purpose, Some since -> (
-    match (int_of_string_opt pid, float_of_string_opt since) with
-    | Some pid, Some since ->
-      Some { h_pid = pid; h_host = h; h_purpose = purpose; h_since = since }
-    | _ -> None)
-  | _ -> None
+(* The lease is the claim on this key in [locks/]. *)
+let writer_key = "writer"
 
 (* An unparsable lease is either a concurrent writer between its
    O_EXCL create and its write (sub-millisecond window) or debris from
@@ -65,100 +44,43 @@ let held_of_string s =
    doubt, then treat it as stale. *)
 let unparsable_grace = 5.0
 
-let read_lease path =
-  match Lb_util.Fsio.read ~path () with
-  | s -> `Parsed (held_of_string s)
-  | exception Sys_error _ -> `Vanished
+(* The writer's staleness rule for the lease at [epoch], [age] seconds
+   from now. Unlike a work claim's TTL-only rule it reads the holder:
+   a holder whose pid is dead on this host is stale at once, so a
+   [kill -9]'d sweep never wedges the store. The TTL covers what pid
+   probing cannot see — dead remote hosts, rsync'd stores, clocks that
+   stamped the lease in the future. *)
+let stale ?ttl locks ~epoch ~age =
+  (match ttl with Some t -> age > t | None -> false)
+  ||
+  match Store_claim.holder locks ~key:writer_key ~epoch with
+  | Some h -> h.h_host = host && not (pid_alive_here h.h_pid)
+  | None -> age > unparsable_grace
 
-(* TTL fallback for leases whose pid liveness we cannot probe — a dead
-   remote host, an rsync'd store. Age is measured from the lease file's
-   mtime (the shared filesystem's clock) in *either* direction: a
-   skewed holder that stamped its lease in the future must expire too,
-   or it would hold the store forever. A live holder keeps its lease
-   fresh with {!refresh_writer}. *)
-let lease_expired ~ttl path =
-  match ttl with
-  | None -> false
-  | Some t -> (
-    match Unix.stat path with
-    | st -> abs_float (Unix.gettimeofday () -. st.Unix.st_mtime) > t
-    | exception Unix.Unix_error _ -> false)
+let placeholder purpose =
+  { h_pid = 0; h_host = host; h_purpose = purpose; h_since = 0.0 }
 
-type writer = { w_store : Store.t; w_token : string; mutable w_live : bool }
+let holder_at locks ~epoch =
+  match Store_claim.holder locks ~key:writer_key ~epoch with
+  | Some h -> h
+  | None -> placeholder "unparsable"
 
-(* The lease body carries a per-acquisition token so release can verify
-   the file on disk is still *our* lease (and not a successor's, taken
-   after ours was broken as stale — e.g. by a clock-skewed gc). *)
-let token_counter = Atomic.make 0
+let holder st =
+  let locks = Store_claim.locks st in
+  match Store_claim.probe_slot locks ~key:writer_key with
+  | Store_claim.Held { epoch; _ } -> holder_at locks ~epoch
+  | Store_claim.Free | Store_claim.Released _ -> placeholder "unknown"
 
-let lease_body ~purpose ~token =
-  { h_pid = Unix.getpid (); h_host = host; h_purpose = purpose; h_since = 0.0 }
-  |> fun h ->
-  Printf.sprintf "%stoken %s\n"
-    (held_to_string { h with h_since = Unix.gettimeofday () })
-    token
-
-let token_of_string s =
-  List.find_map
-    (fun l ->
-      if String.length l > 6 && String.sub l 0 6 = "token " then
-        Some (String.sub l 6 (String.length l - 6))
-      else None)
-    (String.split_on_char '\n' s)
+type writer = Store_claim.claim
 
 let try_acquire_writer ?ttl st ~purpose =
-  Lb_util.Fsio.mkdir_p (locks_dir st);
-  let path = lease_path st in
-  let token =
-    Printf.sprintf "%d.%d.%d" (Unix.getpid ())
-      (Atomic.fetch_and_add token_counter 1)
-      (int_of_float (Unix.gettimeofday () *. 1e6) land 0xFFFFFF)
-  in
-  let create () =
-    match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
-    | fd ->
-      let body = lease_body ~purpose ~token in
-      let _ = Unix.write_substring fd body 0 (String.length body) in
-      Unix.close fd;
-      Some { w_store = st; w_token = token; w_live = true }
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> None
-  in
-  match create () with
+  let locks = Store_claim.locks st in
+  let slot = Store_claim.probe_slot locks ~key:writer_key in
+  match
+    Store_claim.take locks ~key:writer_key ~purpose ~slot ~stale:(stale ?ttl locks)
+  with
   | Some w -> Ok w
-  | None -> (
-    (* lease exists: stale-break or report the holder *)
-    let break () =
-      (try Sys.remove path with Sys_error _ -> ());
-      match create () with
-      | Some w -> Ok w
-      | None -> (
-        match read_lease path with
-        | `Parsed (Some h) -> Error h
-        | `Parsed None | `Vanished ->
-          Error
-            { h_pid = 0; h_host = host; h_purpose = "unknown"; h_since = 0.0 })
-    in
-    match read_lease path with
-    | `Vanished -> (
-      (* released between our create and read: retry once *)
-      match create () with
-      | Some w -> Ok w
-      | None ->
-        Error { h_pid = 0; h_host = host; h_purpose = "unknown"; h_since = 0.0 })
-    | `Parsed (Some h) ->
-      if (h.h_host = host && not (pid_alive_here h.h_pid))
-         || lease_expired ~ttl path
-      then break ()
-      else Error h
-    | `Parsed None ->
-      let age =
-        match Unix.stat path with
-        | st -> Unix.gettimeofday () -. st.Unix.st_mtime
-        | exception Unix.Unix_error _ -> 0.0
-      in
-      if age > unparsable_grace then break ()
-      else
-        Error { h_pid = 0; h_host = host; h_purpose = "unparsable"; h_since = 0.0 })
+  | None -> Error (holder st)
 
 let acquire_writer ?(wait = 0.0) ?ttl st ~purpose =
   let deadline = Unix.gettimeofday () +. wait in
@@ -174,44 +96,15 @@ let acquire_writer ?(wait = 0.0) ?ttl st ~purpose =
   in
   go ()
 
-let release_writer w =
-  if w.w_live then begin
-    w.w_live <- false;
-    let path = lease_path w.w_store in
-    match Lb_util.Fsio.read ~path () with
-    | s ->
-      if token_of_string s = Some w.w_token then (
-        try Sys.remove path with Sys_error _ -> ())
-    | exception Sys_error _ -> ()
-  end
-
-let refresh_writer w =
-  if w.w_live then begin
-    let path = lease_path w.w_store in
-    match Lb_util.Fsio.read ~path () with
-    | s when token_of_string s = Some w.w_token -> (
-      (* utimes stamps the filesystem's current time; verifying the
-         token first means a broken-and-retaken lease is never
-         freshened on a successor's behalf. *)
-      try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ())
-    | _ -> ()
-    | exception Sys_error _ -> ()
-  end
-
-let with_writer ?wait ?ttl st ~purpose f =
-  match acquire_writer ?wait ?ttl st ~purpose with
-  | Error h -> raise (Busy h)
-  | Ok w -> Fun.protect ~finally:(fun () -> release_writer w) f
+let release_writer = Store_claim.release
+let refresh_writer = Store_claim.refresh
 
 let writer_held ?ttl st =
-  let path = lease_path st in
-  match read_lease path with
-  | `Vanished | `Parsed None -> None
-  | `Parsed (Some h) ->
-    if (h.h_host = host && not (pid_alive_here h.h_pid))
-       || lease_expired ~ttl path
-    then None
-    else Some h
+  let locks = Store_claim.locks st in
+  match Store_claim.probe_slot locks ~key:writer_key with
+  | Store_claim.Held { epoch; age } when not (stale ?ttl locks ~epoch ~age) ->
+    Some (holder_at locks ~epoch)
+  | Store_claim.Held _ | Store_claim.Free | Store_claim.Released _ -> None
 
 (* -------------------------------- epoch ------------------------------- *)
 
@@ -238,8 +131,7 @@ type reader = {
 let reader_counter = Atomic.make 0
 
 let reader_body ~purpose ~epoch =
-  Printf.sprintf "pid %d\nhost %s\npurpose %s\nepoch %d\nsince %.3f\n"
-    (Unix.getpid ()) host purpose epoch (Unix.gettimeofday ())
+  Store_claim.holder_body ~purpose ^ Printf.sprintf "epoch %d\n" epoch
 
 let register_reader ?(purpose = "reader") st =
   Lb_util.Fsio.mkdir_p (readers_dir st);
@@ -271,27 +163,15 @@ let reader_files st =
     |> List.map (Filename.concat (readers_dir st))
   | exception Sys_error _ -> []
 
+(* (pid, host, joined epoch) of a reader file; [None] for debris *)
 let parse_reader path =
   match Lb_util.Fsio.read ~path () with
-  | s -> (
-    let lines = String.split_on_char '\n' s in
-    let field name =
-      List.find_map
-        (fun l ->
-          let p = name ^ " " in
-          if String.length l > String.length p
-             && String.sub l 0 (String.length p) = p
-          then
-            Some (String.sub l (String.length p)
-                    (String.length l - String.length p))
-          else None)
-        lines
-    in
-    match (field "pid", field "host", field "epoch") with
-    | Some pid, Some h, Some e -> (
-      match (int_of_string_opt pid, int_of_string_opt e) with
-      | Some pid, Some e -> Some (pid, h, e)
-      | _ -> None)
+  | body -> (
+    match
+      ( Store_claim.parse_holder body,
+        Option.bind (Store_claim.body_field body "epoch") int_of_string_opt )
+    with
+    | Some h, Some e -> Some (h.h_pid, h.h_host, e)
     | _ -> None)
   | exception Sys_error _ -> None
 

@@ -18,11 +18,14 @@
     itself:
 
     {ul
-    {- {b writer lease} — [locks/writer.lease], created with
-       [O_CREAT|O_EXCL] (the POSIX atomic-creation idiom). One writer
-       at a time; waiters poll. A lease whose recorded pid is dead (on
-       the same host) is {e stale} and silently broken — a [kill -9]'d
-       sweep never wedges the store.}
+    {- {b writer lease} — the {!Store_claim} claim on the key [writer]
+       in [locks/]: the file [locks/writer.<E>.claim], taken by creating
+       epoch [E+1] with [O_CREAT|O_EXCL], heartbeated by its mtime and
+       released by renaming it to [.quit]. One writer at a time; waiters
+       poll. Breaking a stale lease is a take of the next epoch, so of
+       any number of processes that find the same stale lease exactly
+       one wins, and the old holder is fenced: {!refresh_writer} returns
+       [false] to it. A [locks/writer.lease] file is ignored.}
     {- {b reader registration} — one file per registered reader under
        [locks/readers/], recording the GC epoch the reader joined at.
        Registration is advisory for reads (lookups are safe anyway) but
@@ -38,7 +41,7 @@
     the same host; a reader or writer file recorded by another host is
     conservatively treated as alive. *)
 
-type held = {
+type held = Store_claim.held = {
   h_pid : int;
   h_host : string;
   h_purpose : string;  (** e.g. ["sweep"], ["gc"], ["serve"] *)
@@ -47,27 +50,26 @@ type held = {
 (** Who holds (or held) the writer lease. *)
 
 exception Busy of held
-(** Raised by {!with_writer} (and by the sweep engine) when the lease
-    could not be acquired within the wait budget. *)
+(** Raised by the sweep engine when the lease could not be acquired
+    within the wait budget, or was broken under it. *)
 
 val pp_held : Format.formatter -> held -> unit
 (** ["pid 1234 on host (purpose sweep, since ...)"]. *)
 
 type writer
-(** A held writer lease. Release exactly once; exiting the process
-    releases implicitly only via the staleness rule, so prefer
-    {!with_writer}. *)
+(** A held writer lease. Release exactly once; a process that exits
+    without releasing leaves a lease the staleness rule breaks. *)
 
 val try_acquire_writer :
   ?ttl:float -> Store.t -> purpose:string -> (writer, held) result
 (** One attempt: take the lease, breaking it first if stale. A lease is
-    stale when its recorded pid is provably dead on this host, or —
+    stale when its recorded pid is provably dead on this host; or —
     with [ttl] — when the lease file's mtime is more than [ttl] seconds
     from now in {e either} direction (covering dead {e remote} holders
     and clock-skewed or rsync'd lease files stamped in the future; a
-    live holder keeps its mtime current via {!refresh_writer}). No
-    [ttl] preserves the pid-liveness-only behavior. [Error] carries the
-    live holder. *)
+    live holder keeps its mtime current via {!refresh_writer}); or when
+    its body does not parse and its mtime is more than 5 seconds from
+    now. [Error] carries the holder, named as in {!holder}. *)
 
 val acquire_writer :
   ?wait:float -> ?ttl:float -> Store.t -> purpose:string -> (writer, held) result
@@ -75,24 +77,26 @@ val acquire_writer :
     (default [0.0] — a single attempt). *)
 
 val release_writer : writer -> unit
-(** Unlink the lease. Idempotent. Only removes a lease this process
-    still owns (a broken-and-retaken lease is never clobbered). *)
+(** Rename the lease to [.quit]. Idempotent, and a no-op for a lease
+    that was broken: a successor's lease is never touched. *)
 
-val refresh_writer : writer -> unit
+val refresh_writer : writer -> bool
 (** Heartbeat: re-stamp the lease file's mtime with the filesystem's
     current time, so a TTL-armed contender ({!try_acquire_writer}
-    [?ttl]) never breaks a live holder. Token-checked — a lease broken
-    and retaken by a successor is never freshened. The sweep engine
-    calls this on every checkpoint. *)
-
-val with_writer :
-  ?wait:float -> ?ttl:float -> Store.t -> purpose:string -> (unit -> 'a) -> 'a
-(** Acquire (waiting up to [wait]), run, release — raising {!Busy} if
-    the lease never freed. *)
+    [?ttl]) never breaks a live holder. [false] when the lease was
+    broken and retaken: the holder has been fenced and must write
+    nothing more under it. The sweep engine calls this on every
+    checkpoint. *)
 
 val writer_held : ?ttl:float -> Store.t -> held option
-(** The current lease holder, ignoring stale leases (same [ttl] rule as
+(** The current lease holder, ignoring stale leases (same rule as
     {!try_acquire_writer}). *)
+
+val holder : Store.t -> held
+(** Who the newest lease file names, stale or not: what {!Busy}
+    carries. A placeholder with pid [0] and purpose ["unparsable"]
+    stands for a body that does not parse, and one with purpose
+    ["unknown"] for no lease on disk. *)
 
 type reader
 

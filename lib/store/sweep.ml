@@ -178,7 +178,7 @@ let certificate algo ~n ~exhaustive = function
 (* ------------------------------- engine ------------------------------- *)
 
 let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
-    ?save_traces ?pi_timeout ?(on_event = fun _ -> ()) ?cancel ?lease
+    ?save_traces ?pi_timeout ?(on_event = fun _ -> ()) ?cancel
     ?(lease_wait = 60.0) (algo : Algorithm.t) ~n ~perms () =
   let plan =
     plan ~who:"Sweep.sweep" ~store ?save_traces ?pi_timeout algo ~n ~perms
@@ -186,23 +186,14 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
   if checkpoint_every < 1 then
     invalid_arg "Sweep.sweep: checkpoint_every must be >= 1";
   (* Writers serialize on the store's lease: a sweep, a concurrent CLI
-     certify and a gc never interleave writes. A caller that already
-     holds the lease passes it in and keeps ownership; otherwise we take
-     it here and release on every exit path — including Pool.Cancelled
-     and fail-fast aborts. *)
-  let owned_lease =
-    match (lease : Store_lock.writer option) with
-    | Some _ -> None
-    | None -> (
-      match
-        Store_lock.acquire_writer ~wait:lease_wait store ~purpose:"sweep"
-      with
-      | Ok w -> Some w
-      | Error h -> raise (Store_lock.Busy h))
+     certify and a gc never interleave writes. Released on every exit
+     path — including Pool.Cancelled and fail-fast aborts. *)
+  let lease =
+    match Store_lock.acquire_writer ~wait:lease_wait store ~purpose:"sweep" with
+    | Ok w -> w
+    | Error h -> raise (Store_lock.Busy h)
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Store_lock.release_writer owned_lease)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Store_lock.release_writer lease) @@ fun () ->
   let total = Array.length plan.u_pis and mpath = plan.u_manifest in
   (* All shared state below is touched only under [lock]; entry files
      are written lock-free (each key is handed to exactly one worker). *)
@@ -228,22 +219,34 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
          else infinity);
     }
   in
+  (* Set under [lock] by a checkpoint whose refresh came back false:
+     another process broke the lease and owns the store now. *)
+  let fenced = ref false in
   let checkpoint_locked () =
-    save_manifest plan (fun i ->
-        match outcomes.(i) with
-        | None -> `Pending
-        | Some (Hit | Computed) -> `Done
-        | Some (Failed msg) -> `Failed msg);
-    (* Keep the lease's mtime fresh so TTL-armed contenders never
-       mistake a long-running live sweep for a dead remote one. *)
-    Option.iter Store_lock.refresh_writer owned_lease
+    (* The refresh comes first, so a fenced sweep writes no manifest
+       over its successor's; the heartbeat also keeps TTL-armed
+       contenders from mistaking a long-running live sweep for a dead
+       remote one. *)
+    fenced := !fenced || not (Store_lock.refresh_writer lease);
+    if not !fenced then
+      save_manifest plan (fun i ->
+          match outcomes.(i) with
+          | None -> `Pending
+          | Some (Hit | Computed) -> `Done
+          | Some (Failed msg) -> `Failed msg);
+    not !fenced
   in
   let locked f =
     Mutex.lock lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
   in
+  let stop_if_fenced () =
+    if locked (fun () -> !fenced) then
+      raise (Store_lock.Busy (Store_lock.holder store))
+  in
   locked (fun () -> on_event (Start { total; sweep_id = plan.u_sweep_id }));
   let work i =
+    stop_if_fenced ();
     let outcome, record =
       match lookup plan i with
       | `Hit r -> (Hit, Some r)
@@ -271,14 +274,13 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
            the on-disk manifest names it as soon as it happens (a resumed
            run still recomputes it — failures are never cached). *)
         let eager = match outcome with Failed _ -> true | Hit | Computed -> false in
-        if eager
-           || progress.p_done mod checkpoint_every = 0
-           || progress.p_done = total
-        then begin
-          checkpoint_locked ();
+        if (eager
+            || progress.p_done mod checkpoint_every = 0
+            || progress.p_done = total)
+           && checkpoint_locked ()
+        then
           on_event
-            (Checkpoint { manifest = mpath; done_ = progress.p_done; total })
-        end;
+            (Checkpoint { manifest = mpath; done_ = progress.p_done; total });
         on_event (Item { index = i; pi = plan.u_pis.(i); outcome; progress }));
     record
   in
@@ -288,9 +290,10 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
      the exception propagates. *)
   let records_opt =
     Fun.protect
-      ~finally:(fun () -> locked checkpoint_locked)
+      ~finally:(fun () -> ignore (locked checkpoint_locked))
       (fun () -> Lb_util.Pool.map ?jobs ?cancel work indices)
   in
+  stop_if_fenced ();
   let progress = locked progress_locked in
   locked (fun () -> on_event (Finished { progress; manifest = mpath }));
   let failures =
@@ -311,11 +314,10 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
   }
 
 let certify ~store ?resume ?jobs ?checkpoint_every ?save_traces ?pi_timeout
-    ?on_event ?cancel ?lease ?lease_wait algo ~n ~perms ?(exhaustive = false)
-    () =
+    ?on_event ?cancel ?lease_wait algo ~n ~perms ?(exhaustive = false) () =
   let report =
     sweep ~store ?resume ?jobs ?checkpoint_every ?save_traces ?pi_timeout
-      ?on_event ?cancel ?lease ?lease_wait algo ~n ~perms ()
+      ?on_event ?cancel ?lease_wait algo ~n ~perms ()
   in
   (certificate algo ~n ~exhaustive report.records, report)
 

@@ -163,7 +163,6 @@ val sweep :
   ?pi_timeout:float ->
   ?on_event:(event -> unit) ->
   ?cancel:Lb_util.Pool.Cancel.t ->
-  ?lease:Store_lock.writer ->
   ?lease_wait:float ->
   Lb_shmem.Algorithm.t ->
   n:int ->
@@ -183,13 +182,19 @@ val sweep :
     refuses or a [checkpoint_every] below 1, before taking the lease.
 
     Concurrency: the sweep holds the store's {!Store_lock} writer lease
-    for its whole run — acquired here (waiting up to [lease_wait]
-    seconds, default [60.0]; {!Store_lock.Busy} if it never frees) or
-    passed in via [lease] by a caller that already holds it and keeps
-    ownership. [cancel] is a cooperative stop token polled between
-    units: on {!Lb_util.Pool.Cancel.set} (or an elapsed deadline) the
-    sweep checkpoints the manifest — every completed unit is already a
-    durable store entry — releases the lease, and raises
+    for its whole run, acquired here (waiting up to [lease_wait]
+    seconds, default [60.0]; {!Store_lock.Busy} if it never frees) and
+    released on every exit path. Each checkpoint refreshes the lease
+    before it writes the manifest. A false refresh means another
+    process broke the lease (a [store gc --lease-ttl] shorter than the
+    checkpoint interval, say) and the sweep is fenced: it writes no
+    more manifest, and raises {!Store_lock.Busy} naming the new holder
+    when it next starts a unit or finishes. Entries it already wrote
+    stay: they are content-addressed and idempotent, and a later run
+    finds them as hits. [cancel] is a cooperative stop token polled
+    between units: on {!Lb_util.Pool.Cancel.set} (or an elapsed
+    deadline) the sweep checkpoints the manifest — every completed unit
+    is already a durable store entry — releases the lease, and raises
     [Lb_util.Pool.Cancelled]; a later run with the same inputs resumes
     from the checkpoint. This is what SIGTERM maps to, both in the CLI
     and in the serve drain path. *)
@@ -203,7 +208,6 @@ val certify :
   ?pi_timeout:float ->
   ?on_event:(event -> unit) ->
   ?cancel:Lb_util.Pool.Cancel.t ->
-  ?lease:Store_lock.writer ->
   ?lease_wait:float ->
   Lb_shmem.Algorithm.t ->
   n:int ->

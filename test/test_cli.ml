@@ -472,7 +472,7 @@ let test_store_gc_lease () =
       let locks = Filename.concat dir "locks" in
       (try Unix.mkdir locks 0o755
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let lease = Filename.concat locks "writer.lease" in
+      let lease = Filename.concat locks "writer.2.claim" in
       Out_channel.with_open_bin lease (fun oc ->
           Out_channel.output_string oc
             (Printf.sprintf

@@ -226,7 +226,7 @@ let test_lock_ttl_future_skew () =
       (* a skewed or rsync'd host stamped the lease into the future; the
          |now - mtime| rule must expire it all the same *)
       let lease =
-        Filename.concat (Store.dir st) (Filename.concat "locks" "writer.lease")
+        Filename.concat (Store.dir st) (Filename.concat "locks" "writer.1.claim")
       in
       let future = Unix.gettimeofday () +. 3600.0 in
       Unix.utimes lease future future;
@@ -243,7 +243,7 @@ let test_lock_refresh_keeps_lease () =
       (* heartbeat outruns the ttl *)
       for _ = 1 to 4 do
         Unix.sleepf 0.04;
-        Lock.refresh_writer w
+        Alcotest.(check bool) "refresh holds" true (Lock.refresh_writer w)
       done;
       (match Lock.writer_held ~ttl:0.1 st with
       | Some h -> Alcotest.(check string) "still held" "beater" h.Lock.h_purpose
@@ -254,6 +254,31 @@ let test_lock_refresh_keeps_lease () =
       | None -> ()
       | Some _ -> Alcotest.fail "unrefreshed lease still counted live");
       Lock.release_writer w)
+
+(* A holder whose lease was broken is fenced: its refresh fails and its
+   release leaves the successor's lease alone. *)
+let test_lock_fenced_holder () =
+  with_store (fun st ->
+      let a = Result.get_ok (Lock.try_acquire_writer st ~purpose:"a") in
+      let lease =
+        Filename.concat (Store.dir st) (Filename.concat "locks" "writer.1.claim")
+      in
+      let past = Unix.gettimeofday () -. 3600.0 in
+      Unix.utimes lease past past;
+      let b =
+        match Lock.try_acquire_writer ~ttl:10. st ~purpose:"b" with
+        | Ok b -> b
+        | Error _ -> Alcotest.fail "aged lease not breakable"
+      in
+      Alcotest.(check bool) "fenced refresh fails" false (Lock.refresh_writer a);
+      Lock.release_writer a;
+      Alcotest.(check bool) "successor's lease in place" true
+        (Sys.file_exists
+           (Filename.concat (Store.dir st) (Filename.concat "locks" "writer.2.claim")));
+      (match Lock.writer_held st with
+      | Some h -> Alcotest.(check string) "held by the successor" "b" h.Lock.h_purpose
+      | None -> Alcotest.fail "successor's lease not held");
+      Lock.release_writer b)
 
 (* ------------------------ distributed determinism ---------------------- *)
 
@@ -624,6 +649,7 @@ let suite =
       test_claim_duplicate_prefers_held;
     Alcotest.test_case "lock ttl breaks stale" `Quick test_lock_ttl_breaks_stale;
     Alcotest.test_case "lock ttl future skew" `Quick test_lock_ttl_future_skew;
+    Alcotest.test_case "lock fenced holder" `Quick test_lock_fenced_holder;
     Alcotest.test_case "lock refresh keeps lease" `Quick
       test_lock_refresh_keeps_lease;
     Alcotest.test_case "dist matches oracle" `Quick test_dist_matches_oracle;

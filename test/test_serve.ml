@@ -8,6 +8,7 @@
 module Store = Lb_store.Store
 module Store_key = Lb_store.Store_key
 module Lock = Lb_store.Store_lock
+module Claim = Lb_store.Store_claim
 module Gc = Lb_store.Store_gc
 module Sweep = Lb_store.Sweep
 module Pool = Lb_util.Pool
@@ -105,25 +106,11 @@ let test_lock_excludes () =
       | Ok w -> Lock.release_writer w
       | Error _ -> Alcotest.fail "lease not reacquirable")
 
-let test_lock_with_writer_busy () =
-  with_store (fun st ->
-      let w =
-        Result.get_ok (Lock.try_acquire_writer st ~purpose:"squatter")
-      in
-      (match Lock.with_writer ~wait:0.05 st ~purpose:"late" (fun () -> ()) with
-      | () -> Alcotest.fail "with_writer ran under a held lease"
-      | exception Lock.Busy h ->
-        Alcotest.(check string) "names the holder" "squatter" h.Lock.h_purpose);
-      Lock.release_writer w;
-      Alcotest.(check int) "with_writer runs and releases" 41
-        (Lock.with_writer st ~purpose:"ok" (fun () -> 41));
-      Alcotest.(check bool) "released after" true (Lock.writer_held st = None))
-
 let test_lock_stale_break () =
   with_store (fun st ->
       let pid = dead_pid () in
       write_file
-        (Filename.concat (Store.dir st) "locks/writer.lease")
+        (Filename.concat (Store.dir st) "locks/writer.1.claim")
         (Printf.sprintf "pid %d\nhost %s\npurpose crashed\nsince %.3f\ntoken x\n"
            pid (Unix.gethostname ()) (Unix.gettimeofday ()));
       Alcotest.(check bool) "stale lease is not held" true
@@ -131,6 +118,49 @@ let test_lock_stale_break () =
       match Lock.try_acquire_writer st ~purpose:"breaker" with
       | Ok w -> Lock.release_writer w
       | Error _ -> Alcotest.fail "stale lease never broken")
+
+(* Two breakers that read the same stale lease: taking epoch E+1 with
+   O_EXCL lets exactly one of them hold the store. *)
+let test_lock_one_winner () =
+  with_store (fun st ->
+      let pid = dead_pid () in
+      write_file
+        (Filename.concat (Store.dir st) "locks/writer.1.claim")
+        (Printf.sprintf "pid %d\nhost %s\npurpose crashed\nsince %.3f\n" pid
+           (Unix.gethostname ()) (Unix.gettimeofday ()));
+      let locks = Claim.locks st in
+      let slot = Claim.probe_slot locks ~key:"writer" in
+      (match slot with
+      | Claim.Held { epoch = 1; _ } -> ()
+      | _ -> Alcotest.fail "planted lease not read as Held at epoch 1");
+      let take purpose =
+        Claim.take locks ~key:"writer" ~purpose ~slot
+          ~stale:(fun ~epoch:_ ~age:_ -> true)
+      in
+      let a = take "breaker-a" and b = take "breaker-b" in
+      (match (a, b) with
+      | Some c, None -> Alcotest.(check int) "winner at epoch 2" 2 (Claim.epoch c)
+      | _ -> Alcotest.fail "expected exactly one breaker to win");
+      match Lock.try_acquire_writer st ~purpose:"late" with
+      | Ok _ -> Alcotest.fail "a third writer joined the winner"
+      | Error h ->
+        Alcotest.(check string) "names the winner" "breaker-a" h.Lock.h_purpose)
+
+(* The writer epoch grows by one per acquisition; each take removes the
+   files below it, so the lock directory holds one writer file. *)
+let test_lock_debris_bounded () =
+  with_store (fun st ->
+      for _ = 1 to 200 do
+        Lock.release_writer
+          (Result.get_ok (Lock.try_acquire_writer st ~purpose:"cycle"))
+      done;
+      let writer_files =
+        Sys.readdir (Filename.concat (Store.dir st) "locks")
+        |> Array.to_list
+        |> List.filter (fun f -> String.starts_with ~prefix:"writer." f)
+      in
+      Alcotest.(check (list string)) "one writer file" [ "writer.200.quit" ]
+        writer_files)
 
 let test_readers_epoch () =
   with_store (fun st ->
@@ -234,15 +264,46 @@ let test_sweep_busy () =
       | _ -> Alcotest.fail "sweep ran under someone else's lease"
       | exception Lock.Busy h ->
         Alcotest.(check string) "names holder" "other" h.Lock.h_purpose);
-      (* a caller already holding the lease can pass it in — and keeps it *)
-      let cert, _ =
-        Sweep.certify ~store:st ~jobs:1 ~lease:w ya ~n:3 ~perms:pis
-          ~exhaustive:true ()
+      Lock.release_writer w)
+
+(* A sweep whose lease is broken mid-run is fenced: it stops with Busy
+   naming the taker, writes no manifest after the fence, and keeps the
+   entries it already wrote. *)
+let test_sweep_fenced () =
+  let pis, exhaustive = Protocol.family ~n:4 ~perms:24 ~seed:0 in
+  with_store (fun st ->
+      let plan = Sweep.plan ~who:"test" ~store:st ya ~n:4 ~perms:pis in
+      let fence = ref None and done_keys = ref [] in
+      let on_event = function
+        | Sweep.Item { index; _ } ->
+          done_keys := plan.Sweep.u_keys.(index) :: !done_keys;
+          if !fence = None then begin
+            Unix.sleepf 0.01;
+            match Lock.try_acquire_writer ~ttl:0.001 st ~purpose:"taker" with
+            | Ok w ->
+              let manifest = List.hd (Store.manifest_paths st) in
+              fence := Some (w, manifest, read_file manifest)
+            | Error _ -> Alcotest.fail "taker could not break the lease"
+          end
+        | _ -> ()
       in
-      Alcotest.(check bool) "sweep ran under the passed lease" true
-        (cert <> None);
-      Alcotest.(check bool) "ownership retained" true
-        (Lock.writer_held st <> None);
+      (match
+         Sweep.certify ~store:st ~jobs:1 ~checkpoint_every:1 ~on_event ya ~n:4
+           ~perms:pis ~exhaustive ()
+       with
+      | _ -> Alcotest.fail "fenced sweep ran to the end"
+      | exception Lock.Busy h ->
+        Alcotest.(check string) "names the taker" "taker" h.Lock.h_purpose);
+      let w, manifest, at_fence = Option.get !fence in
+      Alcotest.(check string) "no manifest written after the fence" at_fence
+        (read_file manifest);
+      Alcotest.(check bool) "stopped early" true (List.length !done_keys < 24);
+      List.iter
+        (fun key ->
+          match Store.lookup st ~key with
+          | `Hit _ -> ()
+          | `Absent | `Damaged _ -> Alcotest.fail "a written entry was lost")
+        !done_keys;
       Lock.release_writer w)
 
 let test_sweep_cancel_checkpoints_and_resumes () =
@@ -770,9 +831,11 @@ let test_concurrent_store_torture () =
 let suite =
   [
     Alcotest.test_case "lock: lease excludes writers" `Quick test_lock_excludes;
-    Alcotest.test_case "lock: with_writer raises Busy" `Quick
-      test_lock_with_writer_busy;
     Alcotest.test_case "lock: stale lease broken" `Quick test_lock_stale_break;
+    Alcotest.test_case "lock: one of two breakers wins" `Quick
+      test_lock_one_winner;
+    Alcotest.test_case "lock: writer debris stays bounded" `Quick
+      test_lock_debris_bounded;
     Alcotest.test_case "lock: readers + epoch" `Quick test_readers_epoch;
     Alcotest.test_case "lock: reap dead readers" `Quick test_reap_dead_readers;
     Alcotest.test_case "gc: refuses under lease, --force overrides" `Quick
@@ -782,6 +845,8 @@ let suite =
     Alcotest.test_case "gc: trash defers to live readers" `Quick
       test_gc_epochs_defer_to_readers;
     Alcotest.test_case "sweep: Busy when lease held" `Quick test_sweep_busy;
+    Alcotest.test_case "sweep: fenced sweep stops writing" `Quick
+      test_sweep_fenced;
     Alcotest.test_case "sweep: cancel checkpoints, resume byte-identical"
       `Slow test_sweep_cancel_checkpoints_and_resumes;
     Alcotest.test_case "sched: round-robin across clients" `Quick
