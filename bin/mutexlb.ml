@@ -575,7 +575,15 @@ let decode_cmd =
         exit 2
     in
     let algo = find_algo algo_name in
-    let decoded = Lb_core.Decode.run_bits algo ~n bits in
+    require_registers_only ~cmd:"decode" algo;
+    require_supports ~cmd:"decode" ~n algo;
+    let decoded =
+      try Lb_core.Decode.run_bits algo ~n bits
+      with Lb_core.Decode.Decode_error { detail; consumed } ->
+        Printf.eprintf "decode: %s: bits do not decode: %s (%d cells read)\n"
+          file detail consumed;
+        exit 2
+    in
     Printf.printf "algorithm      %s (n=%d), %d bits\n" algo_name n (Array.length bits);
     Printf.printf "decoded        %d steps\n" (Lb_shmem.Execution.length decoded);
     Printf.printf "enter order    %s\n"

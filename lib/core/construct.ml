@@ -36,27 +36,46 @@ type builder = {
   chains : (Step.reg, Metastep.id Vec.t) Hashtbl.t;  (* write metasteps per reg *)
   reads_on : (Step.reg, Metastep.id Vec.t) Hashtbl.t;  (* read metasteps per reg *)
   proc_meta_ : Metastep.id Vec.t array;
+  mutable saw : Step.value array;
+      (* per read metastep id: the value its reader saw in its own stage *)
 }
 
 (* Per-stage state: the incremental prefix linearization Plin(M, ⪯, m').
    The executed set is always exactly the down-set of m', so the paper's
    "µ ⋠ m'" is "not executed". Metastep ids are dense arena indices, so
-   the set is one flag per id, grown with the arena. *)
+   the set is one flag per id, grown with the arena. Only the automaton
+   of the stage's process [j] runs in [sys]; the others stay in their
+   initial states, and their steps act only on [sys]'s registers. *)
 type stage_state = {
   sys : System.t;
+  j : int;
+  stage : int;
   mutable executed : bool array;
   mutable m' : Metastep.id;
 }
 
+(* [a] with index [id] in range, grown to twice what it needs. *)
+let grow_for a id fill =
+  if id < Array.length a then a
+  else begin
+    let grown = Array.make (2 * (id + 1)) fill in
+    Array.blit a 0 grown 0 (Array.length a);
+    grown
+  end
+
 let is_executed st id = id < Array.length st.executed && st.executed.(id)
 
 let mark_executed st id =
-  if id >= Array.length st.executed then begin
-    let grown = Array.make (2 * (id + 1)) false in
-    Array.blit st.executed 0 grown 0 (Array.length st.executed);
-    st.executed <- grown
-  end;
+  st.executed <- grow_for st.executed id false;
   st.executed.(id) <- true
+
+let record_saw b id v =
+  b.saw <- grow_for b.saw id 0;
+  b.saw.(id) <- v
+
+let stuck b ~stage detail =
+  raise
+    (Stage_stuck { algo = b.algo_.Algorithm.name; pi = b.pi_; stage; detail })
 
 let vec_of tbl key =
   match Hashtbl.find_opt tbl key with
@@ -66,29 +85,43 @@ let vec_of tbl key =
     Hashtbl.replace tbl key v;
     v
 
-(* Execute (replay) every unexecuted metastep in the down-set of [m], in
-   deterministic topological order; this extends Plin after m' advanced. *)
+(* Execute every unexecuted metastep in the down-set of [m], in the
+   topological order the search returns; this extends Plin after m'
+   advanced. Only j's step goes through its automaton. Every other step
+   acts on the registers alone, in [Metastep.seq] order: a write stores
+   its value (so a write metastep leaves its winner's, and a [seq] that
+   misplaced the winner shows in a later read check), and the read of an
+   earlier process's read metastep must see what it saw in its own
+   stage — else the earlier process's execution would differ from the
+   one its stage built. *)
 let extend b st m =
-  let fresh =
-    Poset.down_set_stopping b.order_ m ~stop:(is_executed st)
-  in
-  match fresh with
-  | [] -> ()
-  | _ ->
-    let ordered = Poset.topo_sort b.order_ fresh in
-    List.iter
-      (fun id ->
-        mark_executed st id;
-        List.iter
-          (fun step -> ignore (System.apply st.sys step))
-          (Metastep.seq (Metastep.get b.arena_ id)))
-      ordered
+  let regs = st.sys.System.regs in
+  List.iter
+    (fun id ->
+      mark_executed st id;
+      let ms = Metastep.get b.arena_ id in
+      List.iter
+        (fun (step : Step.t) ->
+          if step.Step.who = st.j then ignore (System.apply st.sys step)
+          else
+            match step.Step.action with
+            | Step.Write (l, v) -> regs.(l) <- v
+            | Step.Read l when ms.Metastep.kind = Metastep.Read_meta ->
+              if regs.(l) <> b.saw.(id) then
+                stuck b ~stage:st.stage
+                  (Printf.sprintf
+                     "construction bug: p%d's read in m%d sees %d in stage \
+                      %d, saw %d in its own stage"
+                     step.Step.who id regs.(l) st.stage b.saw.(id))
+            | _ -> ())
+        (Metastep.seq ms))
+    (Poset.down_set_stopping b.order_ m ~stop:(is_executed st))
 
 (* Advance the stage onto metastep [mid] (just created or joined): order it
-   after m', record it in [who]'s chain, execute its down-set. *)
-let advance_onto b st ~who mid =
+   after m', record it in j's chain, execute its down-set. *)
+let advance_onto b st mid =
   if st.m' >= 0 then Poset.add_edge b.order_ st.m' mid;
-  Vec.push b.proc_meta_.(who) mid;
+  Vec.push b.proc_meta_.(st.j) mid;
   st.m' <- mid;
   extend b st mid
 
@@ -121,19 +154,16 @@ let unexecuted_reads b st reg =
 let stage_fuel = 1_000_000
 
 (* One stage of Construct (the paper's Generate): insert all steps of the
-   stage's process until it completes its exit section, replaying from a
-   copy of the initial system [s0]. *)
+   stage's process until it completes its exit section, building Plin on
+   a copy of the initial system [s0]. *)
 let generate b ~s0 ~stage =
   let j = Permutation.process_at b.pi_ stage in
-  let st = { sys = System.copy s0; executed = [||]; m' = -1 } in
-  let stuck detail =
-    raise
-      (Stage_stuck { algo = b.algo_.Algorithm.name; pi = b.pi_; stage; detail })
-  in
+  let st = { sys = System.copy s0; j; stage; executed = [||]; m' = -1 } in
+  let stuck = stuck b ~stage in
   (* line 8: the initial try metastep *)
   let m_try = Metastep.new_crit b.arena_ ~crit:(Step.step j (Step.Crit Step.Try)) in
   Poset.add_element b.order_ m_try.Metastep.id;
-  advance_onto b st ~who:j m_try.Metastep.id;
+  advance_onto b st m_try.Metastep.id;
   let fuel = ref stage_fuel in
   let running = ref true in
   while !running do
@@ -149,7 +179,7 @@ let generate b ~s0 ~stage =
       (* lines 37-39: critical steps get singleton metasteps *)
       let m = Metastep.new_crit b.arena_ ~crit:(Step.step j e) in
       Poset.add_element b.order_ m.Metastep.id;
-      advance_onto b st ~who:j m.Metastep.id;
+      advance_onto b st m.Metastep.id;
       if c = Step.Rem then running := false
     | Step.Write (l, _) -> (
       let step = Step.step j e in
@@ -158,7 +188,7 @@ let generate b ~s0 ~stage =
         (* lines 15-17: hide the write inside mw, where the winning write
            (by a lower-indexed process) overwrites it *)
         Metastep.add_write_step (Metastep.get b.arena_ mw) step;
-        advance_onto b st ~who:j mw
+        advance_onto b st mw
       | None ->
         (* lines 18-26: new write metastep, ordered after the maximal
            outstanding reads on l, which become its prereads *)
@@ -184,7 +214,7 @@ let generate b ~s0 ~stage =
               Poset.add_edge b.order_ mu m.Metastep.id)
             mr
         end;
-        advance_onto b st ~who:j m.Metastep.id)
+        advance_onto b st m.Metastep.id)
     | Step.Read l -> (
       let step = Step.step j e in
       (* lines 28-31: join the first outstanding write metastep on l whose
@@ -195,7 +225,7 @@ let generate b ~s0 ~stage =
       match List.find_opt wakes (unexecuted_writes b st l) with
       | Some msw ->
         Metastep.add_read_step (Metastep.get b.arena_ msw) step;
-        advance_onto b st ~who:j msw
+        advance_onto b st msw
       | None ->
         (* lines 32-35: new singleton read metastep; the read itself must
            change the state, otherwise the process is stuck forever and
@@ -207,7 +237,8 @@ let generate b ~s0 ~stage =
         let m = Metastep.new_read b.arena_ ~reg:l ~read:step in
         Poset.add_element b.order_ m.Metastep.id;
         Vec.push (vec_of b.reads_on l) m.Metastep.id;
-        advance_onto b st ~who:j m.Metastep.id)
+        record_saw b m.Metastep.id st.sys.System.regs.(l);
+        advance_onto b st m.Metastep.id)
   done
 
 let run_stages algo ~n ~stages pi =
@@ -229,6 +260,7 @@ let run_stages algo ~n ~stages pi =
       chains = Hashtbl.create 64;
       reads_on = Hashtbl.create 64;
       proc_meta_ = Array.init n (fun _ -> Vec.create ());
+      saw = [||];
     }
   in
   let s0 = System.init algo ~n in

@@ -17,21 +17,38 @@
     {ul
     {- Within a stage, the prefix linearization [Plin(M, ⪯, m')] is
        maintained {e incrementally}: each time [m'] advances, exactly the
-       newly-reachable down-set is appended in deterministic topological
-       order (smallest metastep id first) and replayed on a live
-       {!Lb_shmem.System.t}. The set of executed metasteps always equals
-       the down-set of [m'], so the paper's "[µ ⋠ m']" tests become
-       executed-set membership tests. Every stage replays onto its own
-       copy of one initial system.}
+       newly-reachable down-set is executed, in the topological order
+       {!Poset.down_set_stopping} returns it, on the stage's own copy of
+       one initial {!Lb_shmem.System.t}. The set of executed metasteps
+       always equals the down-set of [m'], so the paper's "[µ ⋠ m']"
+       tests become executed-set membership tests. A stage reads only
+       its process [j]'s state and the register values of [Plin], so
+       [j]'s automaton is the only one it runs: [j]'s step in the
+       metastep it just moved onto goes through
+       {!Lb_shmem.System.apply}, and every other step acts on the
+       registers alone — a write stores its value (so a write metastep
+       leaves its winner's value), a read or critical step stores
+       nothing. The register file after a down-set does not depend on
+       the topological order: each register holds the value of the last
+       executed write metastep in its chain, which is [⪯]-total
+       (Lemma 5.3).}
     {- The maximal outstanding reads on a register, which a new write
        metastep is ordered after, come from one backward search from all
        of them at once ({!Poset.maximal_among}). It stops at executed
        metasteps: the executed set is down-closed, so no path between
        two outstanding reads crosses it. The reads the search never
        reaches are the maximal ones.}
-    {- The replay validates every emitted step against the automaton's
-       pending action, so a construction bug cannot silently produce a
-       sequence that is not an execution of the algorithm.}} *)
+    {- Every earlier process's read metastep is checked when a later
+       stage executes it: its register must hold the value the read saw
+       in its own stage (Lemma 5.4), else {!Stage_stuck} reports a
+       construction bug. Equal read values give every earlier process
+       the same responses, so by determinism the same states and
+       pending actions as in its own stage; a construction bug cannot
+       silently produce a sequence that is not an execution of the
+       algorithm. Reads inside write metasteps follow the winner and
+       need no check. The automata themselves are re-run from the
+       initial state after Construct, by {!Decode}, by the SC cost and
+       by the two checker replays of {!Pipeline.check}.}} *)
 
 exception
   Unsupported_primitive of {
@@ -52,7 +69,10 @@ exception
 (** Raised when a stage exceeds its fuel or a read can neither join a
     write metastep nor change the reader's state — for a livelock-free
     algorithm this indicates a bug in the algorithm, not the
-    construction. *)
+    construction. Also raised, with a [detail] starting
+    ["construction bug: "], when an earlier process's read sees a
+    different value in a later stage than in its own; the detail names
+    the reader, the metastep, the stage and both values. *)
 
 type t = {
   algo : Lb_shmem.Algorithm.t;

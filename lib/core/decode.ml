@@ -341,4 +341,10 @@ let run ?trace ?scan_order algo ~n cells =
     else fail st (Printf.sprintf "parked readers left on r%d" rs.reg));
   st.exec
 
-let run_bits algo ~n bits = run algo ~n (Encode.parse ~n bits)
+let run_bits algo ~n bits =
+  let unparsable detail = raise (Decode_error { detail; consumed = 0 }) in
+  match Encode.parse ~n bits with
+  | cells -> run algo ~n cells
+  | exception Invalid_argument detail -> unparsable detail
+  | exception Lb_bitio.Bit_reader.Exhausted ->
+    unparsable "Encode.parse: bits end inside a cell"

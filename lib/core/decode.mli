@@ -56,7 +56,11 @@ exception
   }
 (** Raised on malformed input or when no progress is possible — neither
     happens for the output of {!Encode.encode} on a {!Construct.run}
-    result; the exception exists for the negative tests. *)
+    result. It is the only exception {!run_bits} raises on bits that do
+    not decode: a parse failure (a bad tag, trailing bits, bits that end
+    inside a cell) is reported with [consumed = 0]. The decoder executes
+    each process's own pending action, so no replayed step can be
+    refused with {!Lb_shmem.System.Step_mismatch}. *)
 
 type event =
   | Cell_consumed of { who : int; pc : int; cell : Encode.cell }
@@ -97,4 +101,6 @@ val run_bits :
 (** Decode from the binary string [E_pi] (parses, then {!run}). This plus
     the algorithm's transition function is the {e only} input — the
     decoder never sees [pi], which is what makes the counting argument of
-    Theorem 7.5 work. *)
+    Theorem 7.5 work. Raises {!Decode_error}, and nothing else, on bits
+    that do not decode; [algo] must support [n]
+    ([Invalid_argument] otherwise). *)

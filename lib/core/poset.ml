@@ -119,18 +119,28 @@ let add_edge t a b =
     t.preds.(b) <- a :: t.preds.(b)
   end
 
+(* Post-order depth-first search over predecessors. The stack holds, for
+   each element on the current path, the predecessors it has yet to try;
+   it is a list rather than the call stack, since down-sets reach tens of
+   thousands of elements. An element is emitted once every predecessor
+   it reaches has been, so the output is a topological order. *)
 let down_set_stopping t m ~stop =
   check t m;
   if stop m then []
   else begin
-    let out = ref [ m ] in
-    ignore
-      (search t ~next:(Array.get t.preds) ~roots:[ m ]
-         ~keep:(fun y -> not (stop y))
-         ~visit:(fun y ->
-           out := y :: !out;
-           false));
-    !out
+    let g = next_gen t in
+    t.stamp.(m) <- g;
+    let rec go out = function
+      | [] -> out
+      | (x, []) :: stack -> go (x :: out) stack
+      | (x, p :: ps) :: stack ->
+        if t.stamp.(p) <> g && not (stop p) then begin
+          t.stamp.(p) <- g;
+          go out ((p, t.preds.(p)) :: (x, ps) :: stack)
+        end
+        else go out ((x, ps) :: stack)
+    in
+    List.rev (go [] [ (m, t.preds.(m)) ])
   end
 
 let down_set t m = down_set_stopping t m ~stop:(fun _ -> false)

@@ -44,12 +44,18 @@ val leq : t -> int -> int -> bool
 (** [leq t a b] — does [a ⪯ b] hold (reflexively, transitively)? *)
 
 val down_set : t -> int -> int list
-(** All elements [⪯ m], including [m] itself. *)
+(** All elements [⪯ m], including [m] itself, in the topological order
+    of {!down_set_stopping}. *)
 
 val down_set_stopping : t -> int -> stop:(int -> bool) -> int list
 (** Like {!down_set} but does not traverse below elements satisfying
-    [stop] (the stopped elements themselves are excluded). Used to collect
-    the not-yet-executed part of a down-set cheaply. *)
+    [stop] (the stopped elements themselves are excluded). The result is
+    in a topological order: every element comes after each of its
+    predecessors in the result, so [m] comes last. When [stop] is
+    down-closed, as the construction's executed set is, the result is
+    exactly [{x ⪯ m | not (stop x)}]. One depth-first search, with an
+    explicit stack; used to collect, ready to execute, the
+    not-yet-executed part of a down-set. *)
 
 val maximal_among : t -> int list -> stop:(int -> bool) -> int list
 (** The elements of the list with no strict successor in the list, in

@@ -72,6 +72,52 @@ let test_pipeline_and_decode () =
       Alcotest.(check bool) "same enter order" true
         (Astring_contains.contains out "2 0 3 1"))
 
+(* A damaged bits file is a usage error (exit 2) with a one-line
+   diagnostic, never an uncaught exception: a flipped tag bit, a header
+   n the payload does not have, and header algorithms the pipeline
+   refuses at n=3. *)
+let test_decode_rejects_damaged () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let good = Filename.concat dir "good.bits" in
+      ignore
+        (check_runs "pipeline"
+           (Printf.sprintf "pipeline -a bakery -n 3 -p 2,0,1 --save %s" good)
+           0);
+      let lines =
+        String.split_on_char '\n' (In_channel.with_open_text good In_channel.input_all)
+      in
+      let replace a b line = if line = a then b else line in
+      (* flip bit 1 of the payload, which turns p0's first tag into the
+         unused tag 7 *)
+      let flip_tag line =
+        match String.split_on_char ' ' line with
+        | [ "bits"; count; hex ] ->
+          Printf.sprintf "bits %s %x%s" count
+            (int_of_string ("0x" ^ String.sub hex 0 1) lxor 4)
+            (String.sub hex 1 (String.length hex - 1))
+        | _ -> line
+      in
+      List.iter
+        (fun (name, edit, mentions) ->
+          let path = Filename.concat dir name in
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (String.concat "\n" (List.map edit lines)));
+          let status, out = run_cmd (Printf.sprintf "decode %s" path) in
+          Alcotest.(check int) (name ^ " exit code") 2 status;
+          Alcotest.(check bool) (name ^ " names " ^ mentions) true
+            (Astring_contains.contains out mentions);
+          Alcotest.(check int) (name ^ " one line") 1
+            (List.length
+               (List.filter (( <> ) "") (String.split_on_char '\n' out))))
+        [
+          ("tag.bits", flip_tag, "tag.bits: bits do not decode: Encode.parse: bad tag 7");
+          ("n9.bits", replace "n 3" "n 9", "n9.bits: bits do not decode");
+          ("peterson2.bits", replace "algo bakery" "algo peterson2",
+           "does not support n=3");
+          ("tas.bits", replace "algo bakery" "algo tas", "Uses_rmw");
+        ])
+
 let test_construct_dot () =
   let dot = Filename.temp_file "mutexlb_cli" ".dot" in
   Fun.protect
@@ -528,6 +574,8 @@ let suite =
     Alcotest.test_case "check broken" `Quick test_check_broken;
     Alcotest.test_case "check flat ya" `Slow test_check_flat_ya;
     Alcotest.test_case "pipeline + decode roundtrip" `Quick test_pipeline_and_decode;
+    Alcotest.test_case "decode rejects damaged bits" `Quick
+      test_decode_rejects_damaged;
     Alcotest.test_case "construct --dot" `Quick test_construct_dot;
     Alcotest.test_case "certify" `Quick test_certify;
     Alcotest.test_case "certify --perms 0" `Quick test_certify_zero_perms;

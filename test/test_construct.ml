@@ -353,6 +353,86 @@ let test_construction_digests () =
         (construction_digest (C.run (Lb_algos.Registry.find_exn name) ~n pi)))
     expected_digests
 
+(* [algo] with every automaton transition counted per process id, and
+   the counts. *)
+let counting (algo : Algorithm.t) ~n =
+  let counts = Array.make n 0 in
+  let rec wrap (p : Proc.t) =
+    {
+      p with
+      Proc.advance =
+        (fun r ->
+          counts.(p.Proc.id) <- counts.(p.Proc.id) + 1;
+          wrap (p.Proc.advance r));
+    }
+  in
+  ({ algo with Algorithm.spawn = (fun ~n ~me -> wrap (algo.Algorithm.spawn ~n ~me)) },
+   counts)
+
+(* Stage i runs only pi_i's automaton: later stages apply pi_i's steps to
+   the registers without advancing it, so its transition count is final
+   once its own stage ends. *)
+let test_own_stage_only () =
+  List.iter
+    (fun (name, n) ->
+      let algo = Lb_algos.Registry.find_exn name in
+      List.iter
+        (fun seed ->
+          let pi = P.random (Lb_util.Rng.create seed) n in
+          let advances ~stages =
+            let algo, counts = counting algo ~n in
+            ignore (C.run_stages algo ~n ~stages pi);
+            counts
+          in
+          let full = advances ~stages:n in
+          for i = 0 to n - 1 do
+            let p = P.process_at pi i in
+            Alcotest.(check int)
+              (Printf.sprintf "%s n=%d seed=%d: p%d (stage %d)" name n seed p i)
+              (advances ~stages:(i + 1)).(p) full.(p)
+          done)
+        [ 1; 2 ])
+    [ ("yang_anderson", 16); ("bakery", 12); ("filter", 6) ]
+
+(* [algo] whose process 0 is impure: its transition out of the initial
+   state alternates, call by call, between the real one and one that
+   also acknowledges the write after try, so every other run of process
+   0 from the initial state skips that write. *)
+let impure (algo : Algorithm.t) =
+  let calls = ref 0 in
+  let spawn ~n ~me =
+    let p = algo.Algorithm.spawn ~n ~me in
+    if me <> 0 then p
+    else
+      {
+        p with
+        Proc.advance =
+          (fun r ->
+            let q = p.Proc.advance r in
+            incr calls;
+            match q.Proc.pending with
+            | Step.Write _ when !calls mod 2 = 0 -> q.Proc.advance Step.Ack
+            | _ -> q);
+      }
+  in
+  { algo with Algorithm.spawn }
+
+(* Construct runs each automaton once, in its own stage; the replays that
+   follow it (Decode, the SC cost, the checker) must still reject an
+   automaton that does not repeat itself. *)
+let test_impure_never_certified () =
+  let pi = P.of_array [| 1; 0; 2 |] in
+  (match Pl.run_checked (impure ya) ~n:3 pi with
+  | _ -> Alcotest.fail "run_checked certified an impure automaton"
+  | exception _ -> ());
+  Test_store.with_store (fun store ->
+      let cert, r =
+        Lb_store.Sweep.certify ~store ~resume:true (impure ya) ~n:3 ~perms:[ pi ] ()
+      in
+      Alcotest.(check bool) "no certificate" true (cert = None);
+      Alcotest.(check int) "unit quarantined" 1
+        (List.length r.Lb_store.Sweep.failures))
+
 let suite =
   verify_cases
   @ [
@@ -379,4 +459,8 @@ let suite =
   @ [
       Alcotest.test_case "construct exit status" `Quick test_exit_status;
       Alcotest.test_case "construction digests" `Quick test_construction_digests;
+      Alcotest.test_case "each automaton runs only in its own stage" `Quick
+        test_own_stage_only;
+      Alcotest.test_case "impure automaton never certified" `Quick
+        test_impure_never_certified;
     ]

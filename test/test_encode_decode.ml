@@ -181,14 +181,14 @@ let test_decode_rejects_truncated () =
   let truncated = Array.sub e.E.bits 0 (Array.length e.E.bits - 4) in
   match D.run_bits ya ~n:2 truncated with
   | _ -> Alcotest.fail "truncated input decoded"
-  | exception (D.Decode_error _ | Invalid_argument _ | Lb_bitio.Bit_reader.Exhausted) -> ()
+  | exception D.Decode_error _ -> ()
 
 let test_decode_rejects_wrong_algo () =
   (* an encoding for bakery fed to the YA decoder must fail loudly *)
   let _, e = encode_of bakery 3 (P.identity 3) in
   match D.run_bits ya ~n:3 e.E.bits with
   | _ -> Alcotest.fail "cross-algorithm decode succeeded"
-  | exception (D.Decode_error _ | Invalid_argument _ | System.Step_mismatch _) -> ()
+  | exception D.Decode_error _ -> ()
 
 let bit_flip_robustness =
   (* corrupting any single bit of E_pi must be detected: the decoder either
@@ -203,10 +203,7 @@ let bit_flip_robustness =
       let pos = salt mod Array.length bits in
       bits.(pos) <- not bits.(pos);
       match D.run_bits ya ~n bits with
-      | exception
-          ( D.Decode_error _ | Invalid_argument _ | System.Step_mismatch _
-          | Lb_bitio.Bit_reader.Exhausted ) ->
-        true
+      | exception D.Decode_error _ -> true
       | decoded ->
         (* decoding "succeeded": it must not reproduce alpha_pi *)
         not
@@ -261,21 +258,22 @@ let scan_order_invariance =
    Each fixture is
    (algorithm, n, seed): pi is drawn from [seed], and eight single-bit
    flips of E_pi from [seed + 1]. A flipped input pins its outcome: the
-   fingerprint, or the exception with its detail and cells consumed. *)
+   fingerprint, or the Decode_error with its detail and cells consumed
+   (0 for bits that do not parse). *)
 let decode_digests =
   [
     ( ("yang_anderson", 16, 1),
       "a7df62cab0d3e461d2752a0fd6886cd4",
       "705448d54e4332642eb5fb63c9908ebd",
       [
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: trailing bits)";
         "Decode_error(56, p14: cell expects a write but pending is read(r43))";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(0, Encode.parse: bad tag 7)";
       ] );
     ( ("yang_anderson", 32, 2),
       "6b705e0a73ce76247aed809e6663d35c",
@@ -283,10 +281,10 @@ let decode_digests =
       [
         "Decode_error(675, no progress (waiting=0,4,10,11,13,14,15,18,19,20,21,22,25,26,27,28))";
         "Decode_error(438, no progress (waiting=0,4,6,10,11,12,13,14,15,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31))";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(0, Encode.parse: bad tag 7)";
         "Decode_error(302, no progress (waiting=0,1,2,3,4,5,6,8,10,11,12,13,14,15,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31))";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(0, Encode.parse: trailing bits)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
         "Decode_error(773, no progress (waiting=0,4,10,11,13,15,18,19,20,21,25,27,28))";
         "Decode_error(810, no progress (waiting=0,10,11,13,15,18,19,20,21,25,27))";
       ] );
@@ -294,24 +292,24 @@ let decode_digests =
       "0829e866acffef72e2e5693acd67a7f6",
       "39863b767c7172778aa4a39873567e51",
       [
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Decode_error(0, Encode.parse: trailing bits)";
         "Decode_error(481, p11: C cell but pending is read(r1))";
         "Decode_error(57, p7: C cell but pending is read(r20))";
         "Decode_error(60, no progress (waiting=0,1,2,3,4,5,6,7,8,9,10,11))";
         "Decode_error(49, no progress (waiting=0,1,2,3,4,5,6,7,8,9,10,11))";
         "Decode_error(123, no progress (waiting=0,1,2,3,4,5,8,9,10,11))";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: trailing bits)";
       ] );
     ( ("filter", 6, 4),
       "32d91051ae18ec4bf4423c7771018c43",
       "1425d3f7d8b9ff82b2bca40d696dcbda",
       [
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Lb_bitio.Bit_reader.Exhausted";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bits end inside a cell)";
         "Decode_error(203, p1: cell expects a read but pending is exit)";
         "Decode_error(184, p1: C cell but pending is read(r5))";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
+        "Decode_error(0, Encode.parse: trailing bits)";
         "Decode_error(108, no progress (waiting=1,2,3,4))";
         "Decode_error(237, p2: cell expects a write but pending is enter)";
         "Decode_error(37, p5: C cell but pending is read(r2))";
@@ -320,12 +318,12 @@ let decode_digests =
       "d5a35348c84eec109f602967d8861d53",
       "e40a7779e67624d5c1b1d78c147abca5",
       [
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(0, Encode.parse: bad tag 7)";
         "Decode_error(120, no progress (waiting=3,6))";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(0, Encode.parse: trailing bits)";
+        "Decode_error(0, Encode.parse: trailing bits)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
         "Decode_error(96, no progress (waiting=2,3,5,6))";
         "Decode_error(51, no progress (waiting=0,1,2,3,4,5,6,7))";
       ] );
@@ -333,12 +331,12 @@ let decode_digests =
       "6393b2730064b0d40379b6a8ed71890b",
       "f4d4fae26ebc93357ad8669e6af54443",
       [
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Lb_bitio.Bit_reader.Exhausted";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: trailing bits)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: trailing bits)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bits end inside a cell)";
         "Decode_error(52, no progress (waiting=1,2,3))";
         "Decode_error(102, no progress (waiting=3))";
       ] );
@@ -346,13 +344,13 @@ let decode_digests =
       "accdbb7e2bb0eac91758f3d5ef4ea192",
       "ff6fc8bf703f094c0b58612f784a3a69",
       [
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
-        "Lb_bitio.Bit_reader.Exhausted";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
+        "Decode_error(0, Encode.parse: trailing bits)";
+        "Decode_error(0, Encode.parse: bits end inside a cell)";
         "Decode_error(100, p1: cell expects a read but pending is write(r0,2))";
-        "Invalid_argument(\"Encode.parse: trailing bits\")";
-        "Invalid_argument(\"Encode.parse: bad tag 7\")";
+        "Decode_error(0, Encode.parse: trailing bits)";
+        "Decode_error(0, Encode.parse: bad tag 7)";
         "Decode_error(38, p4: cell expects a read but pending is exit)";
       ] );
   ]

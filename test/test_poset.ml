@@ -223,6 +223,32 @@ let topo_matches_kahn =
       && Poset.topo_sort p (Poset.elements p)
          = kahn_reference p (Poset.elements p))
 
+let down_set_stopping_topological =
+  QCheck.Test.make
+    ~name:"down_set_stopping ~stop = {x leq m | not stop}, in topological order"
+    ~count:40 big_dag
+    (fun (seed, size) ->
+      let rng, p = random_big_dag seed size in
+      let below = Poset.down_set p (Lb_util.Rng.int rng size) in
+      let stop x = List.mem x below in
+      List.for_all
+        (fun _ ->
+          let m = Lb_util.Rng.int rng size in
+          let ds = Poset.down_set_stopping p m ~stop in
+          let pos = Hashtbl.create size in
+          List.iteri (fun i x -> Hashtbl.replace pos x i) ds;
+          List.sort compare ds
+          = List.filter
+              (fun x -> Poset.leq p x m && not (stop x))
+              (Poset.elements p)
+          && List.for_all
+               (fun x ->
+                 List.for_all
+                   (fun q -> stop q || Hashtbl.find pos q < Hashtbl.find pos x)
+                   (Poset.preds p x))
+               ds)
+        [ 1; 2; 3; 4; 5 ])
+
 let suite =
   [
     Alcotest.test_case "elements" `Quick test_elements;
@@ -238,4 +264,5 @@ let suite =
     QCheck_alcotest.to_alcotest leq_transitive;
     QCheck_alcotest.to_alcotest maximal_matches_pairwise;
     QCheck_alcotest.to_alcotest topo_matches_kahn;
+    QCheck_alcotest.to_alcotest down_set_stopping_topological;
   ]
