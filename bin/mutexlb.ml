@@ -99,26 +99,12 @@ let perm_arg =
 
 let parse_perm ~n ~seed = function
   | None -> Lb_core.Permutation.random (Lb_util.Rng.create seed) n
-  | Some s ->
-    let bad why =
-      Printf.eprintf "bad permutation %S: %s\n" s why;
-      exit 2
-    in
-    let parts = String.split_on_char ',' s in
-    let arr =
-      match Array.of_list (List.map int_of_string parts) with
-      | arr -> arr
-      | exception Failure _ -> bad "expected comma-separated process indices"
-    in
-    if Array.length arr <> n then begin
-      Printf.eprintf "permutation length %d does not match n=%d\n"
-        (Array.length arr) n;
-      exit 2
-    end;
-    match Lb_core.Permutation.of_array arr with
-    | pi -> pi
-    | exception Invalid_argument _ ->
-      bad (Printf.sprintf "not a permutation of 0..%d" (n - 1))
+  | Some s -> (
+    match Lb_core.Permutation.of_csv ~n s with
+    | Ok pi -> pi
+    | Error msg ->
+      prerr_endline msg;
+      exit 2)
 
 (* ------------------------------- list -------------------------------- *)
 
@@ -253,7 +239,7 @@ let run_cmd =
     match save with
     | None -> ()
     | Some path ->
-      Lb_core.Trace_io.save ~path
+      Lb_util.Fsio.write_atomic ~path
         (Lb_core.Trace_io.execution_to_string ~algo:algo_name ~n exec);
       Printf.printf "trace saved    %s\n" path
   in
@@ -549,7 +535,7 @@ let pipeline_cmd =
     match save with
     | None -> ()
     | Some path ->
-      Lb_core.Trace_io.save ~path
+      Lb_util.Fsio.write_atomic ~path
         (Lb_core.Trace_io.bits_to_string ~algo:algo_name ~n
            r.Lb_core.Pipeline.encoding.Lb_core.Encode.bits);
       Printf.printf "bits saved     %s (decode with `mutexlb decode %s`)\n" path path
@@ -569,7 +555,9 @@ let decode_cmd =
   in
   let run file =
     let algo_name, n, bits =
-      try Lb_core.Trace_io.bits_of_string (Lb_core.Trace_io.load ~path:file ())
+      let max_bytes = Lb_util.Fsio.text_max_bytes in
+      let s = Lb_util.Fsio.read ~max_bytes ~path:file () in
+      try Lb_core.Trace_io.bits_of_string s
       with Lb_core.Trace_io.Parse_error { line; detail } ->
         Printf.eprintf "decode: %s:%d: %s\n" file line detail;
         exit 2
@@ -1255,19 +1243,32 @@ let workload_cmd =
     Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"R" ~doc:"Sections per process.")
   in
   let parse_pattern s seed =
+    let bad () =
+      Printf.eprintf
+        "workload: bad pattern %S (want all, staggered:GAP, \
+         bursts:SIZE:GAP or poisson:MEAN, with SIZE >= 1 and GAP, MEAN >= 0)\n"
+        s;
+      exit 2
+    in
+    let count v =
+      match int_of_string_opt v with Some i when i >= 0 -> i | _ -> bad ()
+    in
     match String.split_on_char ':' s with
     | [ "all" ] -> Lb_mutex.Workload.All_at_once
-    | [ "staggered"; gap ] -> Lb_mutex.Workload.Staggered (int_of_string gap)
+    | [ "staggered"; gap ] -> Lb_mutex.Workload.Staggered (count gap)
     | [ "bursts"; size; gap ] ->
-      Lb_mutex.Workload.Bursts
-        { size = int_of_string size; gap = int_of_string gap }
-    | [ "poisson"; mean ] ->
-      Lb_mutex.Workload.Poisson { seed; mean_gap = float_of_string mean }
-    | _ ->
-      Printf.eprintf "bad pattern %S\n" s;
-      exit 2
+      let size = count size in
+      if size = 0 then bad ();
+      Lb_mutex.Workload.Bursts { size; gap = count gap }
+    | [ "poisson"; mean ] -> (
+      match float_of_string_opt mean with
+      | Some mean_gap when mean_gap >= 0.0 ->
+        Lb_mutex.Workload.Poisson { seed; mean_gap }
+      | _ -> bad ())
+    | _ -> bad ()
   in
   let run algo_name n seed pattern rounds =
+    require_positive ~cmd:"workload" "--rounds" rounds;
     let algo = find_algo algo_name in
     require_supports ~cmd:"workload" ~n algo;
     let pattern = parse_pattern pattern seed in
@@ -1324,22 +1325,23 @@ let experiments_cmd =
     apply_jobs jobs;
     require_store ~cmd:"experiments" ~store ~resume ~events:None
       ~save_traces:false ();
+    let experiments = Lb_exp.Exp_all.experiments in
+    let wanted = Option.map (String.split_on_char ',') only in
+    (* every id is checked before any experiment runs *)
+    List.iter
+      (fun id ->
+        if not (List.mem_assoc id experiments) then begin
+          Printf.eprintf "unknown experiment %S\n" id;
+          exit 2
+        end)
+      (Option.value ~default:[] wanted);
     (match store with
     | None -> ()
     | Some dir ->
       Lb_exp.Exp_common.set_store ~resume (Some (Lb_store.Store.open_ ~dir)));
-    match only with
+    match wanted with
     | None -> Lb_exp.Exp_all.run ~seed ()
-    | Some ids ->
-      let wanted = String.split_on_char ',' ids in
-      List.iter
-        (fun id ->
-          match List.assoc_opt id Lb_exp.Exp_all.experiments with
-          | Some f -> f ~seed ()
-          | None ->
-            Printf.eprintf "unknown experiment %S\n" id;
-            exit 2)
-        wanted
+    | Some ids -> List.iter (fun id -> (List.assoc id experiments) ~seed ()) ids
   in
   Cmd.v
     (Cmd.info "experiments"
@@ -1359,9 +1361,19 @@ let store_cmd =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"DIR" ~doc:"Store directory.")
   in
+  (* stat, verify and gc inspect a store that exists: a missing or
+     mistyped DIR is a usage error, not a fresh empty store *)
+  let existing ~cmd dir =
+    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+      Printf.eprintf "store %s: %s: %s\n" cmd dir
+        (if Sys.file_exists dir then "not a directory" else "no such directory");
+      exit 2
+    end;
+    Lb_store.Store.open_ ~dir
+  in
   let stat_cmd =
     let run dir =
-      let st = Lb_store.Store.open_ ~dir in
+      let st = existing ~cmd:"stat" dir in
       let s = Lb_store.Store.stat st in
       Printf.printf "store          %s\n" dir;
       Printf.printf "entries        %d (%d with E_pi traces, %d damaged)\n"
@@ -1383,7 +1395,7 @@ let store_cmd =
   in
   let verify_cmd =
     let run dir =
-      let st = Lb_store.Store.open_ ~dir in
+      let st = existing ~cmd:"verify" dir in
       let ok, damaged =
         Lb_store.Store.fold st ~init:(0, [])
           ~f:(fun (ok, bad) ~key -> function
@@ -1442,7 +1454,7 @@ let store_cmd =
                   (certify exits 75).")
     in
     let run dir dry force wait lease_ttl =
-      let st = Lb_store.Store.open_ ~dir in
+      let st = existing ~cmd:"gc" dir in
       (* current behavioral fingerprints, memoized per (algo, n) *)
       let fps : (string * int, string option) Hashtbl.t = Hashtbl.create 16 in
       let current_fp ~algo ~n =
@@ -2073,12 +2085,33 @@ let () =
         "Reproduction of Fan & Lynch's Omega(n log n) mutual-exclusion lower \
          bound"
   in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd; run_cmd; check_cmd; construct_cmd; pipeline_cmd; decode_cmd;
+        certify_cmd; work_cmd; workload_cmd; adversary_cmd; experiments_cmd;
+        store_cmd; lint_cmd; chaos_cmd; mutate_cmd; serve_cmd;
+      ]
+  in
+  (* The one boundary for unusable paths: a file or directory a verb
+     cannot read, write or create is a usage error (exit 2) on one line
+     naming the verb, not an internal error. Anything else is still an
+     internal error (exit 125), reported as cmdliner would. *)
+  let verb () =
+    match Array.to_list Sys.argv with
+    | _ :: "store" :: sub :: _ -> "store " ^ sub
+    | _ :: v :: _ -> v
+    | _ -> "mutexlb"
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; run_cmd; check_cmd; construct_cmd; pipeline_cmd;
-            decode_cmd; certify_cmd; work_cmd; workload_cmd; adversary_cmd;
-            experiments_cmd; store_cmd; lint_cmd; chaos_cmd; mutate_cmd;
-            serve_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Sys_error msg ->
+      Printf.eprintf "%s: %s\n" (verb ()) msg;
+      2
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Printf.eprintf "mutexlb: internal error, uncaught exception:\n%s\n%s"
+        (Printexc.to_string e)
+        (Printexc.raw_backtrace_to_string bt);
+      Cmd.Exit.internal_error)

@@ -1,6 +1,6 @@
 open Lb_shmem
 
-let faulty = [ Broken_spinlock.algorithm; Yang_anderson_flat.algorithm ]
+let faulty = [ Broken_spinlock.algorithm; Yang_anderson.flat ]
 
 let all =
   [

@@ -4,14 +4,55 @@ let levels ~n = Lb_util.Xmath.ceil_log2 (max n 2)
 
 (* Register layout: internal nodes are heap-numbered 1 .. 2^L - 1; node v
    owns registers C[v][0], C[v][1], T[v] at indices (v-1)*3 .. (v-1)*3+2;
-   the per-process spin registers P[0..n-1] follow. *)
+   the spin registers P follow, laid out by a [Layout]. *)
 let reg_c ~v side = ((v - 1) * 3) + side
 let reg_t ~v = ((v - 1) * 3) + 2
+let p_base ~l = 3 * (Lb_util.Xmath.pow 2 l - 1)
 
-(* spin register of process i for the node at shift k on its path; one
-   cell per (process, level) so a loser's late wake-up write at a lower
-   node can never corrupt a competition higher up the tree *)
-let reg_p ~l i k = (3 * (Lb_util.Xmath.pow 2 l - 1)) + (i * l) + (k - 1)
+(* Where the spin registers P live: the only difference between the
+   algorithm and its ablation. *)
+module type Layout = sig
+  val name : string
+  val description : string
+
+  val reg_p : l:int -> int -> int -> int
+  (** spin register of process [i] for the node at shift [k] on its path *)
+
+  val p_specs : n:int -> l:int -> Register.spec array
+  (** the P registers, in index order from [p_base] *)
+end
+
+(* one cell per (process, level) so a loser's late wake-up write at a
+   lower node can never corrupt a competition higher up the tree *)
+module Per_level = struct
+  let name = "yang_anderson"
+
+  let description =
+    "Yang-Anderson arbitration tree (local spins; O(n log n) SC cost)"
+
+  let reg_p ~l i k = p_base ~l + (i * l) + (k - 1)
+
+  let p_specs ~n ~l =
+    Array.init (n * l) (fun j ->
+        let p = j / l and k = (j mod l) + 1 in
+        Register.spec ~home:p ~domain:(0, 2) (Printf.sprintf "P%d_%d" p k))
+end
+
+(* FAULTY: a single spin register per process, shared by every level of
+   the climb (stale wake-up writes from a lower node corrupt higher
+   competitions; deadlocks at n = 3) *)
+module Flat = struct
+  let name = "yang_anderson_flat"
+
+  let description =
+    "ABLATION: Yang-Anderson with one spin register per process (DEADLOCKS)"
+
+  let reg_p ~l i _k = p_base ~l + i
+
+  let p_specs ~n ~l:_ =
+    Array.init n (fun p ->
+        Register.spec ~home:p ~domain:(0, 2) (Printf.sprintf "P%d" p))
+end
 
 (* process me's leaf in a tree of height l *)
 let leaf ~l me = Lb_util.Xmath.pow 2 l + me
@@ -22,7 +63,9 @@ let node_at ~l me k = leaf ~l me lsr k
 (* which side of node [leaf >> k] me arrives from *)
 let side_at ~l me k = (leaf ~l me lsr (k - 1)) land 1
 
-module State = struct
+module Make_state (L : Layout) = struct
+  let reg_p = L.reg_p
+
   type entry_pc =
     | Set_c
     | Set_t
@@ -178,26 +221,23 @@ module State = struct
     | Rem -> "rem"
 end
 
-module Spawn = Proc.Make_spawn (State)
-
-let algorithm =
-  Common.make ~name:"yang_anderson"
-    ~description:
-      "Yang-Anderson arbitration tree (local spins; O(n log n) SC cost)"
+let make (module L : Layout) =
+  let module Spawn = Proc.Make_spawn (Make_state (L)) in
+  Common.make ~name:L.name ~description:L.description
     ~registers:(fun ~n ->
       let l = levels ~n in
       let internal = Lb_util.Xmath.pow 2 l - 1 in
-      Array.init ((3 * internal) + (n * l)) (fun i ->
-          if i < 3 * internal then begin
-            let v = (i / 3) + 1 in
-            match i mod 3 with
-            | 0 -> Register.spec ~domain:(0, n) (Printf.sprintf "C%d_0" v)
-            | 1 -> Register.spec ~domain:(0, n) (Printf.sprintf "C%d_1" v)
-            | _ -> Register.spec ~domain:(0, n) (Printf.sprintf "T%d" v)
-          end
-          else begin
-            let j = i - (3 * internal) in
-            let p = j / l and k = (j mod l) + 1 in
-            Register.spec ~home:p ~domain:(0, 2) (Printf.sprintf "P%d_%d" p k)
-          end))
+      Array.append
+        (Array.init (3 * internal) (fun i ->
+             let v = (i / 3) + 1 in
+             match i mod 3 with
+             | 0 -> Register.spec ~domain:(0, n) (Printf.sprintf "C%d_0" v)
+             | 1 -> Register.spec ~domain:(0, n) (Printf.sprintf "C%d_1" v)
+             | _ -> Register.spec ~domain:(0, n) (Printf.sprintf "T%d" v)))
+        (L.p_specs ~n ~l))
     ~spawn:Spawn.spawn ()
+
+module State = Make_state (Per_level)
+
+let algorithm = make (module Per_level)
+let flat = make (module Flat)

@@ -10,9 +10,24 @@
     busy-wait reads a single register whose value it is waiting to see
     change, the SC model charges O(1) per node visit, hence O(log n) per
     entry and O(n log n) per canonical execution. [P i] is homed at
-    process [i] for the DSM model. *)
+    process [i] for the DSM model. A process has one spin register per
+    tree level, [P i_k]; {!flat}, the ablation, has one in all. *)
 
 val algorithm : Lb_shmem.Algorithm.t
+
+val flat : Lb_shmem.Algorithm.t
+(** ABLATION ([yang_anderson_flat]): the same automaton with a single
+    spin register [P i] per process instead of one per (process, level).
+
+    This variant is {e deliberately faulty}. When a process's node rival
+    loses a race and performs its wake-up write [P rival := 1] after the
+    rival has already climbed to a higher tree node (and reset the same
+    register for the {e new} competition), the stale write corrupts the
+    higher-level hand-shake and the tree deadlocks — the bounded model
+    checker exhibits a 33-step witness at n = 3. {!algorithm} therefore
+    uses per-(process, level) spin registers; [flat] exists so the
+    ablation is reproducible (DESIGN.md §4, experiment
+    `mutexlb check -a yang_anderson_flat -n 3`). *)
 
 val levels : n:int -> int
 (** Height of the arbitration tree: [⌈log₂ (max n 2)⌉]. *)

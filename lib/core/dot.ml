@@ -59,4 +59,4 @@ let of_construction (c : Construct.t) =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let save ~path c = Trace_io.save ~path (of_construction c)
+let save ~path c = Lb_util.Fsio.write_atomic ~path (of_construction c)

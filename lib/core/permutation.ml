@@ -119,3 +119,21 @@ let pp ppf (t : t) =
     (String.concat " " (Array.to_list (Array.map string_of_int t)))
 
 let to_string t = Format.asprintf "%a" pp t
+
+let to_csv (t : t) =
+  String.concat "," (Array.to_list (Array.map string_of_int t))
+
+let of_csv ?n s =
+  let bad why = Error (Printf.sprintf "bad permutation %S: %s" s why) in
+  match List.map int_of_string (String.split_on_char ',' s) with
+  | exception Failure _ -> bad "expected comma-separated process indices"
+  | ints -> (
+    let len = List.length ints in
+    match n with
+    | Some n when n <> len ->
+      Error (Printf.sprintf "permutation length %d does not match n=%d" len n)
+    | _ -> (
+      match of_array (Array.of_list ints) with
+      | pi -> Ok pi
+      | exception Invalid_argument _ ->
+        bad (Printf.sprintf "not a permutation of 0..%d" (len - 1))))

@@ -64,3 +64,13 @@ val sample :
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+(** The {!pp} spelling, [(2 0 1)]: diagnostics and store keys. *)
+
+val to_csv : t -> string
+(** The comma spelling, [2,0,1], of store entries, sweep manifests,
+    sweep telemetry and the CLI's [-p]. *)
+
+val of_csv : ?n:int -> string -> (t, string) result
+(** Inverse of {!to_csv}: comma-separated [int_of_string] indices that
+    form a permutation, and, given [n], exactly [n] of them. The error
+    is a whole one-line diagnostic naming the input. *)

@@ -122,23 +122,9 @@ let bits_to_string ~algo ~n bits =
   Buffer.add_string buf "mutexlb-bits 1\n";
   Buffer.add_string buf (Printf.sprintf "algo %s\n" algo);
   Buffer.add_string buf (Printf.sprintf "n %d\n" n);
-  Buffer.add_string buf (Printf.sprintf "bits %d " (Array.length bits));
-  let nibble = ref 0 and count = ref 0 in
-  Array.iter
-    (fun b ->
-      nibble := (!nibble lsl 1) lor (if b then 1 else 0);
-      incr count;
-      if !count = 4 then begin
-        Buffer.add_char buf "0123456789abcdef".[!nibble];
-        nibble := 0;
-        count := 0
-      end)
-    bits;
-  if !count > 0 then begin
-    let padded = !nibble lsl (4 - !count) in
-    Buffer.add_char buf "0123456789abcdef".[padded]
-  end;
-  Buffer.add_char buf '\n';
+  Buffer.add_string buf
+    (Printf.sprintf "bits %d %s\n" (Array.length bits)
+       (Lb_bitio.Hex_bits.to_hex bits));
   Buffer.contents buf
 
 let default_max_bits = 1 lsl 25
@@ -160,49 +146,11 @@ let bits_of_string ?(max_bits = default_max_bits) s =
              "declared %d bits exceeds the %d-bit limit (raise ?max_bits to \
               parse bigger encodings)"
              total max_bits)
-      | Some total when total >= 0 ->
-        if String.length hex <> (total + 3) / 4 then fail ln "hex length mismatch";
-        let nibble i =
-          match hex.[i] with
-          | '0' .. '9' as c -> Char.code c - Char.code '0'
-          | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-          | _ -> fail ln "bad hex digit"
-        in
-        let out = Array.make total false in
-        for i = 0 to total - 1 do
-          out.(i) <- (nibble (i / 4) lsr (3 - (i mod 4))) land 1 = 1
-        done;
-        (* the writer zero-fills the final nibble, so accepting nonzero
-           padding bits would let distinct strings decode to the same
-           bits — reject to keep the representation canonical *)
-        if total mod 4 <> 0 && total > 0 then begin
-          let pad = 4 - (total mod 4) in
-          if nibble (String.length hex - 1) land ((1 lsl pad) - 1) <> 0 then
-            fail ln "non-canonical padding in final hex digit"
-        end;
-        (algo, n, out)
-      | Some _ | None -> fail ln "bad bit count")
+      | Some total -> (
+        match Lb_bitio.Hex_bits.of_hex ~total hex with
+        | Ok bits -> (algo, n, bits)
+        | Error detail -> fail ln detail)
+      | None -> fail ln "bad bit count")
     | _ -> fail ln "expected `bits <count> <hex>`")
   | [] -> fail eof "expected a `bits <count> <hex>` line"
   | _ :: (ln, _) :: _ -> fail ln "expected exactly one bits line"
-
-(* -------------------------------- files ------------------------------ *)
-
-let save ~path content = Lb_util.Fsio.write_atomic ~path content
-
-let default_max_bytes = 64 * 1024 * 1024
-
-let load ?(max_bytes = default_max_bytes) ~path () =
-  if max_bytes < 1 then invalid_arg "Trace_io.load: max_bytes must be >= 1";
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      if len > max_bytes then
-        fail 0
-          (Printf.sprintf
-             "%s is %d bytes, over the %d-byte limit (raise ?max_bytes to \
-              load bigger artifacts)"
-             path len max_bytes);
-      really_input_string ic len)

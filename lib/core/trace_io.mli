@@ -15,14 +15,16 @@
     v}
 
     Encodings serialize as [mutexlb-bits 1] followed by the bit string in
-    hex with an exact bit count (the final hex digit zero-padded, and
-    parsers reject nonzero padding bits so the representation stays
-    canonical). Parsers skip blank lines but report errors with the
-    {e physical} line number of the input. *)
+    {!Lb_bitio.Hex_bits}'s spelling with an exact bit count (the same
+    spelling as a store entry's [ebits] field). Parsers skip blank lines
+    but report errors with the {e physical} line number of the input.
+
+    This module parses and prints; files are read and written with
+    {!Lb_util.Fsio}. *)
 
 exception Parse_error of { line : int; detail : string }
 (** Parse or resource-limit failure. [line] is the physical line of the
-    input ([0] for file-level problems such as an oversized artifact). *)
+    input. *)
 
 val execution_to_string :
   algo:string -> n:int -> Lb_shmem.Execution.t -> string
@@ -39,12 +41,3 @@ val bits_to_string : algo:string -> n:int -> bool array -> string
 val bits_of_string : ?max_bits:int -> string -> string * int * bool array
 (** Rejects encodings whose declared bit count exceeds [max_bits]
     (default [2{^25}]) {e before} allocating for them. *)
-
-val save : path:string -> string -> unit
-(** Write a serialized artifact to a file, atomically: the content goes
-    to a temp file in the target's directory first and is renamed into
-    place, so a crash mid-write never clobbers an existing artifact. *)
-
-val load : ?max_bytes:int -> path:string -> unit -> string
-(** Read a whole artifact. Refuses files over [max_bytes] (default
-    64 MiB) with a {!Parse_error} at line 0, before reading them in. *)

@@ -42,9 +42,8 @@ and final = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Manifest codec. Same self-verifying text shape as store entries: a
-   line-oriented payload closed by a "sum <md5>" line, so a torn write
-   is detected rather than trusted. *)
+(* Manifest codec: a sealed Lb_util.Record, like a store entry, so a
+   torn write is detected rather than trusted. *)
 
 let manifest_to_string m =
   let b = Buffer.create 512 in
@@ -87,112 +86,79 @@ let manifest_to_string m =
     add "step"
       (if f.f_step = [] then "-"
        else String.concat " " (List.map string_of_int f.f_step)));
-  let payload = Buffer.contents b in
-  payload ^ Printf.sprintf "sum %s\n" (Digest.to_hex (Digest.string payload))
+  Lb_util.Record.seal (Buffer.contents b)
 
-let verified s =
-  let n = String.length s in
-  if n = 0 || s.[n - 1] <> '\n' then Error "truncated manifest"
-  else
-    let body = String.sub s 0 (n - 1) in
-    match String.rindex_opt body '\n' with
-    | None -> Error "truncated manifest"
-    | Some i -> (
-      let last = String.sub body (i + 1) (n - 2 - i) in
-      let payload = String.sub s 0 (i + 1) in
-      match String.split_on_char ' ' last with
-      | [ "sum"; hex ] ->
-        if Digest.to_hex (Digest.string payload) = hex then Ok payload
-        else Error "checksum mismatch (corrupt manifest)"
-      | _ -> Error "truncated manifest (missing sum line)")
-
+(* Fields are read in order from the unfiltered payload lines: a blank
+   line where a field belongs is an error, and nothing after the last
+   field is read. *)
 let manifest_of_string s =
   let ( let* ) = Result.bind in
-  let* payload = verified s in
-  let lines = ref (String.split_on_char '\n' payload) in
-  let next key =
-    match !lines with
-    | [] | [ "" ] -> Error (Printf.sprintf "missing field %S" key)
-    | line :: rest -> (
-      lines := rest;
-      match String.index_opt line ' ' with
-      | Some i when String.sub line 0 i = key ->
-        Ok (String.sub line (i + 1) (String.length line - i - 1))
-      | _ -> Error (Printf.sprintf "expected field %S, got %S" key line))
-  in
-  let int key =
-    let* v = next key in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "field %S is not an integer: %S" key v)
-  in
-  let unescape key v =
+  let field = Lb_util.Record.field and int = Lb_util.Record.int_field in
+  let unescape key (v, rest) =
     match Scanf.unescaped v with
-    | s -> Ok s
+    | s -> Ok (s, rest)
     | exception _ -> Error (Printf.sprintf "field %S has a bad escape" key)
   in
-  let* version = next "mutexlb-check-manifest" in
+  (* a [-] or [sep]-separated list; the error is the first bad item *)
+  let list_of sep parse v =
+    if v = "-" then Ok []
+    else
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | p :: rest -> (
+          match parse p with Some x -> go (x :: acc) rest | None -> Error p)
+      in
+      go [] (String.split_on_char sep v)
+  in
+  let* payload = Lb_util.Record.unseal s in
+  let l = String.split_on_char '\n' payload in
+  let* version, l = field "mutexlb-check-manifest" l in
   let* () =
     if version = "1" then Ok ()
     else Error (Printf.sprintf "unsupported manifest version %S" version)
   in
-  let* algo_esc = next "algo" in
-  let* c_algo = unescape "algo" algo_esc in
-  let* c_n = int "n" in
-  let* c_nregs = int "nregs" in
-  let* c_rounds = int "rounds" in
-  let* c_max_states = int "maxstates" in
-  let* c_nshards = int "shards" in
-  let* c_keylen = int "keylen" in
-  let* c_lossy = next "lossy" in
-  let* c_layer = int "layer" in
-  let* c_states = int "states" in
-  let* c_transitions = int "transitions" in
-  let* c_words = int "words" in
-  let* c_interned = int "interned" in
-  let* c_interner_bytes = int "internerbytes" in
-  let* runs_s = next "runs" in
+  let* c_algo, l = Result.bind (field "algo" l) (unescape "algo") in
+  let* c_n, l = int "n" l in
+  let* c_nregs, l = int "nregs" l in
+  let* c_rounds, l = int "rounds" l in
+  let* c_max_states, l = int "maxstates" l in
+  let* c_nshards, l = int "shards" l in
+  let* c_keylen, l = int "keylen" l in
+  let* c_lossy, l = field "lossy" l in
+  let* c_layer, l = int "layer" l in
+  let* c_states, l = int "states" l in
+  let* c_transitions, l = int "transitions" l in
+  let* c_words, l = int "words" l in
+  let* c_interned, l = int "interned" l in
+  let* c_interner_bytes, l = int "internerbytes" l in
+  let* runs_s, l = field "runs" l in
   let* c_runs =
-    if runs_s = "-" then Ok []
-    else
-      let parts = String.split_on_char ',' runs_s in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | p :: rest -> (
-          match String.split_on_char ':' p with
-          | [ l; c ] -> (
-            match (int_of_string_opt l, int_of_string_opt c) with
-            | Some l, Some c -> go ((l, c) :: acc) rest
-            | _ -> Error (Printf.sprintf "bad runs entry %S" p))
-          | _ -> Error (Printf.sprintf "bad runs entry %S" p))
-      in
-      go [] parts
+    list_of ','
+      (fun p ->
+        match String.split_on_char ':' p with
+        | [ a; c ] -> (
+          match (int_of_string_opt a, int_of_string_opt c) with
+          | Some a, Some c -> Some (a, c)
+          | _ -> None)
+        | _ -> None)
+      runs_s
+    |> Result.map_error (Printf.sprintf "bad runs entry %S")
   in
-  let* c_frontier = int "frontier" in
-  let* status = next "status" in
+  let* c_frontier, l = int "frontier" l in
+  let* status, l = field "status" l in
   let* c_status =
     match status with
     | "running" -> Ok Running
     | "final" ->
-      let* f_verdict = next "verdict" in
-      let* f_count = int "count" in
-      let* f_node = int "node" in
-      let* f_who = int "who" in
-      let* detail_esc = next "detail" in
-      let* f_detail = unescape "detail" detail_esc in
-      let* step_s = next "step" in
+      let* f_verdict, l = field "verdict" l in
+      let* f_count, l = int "count" l in
+      let* f_node, l = int "node" l in
+      let* f_who, l = int "who" l in
+      let* f_detail, l = Result.bind (field "detail" l) (unescape "detail") in
+      let* step_s, _ = field "step" l in
       let* f_step =
-        if step_s = "-" then Ok []
-        else
-          let parts = String.split_on_char ' ' step_s in
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | p :: rest -> (
-              match int_of_string_opt p with
-              | Some i -> go (i :: acc) rest
-              | None -> Error (Printf.sprintf "bad step entry %S" p))
-          in
-          go [] parts
+        list_of ' ' int_of_string_opt step_s
+        |> Result.map_error (Printf.sprintf "bad step entry %S")
       in
       Ok (Final { f_verdict; f_count; f_node; f_who; f_detail; f_step })
     | other -> Error (Printf.sprintf "unknown status %S" other)

@@ -64,8 +64,10 @@ and status = Running | Final of final
 
 and final = {
   f_verdict : string;
-      (** [verified], [mutex_violation], [deadlock], [ill_formed],
-          [bound_exceeded] or [mem_exceeded] *)
+      (** {!Model_check.verdict_slug} of the verdict: [verified],
+          [mutex_violation], [deadlock], [ill_formed], [bound_exceeded]
+          or [mem_exceeded]. {!Model_check} alone converts between
+          verdicts and these records. *)
   f_count : int;  (** bounded verdicts: the reported count *)
   f_node : int;  (** witness endpoint in [nodes.log], [-1] if none *)
   f_who : int;  (** [ill_formed] only *)
@@ -76,9 +78,15 @@ and final = {
 }
 
 val manifest_to_string : meta -> string
+(** One [key value] line per field, in the order of {!meta}, then, for
+    a final manifest, the fields of {!final}; sealed with a [sum] line
+    by {!Lb_util.Record.seal}. [algo] and [detail] are
+    [String.escaped]; [runs] is [-] or [layer:count,...]; [step] is [-]
+    or five space-separated ints. *)
 
 val manifest_of_string : string -> (meta, string) result
-(** Parse and verify (trailing checksum line) a manifest. *)
+(** Verify the [sum] line ({!Lb_util.Record.unseal}) and read the
+    fields in order ({!Lb_util.Record.field}). *)
 
 val load_manifest :
   dir:string -> [ `Absent | `Manifest of meta | `Damaged of string ]

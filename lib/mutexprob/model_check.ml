@@ -378,6 +378,85 @@ let rec merge_pos acc a b =
 
 let merge_pos a b = merge_pos [] a b
 
+(* ---------------------------- verdicts -------------------------------- *)
+
+let verdict_slug = function
+  | Verified -> "verified"
+  | Mutex_violation _ -> "mutex_violation"
+  | Deadlock _ -> "deadlock"
+  | Ill_formed _ -> "ill_formed"
+  | Bound_exceeded _ -> "bound_exceeded"
+  | Deadline_exceeded _ -> "deadline_exceeded"
+  | Mem_exceeded _ -> "mem_exceeded"
+
+(* The path from the root to node [idx], through [get i = (parent,
+   step)] over the node table or the spilled node log. *)
+let trace_to get idx =
+  let acc = ref [] in
+  let i = ref idx in
+  while !i <> 0 do
+    let parent, st = get !i in
+    acc := st :: !acc;
+    i := parent
+  done;
+  Execution.of_steps !acc
+
+(* A verdict as the final record of a spill manifest, and back. Node
+   indices survive a resume where Execution.t values do not, so a
+   witness is stored as its endpoint [node] in the node log; an
+   ill-formed witness ends in a step that was never inserted, so that
+   step is stored with the record. A deadline stop has no record: its
+   directory stays resumable from the last layer checkpoint. *)
+let final_of_verdict ~node verdict =
+  let record ?(count = 0) ?(node = -1) ?(who = -1) ?(detail = "")
+      ?(step = []) () =
+    Some
+      {
+        Check_spill.f_verdict = verdict_slug verdict;
+        f_count = count;
+        f_node = node;
+        f_who = who;
+        f_detail = detail;
+        f_step = step;
+      }
+  in
+  match verdict with
+  | Deadline_exceeded _ -> None
+  | Verified -> record ()
+  | Bound_exceeded k | Mem_exceeded k -> record ~count:k ()
+  | Mutex_violation _ | Deadlock _ -> record ~node ()
+  | Ill_formed { trace; who; detail } ->
+    let w, t, r, a, b =
+      Check_spill.encode_step (Execution.get trace (Execution.length trace - 1))
+    in
+    record ~node ~who ~detail ~step:[ w; t; r; a; b ] ()
+
+let verdict_of_final ~get (f : Check_spill.final) =
+  let witness () = trace_to get f.Check_spill.f_node in
+  match f.Check_spill.f_verdict with
+  | "verified" -> Ok Verified
+  | "bound_exceeded" -> Ok (Bound_exceeded f.Check_spill.f_count)
+  | "mem_exceeded" -> Ok (Mem_exceeded f.Check_spill.f_count)
+  | "mutex_violation" -> Ok (Mutex_violation (witness ()))
+  | "deadlock" -> Ok (Deadlock (witness ()))
+  | "ill_formed" -> (
+    match f.Check_spill.f_step with
+    | [ who; tag; reg; a; b ] -> (
+      match Check_spill.decode_step who tag reg a b with
+      | step ->
+        let trace = witness () in
+        Execution.append trace step;
+        Ok
+          (Ill_formed
+             {
+               trace;
+               who = f.Check_spill.f_who;
+               detail = f.Check_spill.f_detail;
+             })
+      | exception Invalid_argument msg -> Error msg)
+    | _ -> Error "bad ill-formed step record")
+  | v -> Error (Printf.sprintf "unknown verdict %S" v)
+
 (* --------------------------- spill session ---------------------------- *)
 
 type session = {
@@ -461,36 +540,10 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
     in
     Fun.protect ~finally:(fun () -> Check_spill.close sp) @@ fun () ->
     let log = Check_spill.Nodes.of_handle sp in
-    let trace_to idx =
-      let acc = ref [] in
-      let i = ref idx in
-      while !i <> 0 do
-        let parent, st = Check_spill.Nodes.get log !i in
-        acc := st :: !acc;
-        i := parent
-      done;
-      Execution.of_steps !acc
-    in
     let verdict =
-      match f.Check_spill.f_verdict with
-      | "verified" -> Verified
-      | "bound_exceeded" -> Bound_exceeded f.Check_spill.f_count
-      | "mem_exceeded" -> Mem_exceeded f.Check_spill.f_count
-      | "mutex_violation" -> Mutex_violation (trace_to f.Check_spill.f_node)
-      | "deadlock" -> Deadlock (trace_to f.Check_spill.f_node)
-      | "ill_formed" -> (
-        let tr = trace_to f.Check_spill.f_node in
-        match f.Check_spill.f_step with
-        | [ who; tag; reg; a; b ] ->
-          Execution.append tr (Check_spill.decode_step who tag reg a b);
-          Ill_formed
-            { trace = tr; who = f.Check_spill.f_who;
-              detail = f.Check_spill.f_detail }
-        | _ ->
-          failwith "Model_check.explore: resume: bad ill-formed step record")
-      | v ->
-        failwith
-          (Printf.sprintf "Model_check.explore: resume: unknown verdict %S" v)
+      match verdict_of_final ~get:(Check_spill.Nodes.get log) f with
+      | Ok v -> v
+      | Error e -> failwith ("Model_check.explore: resume: " ^ e)
     in
     {
       verdict;
@@ -567,16 +620,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       | None, Some s -> Check_spill.Nodes.get s.log i
       | None, None -> assert false
     in
-    let trace_to idx =
-      let acc = ref [] in
-      let i = ref idx in
-      while !i <> 0 do
-        let parent, st = node_get !i in
-        acc := st :: !acc;
-        i := parent
-      done;
-      Execution.of_steps !acc
-    in
+    let trace_to = trace_to node_get in
     let states = ref 0 in
     let transitions = ref 0 in
     let peak_words = ref 0 in
@@ -605,10 +649,8 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
     let layer = ref 0 in
     let verdict_r = ref None in
     let frontier = ref [] in
-    (* witness bookkeeping for the final manifest: node indices survive a
-       resume, Execution.t values do not *)
+    (* the witness's endpoint in the node table, for the final manifest *)
     let final_node = ref (-1) in
-    let final_step = ref None in
     let meta ~frontier_count ~status =
       {
         Check_spill.c_algo = algo.Algorithm.name;
@@ -1076,7 +1118,6 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
             let tr = trace_to parent in
             Execution.append tr sc.step;
             final_node := parent;
-            final_step := Some sc.step;
             verdict_r :=
               Some
                 (Ill_formed
@@ -1156,80 +1197,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
     (match session with
     | None -> ()
     | Some s -> (
-      let final =
-        match verdict with
-        | Deadline_exceeded _ ->
-          (* resumable: keep the last per-layer checkpoint *)
-          None
-        | Verified ->
-          Some
-            {
-              Check_spill.f_verdict = "verified";
-              f_count = 0;
-              f_node = -1;
-              f_who = -1;
-              f_detail = "";
-              f_step = [];
-            }
-        | Bound_exceeded k ->
-          Some
-            {
-              Check_spill.f_verdict = "bound_exceeded";
-              f_count = k;
-              f_node = -1;
-              f_who = -1;
-              f_detail = "";
-              f_step = [];
-            }
-        | Mem_exceeded k ->
-          Some
-            {
-              Check_spill.f_verdict = "mem_exceeded";
-              f_count = k;
-              f_node = -1;
-              f_who = -1;
-              f_detail = "";
-              f_step = [];
-            }
-        | Mutex_violation _ ->
-          Some
-            {
-              Check_spill.f_verdict = "mutex_violation";
-              f_count = 0;
-              f_node = !final_node;
-              f_who = -1;
-              f_detail = "";
-              f_step = [];
-            }
-        | Deadlock _ ->
-          Some
-            {
-              Check_spill.f_verdict = "deadlock";
-              f_count = 0;
-              f_node = !final_node;
-              f_who = -1;
-              f_detail = "";
-              f_step = [];
-            }
-        | Ill_formed { who; detail; _ } ->
-          let step_ints =
-            match !final_step with
-            | Some st ->
-              let w, t, r, a, b = Check_spill.encode_step st in
-              [ w; t; r; a; b ]
-            | None -> []
-          in
-          Some
-            {
-              Check_spill.f_verdict = "ill_formed";
-              f_count = 0;
-              f_node = !final_node;
-              f_who = who;
-              f_detail = detail;
-              f_step = step_ints;
-            }
-      in
-      match final with
+      match final_of_verdict ~node:!final_node verdict with
       | None -> ()
       | Some f ->
         Check_spill.Nodes.flush s.log;
@@ -1271,12 +1239,3 @@ let pp_verdict ppf = function
     Format.fprintf ppf "deadline exceeded (%d states explored)" k
   | Mem_exceeded k ->
     Format.fprintf ppf "memory budget exceeded (%d states stored)" k
-
-let verdict_slug = function
-  | Verified -> "verified"
-  | Mutex_violation _ -> "mutex_violation"
-  | Deadlock _ -> "deadlock"
-  | Ill_formed _ -> "ill_formed"
-  | Bound_exceeded _ -> "bound_exceeded"
-  | Deadline_exceeded _ -> "deadline_exceeded"
-  | Mem_exceeded _ -> "mem_exceeded"

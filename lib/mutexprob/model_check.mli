@@ -168,7 +168,9 @@ val explore :
     the directory's manifest: an empty or absent directory starts
     fresh, a running checkpoint restarts from its last completed layer,
     and a directory holding a final verdict returns that report without
-    re-exploring. The manifest pins algorithm, [n], [rounds] and
+    re-exploring: the same verdict, witness, [states], [transitions] and
+    [live_words], rebuilt from the manifest's final record and the node
+    log (timings are zero). The manifest pins algorithm, [n], [rounds] and
     [max_states]; resuming with mismatched parameters raises
     [Invalid_argument]. A directory written by an older lossy check
     (manifest [lossy] field other than [none]) is refused with
@@ -191,5 +193,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val verdict_slug : verdict -> string
 (** The verdict's constructor as a snake_case word (["verified"],
-    ["mutex_violation"], …) — the ["verdict"] field of [check --json]
-    and of the job service's check results. *)
+    ["mutex_violation"], …) — the ["verdict"] field of [check --json],
+    of the job service's check results and of a final spill manifest
+    ({!Check_spill.final}). *)

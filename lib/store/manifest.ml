@@ -14,10 +14,6 @@ type t = {
 
 let magic = "mutexlb-manifest"
 
-let pi_to_string pi =
-  String.concat ","
-    (Array.to_list (Array.map string_of_int (Lb_core.Permutation.to_array pi)))
-
 let to_string m =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -29,38 +25,22 @@ let to_string m =
   Buffer.add_string buf (Printf.sprintf "perms %d\n" m.m_total);
   List.iter
     (fun (pi, o) ->
+      let pi = Lb_core.Permutation.to_csv pi in
       Buffer.add_string buf
         (match o with
-        | Done key -> Printf.sprintf "done %s %s\n" key (pi_to_string pi)
-        | Pending key -> Printf.sprintf "pending %s %s\n" key (pi_to_string pi)
+        | Done key -> Printf.sprintf "done %s %s\n" key pi
+        | Pending key -> Printf.sprintf "pending %s %s\n" key pi
         | Failed (key, msg) ->
           (* String.escaped keeps the message on one line *)
-          Printf.sprintf "failed %s %s %s\n" key (pi_to_string pi)
-            (String.escaped msg)))
+          Printf.sprintf "failed %s %s %s\n" key pi (String.escaped msg)))
     m.m_outcomes;
   Buffer.contents buf
 
-let pi_of_string s =
-  match
-    Lb_core.Permutation.of_array
-      (Array.of_list (List.map int_of_string (String.split_on_char ',' s)))
-  with
-  | pi -> Ok pi
-  | exception (Failure _ | Invalid_argument _) -> Error ("bad pi " ^ s)
-
 let of_string s =
   let ( let* ) = Result.bind in
+  let field = Lb_util.Record.field and int_field = Lb_util.Record.int_field in
   let lines =
     String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-  in
-  let field name = function
-    | l :: rest when String.length l > String.length name
-                     && String.sub l 0 (String.length name + 1) = name ^ " " ->
-      Ok (String.sub l (String.length name + 1)
-            (String.length l - String.length name - 1),
-          rest)
-    | l :: _ -> Error (Printf.sprintf "expected `%s ...`, got %S" name l)
-    | [] -> Error (Printf.sprintf "missing `%s` line" name)
   in
   let* () =
     match lines with
@@ -72,28 +52,22 @@ let of_string s =
   let lines = List.tl lines in
   let* algo, lines = field "algo" lines in
   let* fp, lines = field "fp" lines in
-  let* n_s, lines = field "n" lines in
+  let* n, lines = int_field "n" lines in
   let* model, lines = field "model" lines in
-  let* total_s, lines = field "perms" lines in
-  let* n =
-    Option.to_result ~none:"bad n" (int_of_string_opt n_s)
-  in
-  let* total =
-    Option.to_result ~none:"bad perms count" (int_of_string_opt total_s)
-  in
+  let* total, lines = int_field "perms" lines in
   let* outcomes =
     List.fold_left
       (fun acc l ->
         let* acc = acc in
         match String.split_on_char ' ' l with
         | "done" :: key :: pi :: [] ->
-          let* pi = pi_of_string pi in
+          let* pi = Lb_core.Permutation.of_csv pi in
           Ok ((pi, Done key) :: acc)
         | "pending" :: key :: pi :: [] ->
-          let* pi = pi_of_string pi in
+          let* pi = Lb_core.Permutation.of_csv pi in
           Ok ((pi, Pending key) :: acc)
         | "failed" :: key :: pi :: msg ->
-          let* pi = pi_of_string pi in
+          let* pi = Lb_core.Permutation.of_csv pi in
           let msg = String.concat " " msg in
           let msg = try Scanf.unescaped msg with Scanf.Scan_failure _ -> msg in
           Ok ((pi, Failed (key, msg)) :: acc)
@@ -110,10 +84,10 @@ let of_string s =
       m_outcomes = List.rev outcomes;
     }
 
-let save ~path m = Lb_core.Trace_io.save ~path (to_string m)
+let save ~path m = Lb_util.Fsio.write_atomic ~path (to_string m)
 
 let load ~path =
-  match Lb_core.Trace_io.load ~path () with
+  match Lb_util.Fsio.read ~max_bytes:Lb_util.Fsio.text_max_bytes ~path () with
   | s -> of_string s
   | exception Sys_error msg -> Error ("unreadable: " ^ msg)
 

@@ -33,12 +33,17 @@ type t = {
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
-(** Parse a manifest; the diagnostic names the offending line. *)
+(** Parse a manifest; the diagnostic names the offending line. The
+    header fields are read by {!Lb_util.Record.field} and permutations
+    by {!Lb_core.Permutation.of_csv}. Manifests carry no [sum] line:
+    resume trusts the store entries, not the manifest. *)
 
 val save : path:string -> t -> unit
-(** Atomic write ({!Lb_core.Trace_io.save}). *)
+(** Atomic write ({!Lb_util.Fsio.write_atomic}). *)
 
 val load : path:string -> (t, string) result
+(** Read (at most {!Lb_util.Fsio.text_max_bytes}) and parse; an
+    unreadable or oversized file is an [Error]. *)
 
 val counts : t -> int * int * int
 (** [(done, failed, pending)]. *)

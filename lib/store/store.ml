@@ -44,65 +44,7 @@ let manifest_paths t =
     |> List.map (Filename.concat (manifests_dir t))
   | exception Sys_error _ -> []
 
-(* ------------------------- bits hex codec ---------------------------- *)
-
-(* Same nibble scheme as Trace_io's bits files: MSB-first within each hex
-   digit, final digit zero-padded; nonzero padding is rejected so every
-   bit string has exactly one canonical spelling. *)
-
-let bits_to_hex bits =
-  let buf = Buffer.create ((Array.length bits + 3) / 4) in
-  let nibble = ref 0 and count = ref 0 in
-  Array.iter
-    (fun b ->
-      nibble := (!nibble lsl 1) lor (if b then 1 else 0);
-      incr count;
-      if !count = 4 then begin
-        Buffer.add_char buf "0123456789abcdef".[!nibble];
-        nibble := 0;
-        count := 0
-      end)
-    bits;
-  if !count > 0 then
-    Buffer.add_char buf "0123456789abcdef".[!nibble lsl (4 - !count)];
-  Buffer.contents buf
-
-let bits_of_hex ~total hex =
-  if total < 0 then Error "negative bit count"
-  else if String.length hex <> (total + 3) / 4 then
-    Error "ebits hex length does not match the bit count"
-  else
-    let nibble i =
-      match hex.[i] with
-      | '0' .. '9' as c -> Char.code c - Char.code '0'
-      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-      | _ -> -1
-    in
-    let rec scan i = i >= String.length hex || (nibble i >= 0 && scan (i + 1)) in
-    if not (scan 0) then Error "bad hex digit in ebits"
-    else begin
-      let out = Array.init total (fun i -> nibble (i / 4) lsr (3 - (i mod 4)) land 1 = 1) in
-      if
-        total mod 4 <> 0 && total > 0
-        && nibble (String.length hex - 1) land ((1 lsl (4 - (total mod 4))) - 1) <> 0
-      then Error "non-canonical padding in ebits"
-      else Ok out
-    end
-
 (* --------------------------- serialization --------------------------- *)
-
-let pi_to_string pi =
-  String.concat ","
-    (Array.to_list (Array.map string_of_int (Lb_core.Permutation.to_array pi)))
-
-let pi_of_string s =
-  match
-    let parts = String.split_on_char ',' s in
-    let arr = Array.of_list (List.map int_of_string parts) in
-    Lb_core.Permutation.of_array arr
-  with
-  | pi -> Ok pi
-  | exception (Failure _ | Invalid_argument _) -> Error ("bad pi field " ^ s)
 
 let entry_to_string e =
   let buf = Buffer.create 256 in
@@ -111,7 +53,8 @@ let entry_to_string e =
   Buffer.add_string buf (Printf.sprintf "algo %s\n" e.e_algo);
   Buffer.add_string buf (Printf.sprintf "fp %s\n" e.e_fp);
   Buffer.add_string buf (Printf.sprintf "n %d\n" e.e_n);
-  Buffer.add_string buf (Printf.sprintf "pi %s\n" (pi_to_string e.e_pi));
+  Buffer.add_string buf
+    (Printf.sprintf "pi %s\n" (Lb_core.Permutation.to_csv e.e_pi));
   Buffer.add_string buf (Printf.sprintf "model %s\n" e.e_model);
   Buffer.add_string buf (Printf.sprintf "cost %d\n" e.e_cost);
   Buffer.add_string buf (Printf.sprintf "bits %d\n" e.e_bits);
@@ -120,51 +63,16 @@ let entry_to_string e =
   | None -> ()
   | Some bits ->
     Buffer.add_string buf
-      (Printf.sprintf "ebits %d %s\n" (Array.length bits) (bits_to_hex bits)));
-  let payload = Buffer.contents buf in
-  payload ^ Printf.sprintf "sum %s\n" (Digest.to_hex (Digest.string payload))
-
-(* Split off and verify the trailing "sum <hex>" line; everything before
-   it is the digested payload. Corruption anywhere — truncation, a
-   flipped bit, a lost final newline — lands here first. *)
-let verified_payload s =
-  let len = String.length s in
-  if len = 0 then Error "empty entry file"
-  else if s.[len - 1] <> '\n' then Error "truncated entry (no final newline)"
-  else begin
-    let start =
-      match String.rindex_from_opt s (len - 2) '\n' with
-      | Some i -> i + 1
-      | None -> 0
-    in
-    match String.split_on_char ' ' (String.sub s start (len - start - 1)) with
-    | [ "sum"; hex ] ->
-      let payload = String.sub s 0 start in
-      if Digest.to_hex (Digest.string payload) = hex then Ok payload
-      else Error "checksum mismatch (corrupt entry)"
-    | _ -> Error "truncated entry (missing sum line)"
-  end
+      (Printf.sprintf "ebits %d %s\n" (Array.length bits)
+         (Lb_bitio.Hex_bits.to_hex bits)));
+  Lb_util.Record.seal (Buffer.contents buf)
 
 let entry_of_string ~key s =
   let ( let* ) = Result.bind in
-  let* payload = verified_payload s in
+  let field = Lb_util.Record.field and int_field = Lb_util.Record.int_field in
+  let* payload = Lb_util.Record.unseal s in
   let lines = String.split_on_char '\n' payload in
   let lines = List.filter (fun l -> l <> "") lines in
-  let field name = function
-    | l :: rest when String.length l > String.length name
-                     && String.sub l 0 (String.length name + 1) = name ^ " " ->
-      Ok (String.sub l (String.length name + 1)
-            (String.length l - String.length name - 1),
-          rest)
-    | l :: _ -> Error (Printf.sprintf "expected `%s ...`, got %S" name l)
-    | [] -> Error (Printf.sprintf "missing `%s` field" name)
-  in
-  let int_field name lines =
-    let* v, rest = field name lines in
-    match int_of_string_opt v with
-    | Some i -> Ok (i, rest)
-    | None -> Error (Printf.sprintf "bad integer in `%s` field" name)
-  in
   let* () =
     match lines with
     | l :: _ when l = Printf.sprintf "%s %d" magic Store_key.format_version ->
@@ -183,7 +91,7 @@ let entry_of_string ~key s =
   let* fp, lines = field "fp" lines in
   let* n, lines = int_field "n" lines in
   let* pi_s, lines = field "pi" lines in
-  let* pi = pi_of_string pi_s in
+  let* pi = Lb_core.Permutation.of_csv pi_s in
   let* model, lines = field "model" lines in
   let* cost, lines = int_field "cost" lines in
   let* bits, lines = int_field "bits" lines in
@@ -199,7 +107,8 @@ let entry_of_string ~key s =
       (match String.split_on_char ' ' eb with
       | [ count; hex ] -> (
         match int_of_string_opt count with
-        | Some total -> Result.map Option.some (bits_of_hex ~total hex)
+        | Some total ->
+          Result.map Option.some (Lb_bitio.Hex_bits.of_hex ~total hex)
         | None -> Error "bad bit count in ebits field")
       | _ -> Error "expected `ebits <count> <hex>`")
   in
@@ -232,7 +141,7 @@ let lookup t ~key : lookup =
   let path = object_path t ~key in
   if not (Sys.file_exists path) then `Absent
   else
-    match Lb_core.Trace_io.load ~path () with
+    match Lb_util.Fsio.read ~max_bytes:Lb_util.Fsio.text_max_bytes ~path () with
     | s -> (
       match entry_of_string ~key s with
       | Ok e -> `Hit e
@@ -242,7 +151,7 @@ let lookup t ~key : lookup =
 let put t e =
   let key = key_of_entry e in
   mkdir_p (shard_dir t ~key);
-  Lb_core.Trace_io.save ~path:(object_path t ~key) (entry_to_string e)
+  Lb_util.Fsio.write_atomic ~path:(object_path t ~key) (entry_to_string e)
 
 let remove t ~key =
   let path = object_path t ~key in

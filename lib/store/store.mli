@@ -11,16 +11,18 @@
     where [<key>] is a {!Store_key.derive} digest and [<k0k1>] its first
     two hex characters (sharding keeps directories small at millions of
     entries). Every write goes through the temp-file-then-rename pattern
-    ({!Lb_core.Trace_io.save}), so readers — including a concurrent
+    ({!Lb_util.Fsio.write_atomic}), so readers — including a concurrent
     resumed sweep — only ever observe whole entries; a crash mid-write
     leaves at most an ignorable [.tmp] file.
 
-    Entries are self-verifying: the file carries its own key, every key
-    ingredient, and a trailing [sum] digest of the payload. {!lookup}
-    re-checks all three, so a truncated file, flipped bit, stale format
-    version or renamed entry is reported as [`Damaged] with a diagnostic
-    — never trusted, never a crash — and the sweep engine transparently
-    recomputes it. *)
+    An entry is a sealed {!Lb_util.Record}: the file carries its own
+    key, every key ingredient, and a trailing [sum] digest of the
+    payload; [pi] is spelled by {!Lb_core.Permutation.to_csv} and the
+    E_pi bits by {!Lb_bitio.Hex_bits}. {!lookup} re-checks all three, so
+    a truncated file, flipped bit, stale format version, renamed entry
+    or a file past {!Lb_util.Fsio.text_max_bytes} is reported as
+    [`Damaged] with a diagnostic — never trusted, never a crash — and
+    the sweep engine transparently recomputes it. *)
 
 type entry = {
   e_algo : string;

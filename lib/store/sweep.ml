@@ -333,11 +333,7 @@ let pp_progress ppf p =
 
 module Json = Lb_util.Json
 
-let pi_json pi =
-  Json.escape
-    (String.concat ","
-       (Array.to_list
-          (Array.map string_of_int (Lb_core.Permutation.to_array pi))))
+let pi_json pi = Json.escape (Lb_core.Permutation.to_csv pi)
 
 let progress_json p =
   Printf.sprintf

@@ -12,7 +12,9 @@ let mkdir_p path =
 
 let write_atomic ~path content =
   let tmp =
-    Filename.temp_file ~temp_dir:(Filename.dirname path) ".mutexlb" ".tmp"
+    try Filename.temp_file ~temp_dir:(Filename.dirname path) ".mutexlb" ".tmp"
+    with Sys_error msg ->
+      raise (Sys_error (Printf.sprintf "cannot write %s: %s" path msg))
   in
   match
     let oc = open_out_bin tmp in
@@ -26,6 +28,7 @@ let write_atomic ~path content =
     raise e
 
 let default_max_bytes = 256 * 1024 * 1024
+let text_max_bytes = 64 * 1024 * 1024
 
 let read ?(max_bytes = default_max_bytes) ~path () =
   if max_bytes < 1 then invalid_arg "Fsio.read: max_bytes must be >= 1";

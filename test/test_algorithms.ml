@@ -226,7 +226,7 @@ let mc_deep_cases =
 
 let test_flat_ya_deadlocks () =
   (* the ablation: a single spin register per process loses wake-ups *)
-  let flat = Lb_algos.Yang_anderson_flat.algorithm in
+  let flat = Lb_algos.Yang_anderson.flat in
   (match (Lb_mutex.Model_check.explore flat ~n:2).Lb_mutex.Model_check.verdict with
   | Lb_mutex.Model_check.Verified -> () (* one level: no cross-level races *)
   | v ->

@@ -566,6 +566,109 @@ let test_rmw_gate () =
   Alcotest.(check int) "certify refuses" 2 status;
   ignore (check_runs "run still accepts rmw" "run -a tas -n 2" 0)
 
+(* An object file grown past the 64 MiB read cap (sparse) is damage
+   like any other: lookup reports it, store verify exits 1 naming the
+   file, and gc condemns it. *)
+let test_store_oversized_object () =
+  with_temp_dir (fun dir ->
+      ignore
+        (check_runs "certify"
+           (Printf.sprintf "certify -a yang_anderson -n 3 --perms 2 --store %s"
+              dir)
+           0);
+      let objects = Filename.concat dir "objects" in
+      let shard = Filename.concat objects (Sys.readdir objects).(0) in
+      let key = (Sys.readdir shard).(0) in
+      let victim = Filename.concat shard key in
+      Unix.truncate victim (65 * 1024 * 1024);
+      (match Lb_store.Store.lookup (Lb_store.Store.open_ ~dir) ~key with
+      | `Damaged _ -> ()
+      | `Hit _ | `Absent -> Alcotest.fail "oversized object not damaged");
+      let status, out = run_cmd (Printf.sprintf "store verify %s" dir) in
+      Alcotest.(check int) "verify exits 1" 1 status;
+      Alcotest.(check bool) "verify names the file" true
+        (Astring_contains.contains out victim);
+      let _, out = check_runs "gc" (Printf.sprintf "store gc %s" dir) 0 in
+      Alcotest.(check bool) "gc condemns it" true
+        (Astring_contains.contains out ("drop " ^ key)))
+
+(* Unusable paths and malformed values are usage errors: exit 2 with
+   one stderr line naming the verb and the path or value. The store
+   maintenance verbs refuse a missing directory instead of creating an
+   empty store there. Each case takes a temporary directory holding one
+   regular file, [f], and returns the arguments and the words the
+   diagnostic must name. *)
+let usage_error_cases =
+  let f d = Filename.concat d "f" and missing d = Filename.concat d "missing" in
+  let sp = Printf.sprintf in
+  let pattern p = (sp "workload --pattern %s" p, [ "workload"; p ]) in
+  [
+    ("store verify on a file", fun d -> (sp "store verify %s" (f d), [ "store verify"; f d ]));
+    ("store gc on a file", fun d -> (sp "store gc %s" (f d), [ "store gc"; f d ]));
+    ( "certify --store on a file",
+      fun d -> (sp "certify -n 3 --perms 2 --store %s" (f d), [ "certify"; f d ]) );
+    ( "serve --store on a file",
+      fun d -> (sp "serve --port 0 --store %s" (f d), [ "serve"; f d ]) );
+    ( "check --spill-dir on a file",
+      fun d -> (sp "check -a peterson2 -n 2 --spill-dir %s" (f d), [ "check"; f d ]) );
+    ( "run --save into a missing dir",
+      fun d -> (sp "run --save %s/x" (missing d), [ "run"; missing d ^ "/x" ]) );
+    ( "pipeline --save into a missing dir",
+      fun d ->
+        (sp "pipeline -n 3 --save %s/d/x" (missing d), [ "pipeline"; missing d ^ "/d/x" ]) );
+    ( "construct --dot into a missing dir",
+      fun d -> (sp "construct -n 3 --dot %s/x" (missing d), [ "construct"; missing d ^ "/x" ]) );
+    ( "chaos --out into a missing dir",
+      fun d -> (sp "chaos --out %s/x" (missing d), [ "chaos"; missing d ^ "/x" ]) );
+    ( "mutate --out into a missing dir",
+      fun d ->
+        ( sp "mutate -a peterson2 --sizes 2 --ops domain_shrink --out %s/x" (missing d),
+          [ "mutate"; missing d ^ "/x" ] ) );
+    ("decode a missing file", fun d -> (sp "decode %s" (missing d), [ "decode"; missing d ]));
+    ("workload --pattern staggered:x", fun _ -> pattern "staggered:x");
+    ("workload --pattern poisson:abc", fun _ -> pattern "poisson:abc");
+    ("workload --pattern bursts:0:1", fun _ -> pattern "bursts:0:1");
+    ("workload --pattern staggered:-5", fun _ -> pattern "staggered:-5");
+    ("workload --rounds 0", fun _ -> ("workload --rounds 0", [ "workload"; "--rounds" ]));
+    ("experiments --only E3,E99", fun _ -> ("experiments --only E3,E99", [ "E99" ]));
+    ("store stat of a missing dir", fun d -> (sp "store stat %s" (missing d), [ "store stat"; missing d ]));
+    ( "store verify of a missing dir",
+      fun d -> (sp "store verify %s" (missing d), [ "store verify"; missing d ]) );
+    ("store gc of a missing dir", fun d -> (sp "store gc %s" (missing d), [ "store gc"; missing d ]));
+  ]
+
+let test_usage_error make () =
+  with_temp_dir (fun d ->
+      Sys.mkdir d 0o755;
+      Out_channel.with_open_bin (Filename.concat d "f") (fun _ -> ());
+      let args, names = make d in
+      let out = Filename.temp_file "mutexlb_cli" ".out" in
+      let err = Filename.temp_file "mutexlb_cli" ".err" in
+      let status =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> %s" exe args (Filename.quote out)
+             (Filename.quote err))
+      in
+      let read path =
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        s
+      in
+      let stdout = read out and stderr = read err in
+      Alcotest.(check int) (args ^ " exits 2") 2 status;
+      Alcotest.(check int) ("one stderr line: " ^ stderr) 1
+        (List.length (String.split_on_char '\n' (String.trim stderr)));
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("names " ^ name) true
+            (Astring_contains.contains stderr name))
+        names;
+      (* nothing ran: no experiment table, no store created *)
+      Alcotest.(check bool) "no experiment output" false
+        (Astring_contains.contains stdout "===");
+      Alcotest.(check (list string)) "nothing created" [ "f" ]
+        (Array.to_list (Sys.readdir d)))
+
 let suite =
   [
     Alcotest.test_case "list" `Quick test_list;
@@ -619,4 +722,11 @@ let suite =
     Alcotest.test_case "certify --store quarantine" `Quick
       test_certify_store_quarantine;
     Alcotest.test_case "experiments --store" `Slow test_experiments_store;
+    Alcotest.test_case "store: oversized object is damage" `Quick
+      test_store_oversized_object;
   ]
+  @ List.map
+      (fun (label, make) ->
+        Alcotest.test_case ("usage error: " ^ label) `Quick
+          (test_usage_error make))
+      usage_error_cases

@@ -342,7 +342,7 @@ let test_mc_witness_replay_mutex () =
       (Format.asprintf "%a" Lb_mutex.Model_check.pp_verdict v)
 
 let test_mc_witness_replay_deadlock () =
-  let flat = Lb_algos.Yang_anderson_flat.algorithm in
+  let flat = Lb_algos.Yang_anderson.flat in
   let r = Lb_mutex.Model_check.explore flat ~n:3 in
   match r.Lb_mutex.Model_check.verdict with
   | Lb_mutex.Model_check.Deadlock tr ->
@@ -524,6 +524,50 @@ let test_mc_resume_identity () =
           let again = MC.explore ya ~n:3 ~spill_dir:dir ~resume:true in
           check_same_outcome "final-manifest resume" resumed again))
 
+(* Every final verdict survives a round trip through the final spill
+   manifest: resuming a finished directory rebuilds the same verdict,
+   counts and witness from the manifest and the node log alone. *)
+let test_mc_resume_final_verdicts () =
+  let module F = Lb_faults.Fault in
+  let crash_at_enter =
+    let f = F.Crash { proc = 0; at = F.In_section Step.Enter } in
+    Lb_faults.Inject.wrap { F.label = F.fault_to_string f; faults = [ f ] } ya
+  in
+  let flat = Lb_algos.Yang_anderson.flat in
+  let broken = Lb_algos.Broken_spinlock.algorithm in
+  let witness = function
+    | MC.Mutex_violation t | MC.Deadlock t | MC.Ill_formed { trace = t; _ } ->
+      Execution.fingerprint t
+    | _ -> "-"
+  in
+  List.iter
+    (fun (slug, explore) ->
+      with_spill (fun dir ->
+          let first = explore ~spill_dir:dir ~resume:false in
+          Alcotest.(check string) "verdict kind" slug
+            (MC.verdict_slug first.MC.verdict);
+          let again = explore ~spill_dir:dir ~resume:true in
+          let show r = Format.asprintf "%a" MC.pp_verdict r.MC.verdict in
+          Alcotest.(check string) (slug ^ ": verdict") (show first) (show again);
+          Alcotest.(check string) (slug ^ ": witness") (witness first.MC.verdict)
+            (witness again.MC.verdict);
+          Alcotest.(check int) (slug ^ ": states") first.MC.states again.MC.states;
+          Alcotest.(check int) (slug ^ ": transitions") first.MC.transitions
+            again.MC.transitions;
+          Alcotest.(check int) (slug ^ ": live_words") first.MC.live_words
+            again.MC.live_words))
+    [
+      ("mutex_violation", fun ~spill_dir ~resume ->
+          MC.explore broken ~n:2 ~spill_dir ~resume);
+      ("deadlock", fun ~spill_dir ~resume -> MC.explore flat ~n:3 ~spill_dir ~resume);
+      ("ill_formed", fun ~spill_dir ~resume ->
+          MC.explore crash_at_enter ~n:2 ~spill_dir ~resume);
+      ("bound_exceeded", fun ~spill_dir ~resume ->
+          MC.explore ya ~n:3 ~max_states:1000 ~spill_dir ~resume);
+      ("mem_exceeded", fun ~spill_dir ~resume ->
+          MC.explore ya ~n:3 ~mem_budget:4096 ~spill_dir ~resume);
+    ]
+
 (* resuming with mismatched parameters must refuse, not silently explore
    a different instance into the same directory *)
 let test_mc_resume_mismatch () =
@@ -689,6 +733,8 @@ let suite =
       test_mc_resume_identity;
     Alcotest.test_case "resume rejects mismatched instance" `Quick
       test_mc_resume_mismatch;
+    Alcotest.test_case "resume of every final verdict" `Quick
+      test_mc_resume_final_verdicts;
     Alcotest.test_case "live_words deterministic" `Quick
       test_mc_live_words_stable;
     QCheck_alcotest.to_alcotest prop_mc_bound_jobs;

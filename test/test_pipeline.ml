@@ -61,7 +61,7 @@ let test_unsafe_algorithm_still_constructs () =
     !some_linearization_violates;
   (* the deadlocking ablation constructs fully: its race needs
      interleavings the sequential construction never produces *)
-  let flat = Lb_algos.Yang_anderson_flat.algorithm in
+  let flat = Lb_algos.Yang_anderson.flat in
   ignore (Pl.run_checked flat ~n:3 (P.reverse 3))
 
 let test_check_failed_exception () =

@@ -263,6 +263,64 @@ let test_corruption_wrong_key () =
       Alcotest.(check bool) "names the mismatch" true
         (Astring_contains.contains diag "filed under"))
 
+(* Every truncation and every single-bit flip of a sealed record is
+   rejected with a diagnostic, never an exception: a store entry with
+   E_pi (through the object file), and a final and a running spill
+   manifest of the model checker. *)
+let mutants s =
+  List.init (String.length s) (fun i -> String.sub s 0 i)
+  @ List.concat
+      (List.init (String.length s) (fun i ->
+           List.init 8 (fun b ->
+               let m = Bytes.of_string s in
+               Bytes.set m i (Char.chr (Char.code s.[i] lxor (1 lsl b)));
+               Bytes.to_string m)))
+
+let test_corruption_every_byte () =
+  with_store (fun st ->
+      let e = entry_of ~save_trace:true ya ~n:3 (List.hd (perms_of 3)) in
+      let key = Store.key_of_entry e in
+      Store.put st e;
+      let path = Store.object_path st ~key in
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun m ->
+          overwrite path m;
+          let diag = damaged_diag (Store.lookup st ~key) in
+          Alcotest.(check bool) "entry diagnosed" true (String.length diag > 0))
+        (mutants full))
+
+let test_corruption_spill_manifests () =
+  let module MC = Lb_mutex.Model_check in
+  let module Spill = Lb_mutex.Check_spill in
+  let manifest_of ~status run =
+    let dir = fresh_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+        ignore (run dir);
+        let s = Lb_util.Fsio.read ~path:(Filename.concat dir "check.manifest") () in
+        (match Spill.manifest_of_string s with
+        | Ok { Spill.c_status = Spill.Running; _ } when status = `Running -> ()
+        | Ok { Spill.c_status = Spill.Final _; _ } when status = `Final -> ()
+        | _ -> Alcotest.fail "fixture manifest has the wrong status");
+        s)
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun m ->
+          match Spill.manifest_of_string m with
+          | Ok _ -> Alcotest.fail "damaged spill manifest accepted"
+          | Error diag ->
+            Alcotest.(check bool) "manifest diagnosed" true
+              (String.length diag > 0))
+        (mutants s))
+    [
+      manifest_of ~status:`Final (fun dir ->
+          MC.explore broken ~n:2 ~spill_dir:dir);
+      manifest_of ~status:`Running (fun dir ->
+          MC.explore ya ~n:3 ~spill_dir:dir ~deadline:0.0);
+    ]
+
 (* ------------------------------ manifest ----------------------------- *)
 
 let test_manifest_roundtrip () =
@@ -614,6 +672,10 @@ let suite =
     Alcotest.test_case "corruption: stale version" `Quick test_corruption_stale_version;
     Alcotest.test_case "corruption: garbage hex" `Quick test_corruption_garbage_hex;
     Alcotest.test_case "corruption: wrong key" `Quick test_corruption_wrong_key;
+    Alcotest.test_case "corruption: every byte of an entry" `Quick
+      test_corruption_every_byte;
+    Alcotest.test_case "corruption: every byte of spill manifests" `Quick
+      test_corruption_spill_manifests;
     Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "sweep cold/warm" `Quick test_sweep_cold_warm;
     Alcotest.test_case "sweep interrupted + resumed" `Slow test_sweep_interrupted_resume;

@@ -1,6 +1,7 @@
 open Lb_shmem
 module T = Lb_core.Trace_io
 module P = Lb_core.Permutation
+module Fsio = Lb_util.Fsio
 
 let ya = Lb_algos.Yang_anderson.algorithm
 
@@ -136,8 +137,8 @@ let test_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let exec = (Lb_mutex.Canonical.run ya ~n:2).Lb_mutex.Canonical.exec in
-      T.save ~path (T.execution_to_string ~algo:"yang_anderson" ~n:2 exec);
-      let _, _, exec' = T.execution_of_string (T.load ~path ()) in
+      Fsio.write_atomic ~path (T.execution_to_string ~algo:"yang_anderson" ~n:2 exec);
+      let _, _, exec' = T.execution_of_string (Fsio.read ~path ()) in
       Alcotest.(check bool) "file roundtrip" true (Execution.equal exec exec'))
 
 let test_resource_caps () =
@@ -164,16 +165,15 @@ let test_resource_caps () =
   (match T.bits_of_string "mutexlb-bits 1\nalgo x\nn 2\nbits 999999999999 00\n" with
   | _ -> Alcotest.fail "absurd bit count accepted"
   | exception T.Parse_error _ -> ());
-  (* file-size cap: refused at line 0 before reading the content in *)
+  (* file-size cap: refused before reading the content in *)
   let path = Filename.temp_file "mutexlb" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      T.save ~path "mutexlb-trace 1\nalgo x\nn 2\nstep 0 try\n";
-      match T.load ~max_bytes:8 ~path () with
+      Fsio.write_atomic ~path "mutexlb-trace 1\nalgo x\nn 2\nstep 0 try\n";
+      match Fsio.read ~max_bytes:8 ~path () with
       | _ -> Alcotest.fail "oversized file accepted"
-      | exception T.Parse_error { line; detail } ->
-        Alcotest.(check int) "file-level error is line 0" 0 line;
+      | exception Sys_error detail ->
         Alcotest.(check bool) "names the byte limit" true
           (Astring_contains.contains detail "8-byte limit"))
 
@@ -190,10 +190,10 @@ let test_save_is_atomic_replace () =
       Sys.rmdir dir)
     (fun () ->
       let path = Filename.concat dir "artifact.trace" in
-      T.save ~path "first version\n";
-      T.save ~path "second version\n";
+      Fsio.write_atomic ~path "first version\n";
+      Fsio.write_atomic ~path "second version\n";
       Alcotest.(check string) "latest content wins" "second version\n"
-        (T.load ~path ());
+        (Fsio.read ~path ());
       Alcotest.(check (list string)) "no temp files left" [ "artifact.trace" ]
         (Array.to_list (Sys.readdir dir)))
 
@@ -259,7 +259,7 @@ let test_dot_save () =
       let c = Lb_core.Construct.run ya ~n:2 (P.identity 2) in
       Lb_core.Dot.save ~path c;
       Alcotest.(check bool) "file written" true
-        (Astring_contains.contains (T.load ~path ()) "digraph"))
+        (Astring_contains.contains (Fsio.read ~path ()) "digraph"))
 
 let suite =
   suite
