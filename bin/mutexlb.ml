@@ -362,12 +362,23 @@ let check_cmd =
             (Printf.sprintf "%s_n%d_r%d" a.Lb_shmem.Algorithm.name n rounds))
         spill_dir
     in
-    (* the per-algorithm explorations are independent: fan them out *)
+    (* the per-algorithm explorations are independent: fan them out. A
+       spill directory that is damaged or pins other parameters cannot
+       be resumed: a usage error naming it, raised as the Sys_error the
+       one path handler at the end of this file reports. *)
     let reports =
       Lb_util.Pool.map
         (fun algo ->
-          Lb_mutex.Model_check.explore algo ~n ~rounds ~max_states ?deadline
-            ?mem_budget ?spill_dir:(spill_for algo) ~resume)
+          let spill_dir = spill_for algo in
+          try
+            Lb_mutex.Model_check.explore algo ~n ~rounds ~max_states ?deadline
+              ?mem_budget ?spill_dir ~resume
+          with (Failure msg | Invalid_argument msg) when resume ->
+            raise
+              (Sys_error
+                 (Printf.sprintf "%s: cannot resume: %s"
+                    (Option.value ~default:"" spill_dir)
+                    msg)))
         algos
     in
     let status = ref 0 in

@@ -4,9 +4,9 @@
     index) is stored as the positive value [pid me = me + 1]. Every
     algorithm is a {!Lb_shmem.Proc.STATE} whose local state is an explicit
     program-counter record; busy-waiting is expressed by an [advance] that
-    returns a state with the {e same} repr when the observed value keeps
-    the process blocked — exactly the situation the SC cost model
-    discounts. *)
+    returns the {e same} state when the observed value keeps the process
+    blocked (the step reports no change, and the repr is the same) —
+    exactly the situation the SC cost model discounts. *)
 
 val nil : Lb_shmem.Step.value
 (** The "no process" register value, [0]. *)

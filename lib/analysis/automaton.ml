@@ -168,21 +168,15 @@ let explore_round ~settings ~specs ~snapshot (algo : Algorithm.t) ~n =
     let truncated = ref false in
     let rmw_recorded = ref false in
     let partial_recorded = ref false in
-    let add_node proc parent =
+    let add_node proc repr parent =
       let id = nodes.Vec.len in
       Vec.push nodes
-        {
-          id;
-          repr = proc.Proc.repr;
-          proc;
-          pending = proc.Proc.pending;
-          edges = [];
-          parent;
-        };
-      Hashtbl.add tbl proc.Proc.repr id;
+        { id; repr; proc; pending = proc.Proc.pending; edges = []; parent };
+      Hashtbl.add tbl repr id;
       id
     in
-    ignore (add_node (algo.Algorithm.spawn ~n ~me) None);
+    let p0 = algo.Algorithm.spawn ~n ~me in
+    ignore (add_node p0 (p0.Proc.repr ()) None);
     let i = ref 0 in
     while !i < nodes.Vec.len do
       let node = Vec.get nodes !i in
@@ -222,7 +216,8 @@ let explore_round ~settings ~specs ~snapshot (algo : Algorithm.t) ~n =
                 (me, node.id, resp, Printexc.to_string e) :: !partial
             end
           | p' -> (
-            match Hashtbl.find_opt tbl p'.Proc.repr with
+            let repr' = p'.Proc.repr () in
+            match Hashtbl.find_opt tbl repr' with
             | Some id' ->
               node.edges <- (resp, id') :: node.edges;
               let done_here =
@@ -230,7 +225,7 @@ let explore_round ~settings ~specs ~snapshot (algo : Algorithm.t) ~n =
               in
               if
                 done_here < settings.max_collision_checks
-                && not (Hashtbl.mem coll_seen p'.Proc.repr)
+                && not (Hashtbl.mem coll_seen repr')
               then begin
                 Hashtbl.replace checks node.id (done_here + 1);
                 match
@@ -240,11 +235,11 @@ let explore_round ~settings ~specs ~snapshot (algo : Algorithm.t) ~n =
                 with
                 | None -> ()
                 | Some (path, detail) ->
-                  Hashtbl.add coll_seen p'.Proc.repr ();
+                  Hashtbl.add coll_seen repr' ();
                   colls :=
                     {
                       c_proc = me;
-                      c_repr = p'.Proc.repr;
+                      c_repr = repr';
                       c_node = id';
                       c_via = (node.id, resp);
                       c_responses = path;
@@ -255,7 +250,7 @@ let explore_round ~settings ~specs ~snapshot (algo : Algorithm.t) ~n =
             | None ->
               if nodes.Vec.len >= settings.max_nodes then truncated := true
               else
-                let id' = add_node p' (Some (node.id, resp)) in
+                let id' = add_node p' repr' (Some (node.id, resp)) in
                 node.edges <- (resp, id') :: node.edges))
         (responses_for ~nregs ~snapshot node.pending);
       node.edges <- List.rev node.edges;

@@ -1,27 +1,35 @@
 open Lb_shmem
 
-(* A permanently-transparent wrapper that keeps [tag] as the last
+(* A permanently-transparent wrapper that keeps ["|f"] as the last
    ['|']-segment of the repr, so post-fire states can never collide with
-   armed states of the same underlying automaton. *)
-let rec tagged tag (inner : Proc.t) =
+   armed states of the same underlying automaton. [changed] is the flag
+   of the step that entered this state: [true] for the step that fires,
+   since it leaves the armed phase, and the inner automaton's own flag
+   after that. *)
+let rec fired ~changed (inner : Proc.t) =
   {
     inner with
-    Proc.repr = inner.Proc.repr ^ tag;
-    advance = (fun resp -> tagged tag (inner.Proc.advance resp));
+    Proc.changed;
+    repr = (fun () -> inner.Proc.repr () ^ "|f");
+    advance =
+      (fun resp ->
+        let inner' = inner.Proc.advance resp in
+        fired ~changed:inner'.Proc.changed inner');
   }
 
-let armed_repr (inner : Proc.t) countdown =
-  Printf.sprintf "%s|a%d" inner.Proc.repr countdown
+let armed_repr (inner : Proc.t) countdown () =
+  Printf.sprintf "%s|a%d" (inner.Proc.repr ()) countdown
 
 (* Crash-stop with restart: at the trigger point the target loses its
    volatile local state and resumes as [reset] (its spawn-time initial
    automaton — first step [try]); shared registers are untouched by
    construction, since the wrapper never forges a write. *)
 let crash ~at ~reset inner0 =
-  let rec armed countdown (inner : Proc.t) =
+  let rec armed ~changed countdown (inner : Proc.t) =
     {
       inner with
-      Proc.repr = armed_repr inner countdown;
+      Proc.changed;
+      repr = armed_repr inner countdown;
       advance =
         (fun resp ->
           let fire =
@@ -32,17 +40,22 @@ let crash ~at ~reset inner0 =
               | Step.Crit c' -> Step.equal_crit c c'
               | Step.Read _ | Step.Write _ | Step.Rmw _ -> false)
           in
-          if fire then tagged "|f" reset
+          if fire then fired ~changed:true reset
           else
             let countdown' =
               match at with
               | Fault.After_steps _ -> countdown - 1
               | Fault.In_section _ -> countdown
             in
-            armed countdown' (inner.Proc.advance resp));
+            let inner' = inner.Proc.advance resp in
+            armed
+              ~changed:(inner'.Proc.changed || countdown' <> countdown)
+              countdown' inner');
     }
   in
-  armed (match at with Fault.After_steps k -> k | Fault.In_section _ -> 0) inner0
+  armed ~changed:inner0.Proc.changed
+    (match at with Fault.After_steps k -> k | Fault.In_section _ -> 0)
+    inner0
 
 (* Count down over the target's own accesses matching [matches]; when
    the countdown reaches its last matching access, [fire] rewrites that
@@ -50,19 +63,23 @@ let crash ~at ~reset inner0 =
    wrapper adds at most [nth] extra repr variants per underlying
    state. *)
 let on_nth_access ~matches ~fire ~nth inner0 =
-  let rec armed remaining (inner : Proc.t) =
-    if remaining = 1 && matches inner.Proc.pending then fire inner
+  let rec armed ~changed remaining (inner : Proc.t) =
+    if remaining = 1 && matches inner.Proc.pending then
+      { (fire inner) with Proc.changed }
     else
       {
         inner with
-        Proc.repr = armed_repr inner remaining;
+        Proc.changed;
+        repr = armed_repr inner remaining;
         advance =
           (fun resp ->
             let dec = if matches inner.Proc.pending then 1 else 0 in
-            armed (remaining - dec) (inner.Proc.advance resp));
+            let inner' = inner.Proc.advance resp in
+            armed ~changed:(inner'.Proc.changed || dec = 1) (remaining - dec)
+              inner');
       }
   in
-  armed nth inner0
+  armed ~changed:inner0.Proc.changed nth inner0
 
 let is_write = function
   | Step.Write _ -> true
@@ -87,7 +104,8 @@ let lost_write ~nth inner0 =
         inner with
         Proc.pending = Step.Read r;
         repr = armed_repr inner 1;
-        advance = (fun _resp -> tagged "|f" (inner.Proc.advance Step.Ack));
+        advance =
+          (fun _resp -> fired ~changed:true (inner.Proc.advance Step.Ack));
       })
     inner0
 
@@ -105,7 +123,8 @@ let stale_read ~init ~nth inner0 =
         inner with
         Proc.repr = armed_repr inner 1;
         advance =
-          (fun _resp -> tagged "|f" (inner.Proc.advance (Step.Got init.(r))));
+          (fun _resp ->
+            fired ~changed:true (inner.Proc.advance (Step.Got init.(r))));
       })
     inner0
 
@@ -129,7 +148,8 @@ let corrupt_write ~specs ~off_domain ~nth inner0 =
         inner with
         Proc.pending = Step.Write (r, corrupt_value specs.(r) ~off_domain v);
         repr = armed_repr inner 1;
-        advance = (fun _resp -> tagged "|f" (inner.Proc.advance Step.Ack));
+        advance =
+          (fun _resp -> fired ~changed:true (inner.Proc.advance Step.Ack));
       })
     inner0
 

@@ -16,7 +16,10 @@
     ['|']-separated segment and contains no ['|'] itself, so the wrapped
     repr is injective whenever the underlying one is: hash-consing
     consumers ({!Lb_mutex.Model_check}) see a faithful state witness.
-    Countdowns only decrement on matching accesses and freeze once the
+    For the same reason a wrapped step's {!Lb_shmem.Proc.t.changed} is
+    the wrapped automaton's own flag, or [true] when the step moves the
+    countdown or fires: exactly when the wrapped repr changes. Countdowns
+    only decrement on matching accesses and freeze once the
     fault fires, so wrapping inflates the reachable state space by at
     most the (small) trigger counter — never unboundedly. *)
 

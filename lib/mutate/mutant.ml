@@ -15,6 +15,10 @@ let skew (spec : Register.spec) v =
   | Some (lo, hi) when v >= lo && v <= hi -> lo + ((v - lo + 1) mod (hi - lo + 1))
   | Some _ | None -> v + 1
 
+(* The repr of [inner] with the mutation status [tag] as its last
+   ['|']-segment. *)
+let suffixed (inner : Proc.t) tag () = inner.Proc.repr () ^ tag
+
 (* Every read of [reg] feeds the automaton a skewed value: each guard
    comparing the register against a constant or a pid sees the wrong
    side of the comparison. *)
@@ -22,7 +26,7 @@ let guard_flip ~specs ~reg inner0 =
   let rec wrap (inner : Proc.t) =
     {
       inner with
-      Proc.repr = inner.Proc.repr ^ "|m";
+      Proc.repr = suffixed inner "|m";
       advance =
         (fun resp ->
           let resp' =
@@ -36,8 +40,8 @@ let guard_flip ~specs ~reg inner0 =
   wrap inner0
 
 (* Invert a busy-wait's exit condition on [reg]: when the value read
-   would keep the automaton in the same state (spinning, by the repr
-   convention of [Lb_algos.Common]), take the branch of the smallest
+   would keep the automaton in the same state (spinning: the advanced
+   process reports no change), take the branch of the smallest
    value that exits instead — and vice versa. Reads where every
    candidate behaves alike (plain branches) pass through unchanged. *)
 let spin_invert ~specs ~n ~reg inner0 =
@@ -49,14 +53,14 @@ let spin_invert ~specs ~n ~reg inner0 =
   let rec wrap (inner : Proc.t) =
     {
       inner with
-      Proc.repr = inner.Proc.repr ^ "|m";
+      Proc.repr = suffixed inner "|m";
       advance =
         (fun resp ->
           match (inner.Proc.pending, resp) with
           | Step.Read r, Step.Got v when r = reg ->
               let probe w =
                 match inner.Proc.advance (Step.Got w) with
-                | p -> Some (p.Proc.repr = inner.Proc.repr)
+                | p -> Some (not p.Proc.changed)
                 | exception _ -> None
               in
               let spins w = probe w = Some true in
@@ -87,13 +91,13 @@ let drop_write ~reg inner0 =
         {
           inner with
           Proc.pending = Step.Read reg;
-          repr = inner.Proc.repr ^ "|m";
+          repr = suffixed inner "|m";
           advance = (fun _resp -> wrap (inner.Proc.advance Step.Ack));
         }
     | _ ->
         {
           inner with
-          Proc.repr = inner.Proc.repr ^ "|m";
+          Proc.repr = suffixed inner "|m";
           advance = (fun resp -> wrap (inner.Proc.advance resp));
         }
   in
@@ -103,33 +107,39 @@ let drop_write ~reg inner0 =
    armed) and the following statement completes (armed → redo), the
    write is re-issued invisibly to the automaton, clobbering any rival
    write that landed in between. Phase and value live in the repr
-   suffix, so injectivity is preserved. *)
+   suffix, so injectivity is preserved. A step that moves the phase
+   changes the state; one that stays idle changes it when the automaton
+   does. *)
 let dup_write ~reg inner0 =
-  let rec idle (inner : Proc.t) =
+  let rec idle ~changed (inner : Proc.t) =
     {
       inner with
-      Proc.repr = inner.Proc.repr ^ "|m";
+      Proc.changed;
+      repr = suffixed inner "|m";
       advance =
         (fun resp ->
+          let inner' = inner.Proc.advance resp in
           match inner.Proc.pending with
-          | Step.Write (r, v) when r = reg -> armed v (inner.Proc.advance resp)
-          | _ -> idle (inner.Proc.advance resp));
+          | Step.Write (r, v) when r = reg -> armed v inner'
+          | _ -> idle ~changed:inner'.Proc.changed inner');
     }
   and armed v (inner : Proc.t) =
     {
       inner with
-      Proc.repr = Printf.sprintf "%s|ma%d" inner.Proc.repr v;
+      Proc.changed = true;
+      repr = (fun () -> Printf.sprintf "%s|ma%d" (inner.Proc.repr ()) v);
       advance = (fun resp -> redo v (inner.Proc.advance resp));
     }
   and redo v (inner : Proc.t) =
     {
       inner with
-      Proc.pending = Step.Write (reg, v);
-      repr = Printf.sprintf "%s|mr%d" inner.Proc.repr v;
-      advance = (fun _resp -> idle inner);
+      Proc.changed = true;
+      pending = Step.Write (reg, v);
+      repr = (fun () -> Printf.sprintf "%s|mr%d" (inner.Proc.repr ()) v);
+      advance = (fun _resp -> idle ~changed:true inner);
     }
   in
-  idle inner0
+  idle ~changed:inner0.Proc.changed inner0
 
 (* Swap the register indices of every access to [r1]/[r2] in ONE
    process's code (process 0) — the automaton still believes it is
@@ -150,7 +160,7 @@ let reg_swap ~r1 ~r2 inner0 =
     {
       inner with
       Proc.pending;
-      repr = inner.Proc.repr ^ "|m";
+      repr = suffixed inner "|m";
       advance = (fun resp -> wrap (inner.Proc.advance resp));
     }
   in
@@ -166,15 +176,17 @@ let apply_rmw op v =
 (* Replace the atomic RMW on [reg] by its read-then-write split: read
    the register, then store what the primitive would have stored — with
    a preemption window in between. The automaton finally receives the
-   [Got v] it expected from the atomic primitive. *)
+   [Got v] it expected from the atomic primitive. Entering or leaving
+   the write-back phase changes the state. *)
 let rmw_split ~reg inner0 =
-  let rec idle (inner : Proc.t) =
+  let rec idle ~changed (inner : Proc.t) =
     match inner.Proc.pending with
     | Step.Rmw (r, op) when r = reg ->
         {
           inner with
-          Proc.pending = Step.Read reg;
-          repr = inner.Proc.repr ^ "|m";
+          Proc.changed;
+          pending = Step.Read reg;
+          repr = suffixed inner "|m";
           advance =
             (fun resp ->
               let v = match resp with Step.Got v -> v | Step.Ack -> 0 in
@@ -183,25 +195,34 @@ let rmw_split ~reg inner0 =
     | _ ->
         {
           inner with
-          Proc.repr = inner.Proc.repr ^ "|m";
-          advance = (fun resp -> idle (inner.Proc.advance resp));
+          Proc.changed;
+          repr = suffixed inner "|m";
+          advance =
+            (fun resp ->
+              let inner' = inner.Proc.advance resp in
+              idle ~changed:inner'.Proc.changed inner');
         }
   and write_back op v (inner : Proc.t) =
     {
       inner with
-      Proc.pending = Step.Write (reg, apply_rmw op v);
-      repr = Printf.sprintf "%s|mw%d" inner.Proc.repr v;
-      advance = (fun _resp -> idle (inner.Proc.advance (Step.Got v)));
+      Proc.changed = true;
+      pending = Step.Write (reg, apply_rmw op v);
+      repr = (fun () -> Printf.sprintf "%s|mw%d" (inner.Proc.repr ()) v);
+      advance =
+        (fun _resp -> idle ~changed:true (inner.Proc.advance (Step.Got v)));
     }
   in
-  idle inner0
+  idle ~changed:inner0.Proc.changed inner0
 
 (* When a write to [reg] is deterministically followed by a different
    write, issue the two writes in swapped order, then resume where the
    automaton believes it is (after both). The peek at the successor is
-   pure: [advance] never touches shared state. *)
+   pure: [advance] never touches shared state. Phase m1 is entered only
+   from m0 or m2 (a spawned automaton pends [try], so it starts in m0),
+   so it always marks a change; a step into m0 changes the state when it
+   leaves m2 or when the automaton changes. *)
 let stmt_swap ~reg inner0 =
-  let rec idle (inner : Proc.t) =
+  let rec idle ~changed (inner : Proc.t) =
     match inner.Proc.pending with
     | Step.Write (r1, v1) when r1 = reg -> (
         let next = inner.Proc.advance Step.Ack in
@@ -209,27 +230,33 @@ let stmt_swap ~reg inner0 =
         | Step.Write (r2, v2) when r2 <> r1 || v2 <> v1 ->
             {
               inner with
-              Proc.pending = Step.Write (r2, v2);
-              repr = inner.Proc.repr ^ "|m1";
+              Proc.changed = true;
+              pending = Step.Write (r2, v2);
+              repr = suffixed inner "|m1";
               advance = (fun _resp -> second ~v1 (next.Proc.advance Step.Ack));
             }
-        | _ -> passthrough inner)
-    | _ -> passthrough inner
+        | _ -> passthrough ~changed inner)
+    | _ -> passthrough ~changed inner
   and second ~v1 (inner : Proc.t) =
     {
       inner with
-      Proc.pending = Step.Write (reg, v1);
-      repr = Printf.sprintf "%s|m2:%d" inner.Proc.repr v1;
-      advance = (fun _resp -> idle inner);
+      Proc.changed = true;
+      pending = Step.Write (reg, v1);
+      repr = (fun () -> Printf.sprintf "%s|m2:%d" (inner.Proc.repr ()) v1);
+      advance = (fun _resp -> idle ~changed:true inner);
     }
-  and passthrough (inner : Proc.t) =
+  and passthrough ~changed (inner : Proc.t) =
     {
       inner with
-      Proc.repr = inner.Proc.repr ^ "|m0";
-      advance = (fun resp -> idle (inner.Proc.advance resp));
+      Proc.changed;
+      repr = suffixed inner "|m0";
+      advance =
+        (fun resp ->
+          let inner' = inner.Proc.advance resp in
+          idle ~changed:inner'.Proc.changed inner');
     }
   in
-  idle inner0
+  idle ~changed:inner0.Proc.changed inner0
 
 (* [domain_shrink] rewrites the spec, not the execution: lower the
    declared upper bound by one. The site filter guarantees the shrunk

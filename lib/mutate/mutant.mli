@@ -2,7 +2,10 @@
     {!Lb_shmem.Algorithm.t} wrapping the base algorithm the way
     [Lb_faults.Inject.wrap] splices fault plans — permanently-transparent
     closures that keep the mutation status as trailing ['|']-segments of
-    the repr, preserving repr injectivity. Unlike fault plans the
+    the repr, preserving repr injectivity. A wrapped step's
+    {!Lb_shmem.Proc.t.changed} is the wrapped automaton's flag, or [true]
+    when the step moves the mutation phase, so it holds exactly when the
+    wrapped repr changes. Unlike fault plans the
     wrappers are permanent and seed-free: the mutation is "in the code",
     active from the first step, identical on every run — so mutation
     campaigns are byte-reproducible.

@@ -132,10 +132,14 @@ let crit_delta = function Step.Enter -> 1 | Step.Exit -> -1 | Step.Try | Step.Re
 
 (* The automata are deterministic and [Proc.repr] witnesses a process's
    local state, so (process index, interned state id, response)
-   determines the advanced process and whether the state changed.
-   Caching that triple turns the hot path — one automaton transition
-   plus one repr string construction per (state, process) — into a
-   single int-triple table lookup. The process index must be part of the
+   determines the advanced process, whether the state changed (its
+   [Proc.changed]) and its repr. Caching that triple turns the hot path —
+   one automaton transition plus one repr string construction per
+   (state, process) — into a single int-triple table lookup: each repr
+   is built once, when its entry is made, and read from the entry by
+   every later successor. A [Lazy.t] would not do: the memo is shared by
+   the worker domains, and OCaml 5 raises when two domains force one
+   lazy value at once. The process index must be part of the
    key: reprs are only unique per process (two processes may both report
    "spin"), and an advanced [Proc.t] closes over its own identity.
    Response codes never collide: a given (process, state id) has one
@@ -148,7 +152,7 @@ let crit_delta = function Step.Enter -> 1 | Step.Exit -> -1 | Step.Try | Step.Re
    with first-seen reprs interned in the sequential patch step. *)
 type memo = {
   mlock : Mutex.t;
-  mtbl : (int * int * int, Proc.t * bool) Hashtbl.t;
+  mtbl : (int * int * int, Proc.t * bool * string) Hashtbl.t;
 }
 
 let memo_create () = { mlock = Mutex.create (); mtbl = Hashtbl.create 1024 }
@@ -159,25 +163,26 @@ let resp_code (action : Step.action) (key : int array) =
   | Step.Write _ | Step.Crit _ -> 0
 
 (* Advance process [i] of [sys], through the memo: returns its pending
-   action, the advanced process, and whether the local state is
-   unchanged. *)
+   action, the advanced process, whether the local state is unchanged,
+   and the advanced process's repr. *)
 let step_memo memo sys (key : int array) i pid =
   let p = sys.System.procs.(i) in
   let action = p.Proc.pending in
   let mk = (i, pid, resp_code action key) in
   Mutex.lock memo.mlock;
   match Hashtbl.find_opt memo.mtbl mk with
-  | Some (p', stuck) ->
+  | Some (p', stuck, repr) ->
     Mutex.unlock memo.mlock;
-    (action, p', stuck)
+    (action, p', stuck, repr)
   | None ->
     Mutex.unlock memo.mlock;
     let p' = System.advance_proc sys i in
-    let stuck = Proc.equal_state p p' in
+    let stuck = not p'.Proc.changed in
+    let repr = p'.Proc.repr () in
     Mutex.lock memo.mlock;
-    Hashtbl.replace memo.mtbl mk (p', stuck);
+    Hashtbl.replace memo.mtbl mk (p', stuck, repr);
     Mutex.unlock memo.mlock;
-    (action, p', stuck)
+    (action, p', stuck, repr)
 
 (* ------------------------- layer-parallel BFS ------------------------- *)
 
@@ -234,18 +239,20 @@ let expand ~rounds ~nregs ~memo entry =
     if entry.rems.(i) < rounds then begin
       (* process i's interned state id sits in its packed slot *)
       let pid = (entry.key.(nregs + i) / (rounds + 1)) lsr 2 in
-      let action, p', stuck = step_memo memo entry.sys entry.key i pid in
-      unfinished := (i, action, p', stuck) :: !unfinished
+      let action, p', stuck, repr = step_memo memo entry.sys entry.key i pid in
+      unfinished := (i, action, p', stuck, repr) :: !unfinished
     end
   done;
   let unfinished = !unfinished in
-  if unfinished <> [] && List.for_all (fun (_, _, _, stuck) -> stuck) unfinished
+  if
+    unfinished <> []
+    && List.for_all (fun (_, _, _, stuck, _) -> stuck) unfinished
   then Deadlocked
   else begin
     let self_loops = ref 0 in
     let succs =
       List.filter_map
-        (fun (i, action, p', stuck) ->
+        (fun (i, action, p', stuck, repr) ->
           match action with
           | Step.Read _ when stuck ->
             incr self_loops;
@@ -280,7 +287,7 @@ let expand ~rounds ~nregs ~memo entry =
               key'.(r) <- sys'.System.regs.(r)
             | Step.Read _ | Step.Crit _ -> ());
             Some
-              { step; s_sys = sys'; s_key = key'; s_repr = p'.Proc.repr;
+              { step; s_sys = sys'; s_key = key'; s_repr = repr;
                 s_phase_idx = phase_index phases'.(i); s_rem = rems'.(i);
                 s_phases = phases'; s_rems = rems'; s_ncrit = ncrit';
                 s_ill = ill })
@@ -304,7 +311,7 @@ let par_threshold = 64
 let word_bytes = Sys.word_size / 8
 let nshards = 64
 let words_per_node_ram = 9 (* two vec slots + step record + action *)
-let words_per_memo_entry = 12 (* bucket + key triple + boxed pair *)
+let words_per_memo_entry = 12 (* bucket + key triple + boxed result *)
 let words_per_name len = 7 + ((len + 7) / 8) (* vec + tbl slots + string *)
 
 (* ------------------------------ visited ------------------------------- *)

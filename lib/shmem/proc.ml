@@ -2,13 +2,12 @@ type t = {
   id : int;
   pending : Step.action;
   advance : Step.response -> t;
-  repr : string;
+  changed : bool;
+  repr : unit -> string;
 }
 
-let equal_state p q = p == q || String.equal p.repr q.repr
-
 let pp ppf p =
-  Format.fprintf ppf "p%d[%a|%s]" p.id Step.pp_action p.pending p.repr
+  Format.fprintf ppf "p%d[%a|%s]" p.id Step.pp_action p.pending (p.repr ())
 
 module type STATE = sig
   type state
@@ -20,15 +19,20 @@ module type STATE = sig
 end
 
 module Make_spawn (S : STATE) = struct
-  let rec wrap ~n ~me st =
+  let rec wrap ~n ~me ~changed st =
     {
       id = me;
       pending = S.pending ~n ~me st;
-      advance = (fun resp -> wrap ~n ~me (S.advance ~n ~me st resp));
-      repr = S.repr st;
+      advance =
+        (fun resp ->
+          let st' = S.advance ~n ~me st resp in
+          (* a spin returns its state itself: skip the structural walk *)
+          wrap ~n ~me ~changed:(st' != st && st' <> st) st');
+      changed;
+      repr = (fun () -> S.repr st);
     }
 
   let spawn ~n ~me =
     if me < 0 || me >= n then invalid_arg "spawn: process index out of range";
-    wrap ~n ~me (S.initial ~n ~me)
+    wrap ~n ~me ~changed:false (S.initial ~n ~me)
 end

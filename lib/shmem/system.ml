@@ -72,14 +72,13 @@ let apply t (step : Step.t) =
   | Step.Read _ | Step.Crit _ -> ());
   let p' = p.Proc.advance response in
   t.procs.(who) <- p';
-  { response; state_changed = not (Proc.equal_state p p'); old_value }
+  { response; state_changed = p'.Proc.changed; old_value }
 
 let advance_proc t i =
   let p = t.procs.(i) in
   p.Proc.advance (response_of t p.Proc.pending)
 
-let would_change_state t i =
-  not (Proc.equal_state t.procs.(i) (advance_proc t i))
+let would_change_state t i = (advance_proc t i).Proc.changed
 
 let copy_with t i p' =
   let regs = Array.copy t.regs in
@@ -103,10 +102,10 @@ let peek_after_read t i v =
     invalid_arg
       (Printf.sprintf "System.peek_after_read: p%d pending %s is not a read" i
          (Format.asprintf "%a" Step.pp_action a)));
-  not (Proc.equal_state p (p.Proc.advance (Step.Got v)))
+  (p.Proc.advance (Step.Got v)).Proc.changed
 
 let num_regs t = Array.length t.regs
-let state_repr t i = t.procs.(i).Proc.repr
+let state_repr t i = t.procs.(i).Proc.repr ()
 let pending_of t i = t.procs.(i).Proc.pending
 
 let pp ppf t =

@@ -26,7 +26,9 @@ exception
 
 type outcome = {
   response : Step.response;  (** what the process observed *)
-  state_changed : bool;  (** did [who]'s local state change? *)
+  state_changed : bool;
+      (** did [who]'s local state change? The advanced process's
+          {!Proc.t.changed}: no repr is built. *)
   old_value : Step.value;
       (** previous value of the accessed register ([0] for critical steps) *)
 }
@@ -55,9 +57,9 @@ val response_of : t -> Step.action -> Step.response
 val advance_proc : t -> int -> Proc.t
 (** [advance_proc t i] is process [i] advanced by the response its pending
     action would receive in the current state — one automaton transition,
-    without mutating [t]. {!would_change_state} compares its result
-    against the current state; the model checker feeds it to {!copy_with}
-    so each successor costs exactly one transition. *)
+    without mutating [t]. {!would_change_state} reads its
+    {!Proc.t.changed}; the model checker feeds it to {!copy_with} so each
+    successor costs exactly one transition. *)
 
 val would_change_state : t -> int -> bool
 (** [would_change_state t i] — would process [i] change local state if it
@@ -85,7 +87,7 @@ val num_regs : t -> int
 
 val state_repr : t -> int -> string
 (** [state_repr t i] is [st(alpha, i)] — process [i]'s local state
-    witness. *)
+    witness, built on each call. *)
 
 val pending_of : t -> int -> Step.action
 

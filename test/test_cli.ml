@@ -592,6 +592,36 @@ let test_store_oversized_object () =
       Alcotest.(check bool) "gc condemns it" true
         (Astring_contains.contains out ("drop " ^ key)))
 
+(* A spill directory that cannot be resumed is a usage error naming it,
+   not an internal error: an interrupted check's directory with a byte
+   appended to its manifest, or with a key run emptied. *)
+let test_check_resume_damaged () =
+  List.iter
+    (fun (label, file, damage, mentions) ->
+      with_temp_dir (fun dir ->
+          let check = "check -a yang_anderson -n 3 --spill-dir " ^ dir in
+          ignore
+            (check_runs (label ^ ": interrupted") (check ^ " --deadline 0.1") 3);
+          let sub = Filename.concat dir "yang_anderson_n3_r1" in
+          Out_channel.with_open_gen [ Open_wronly; Open_append ] 0o644
+            (Filename.concat sub file) damage;
+          let status, out = run_cmd (check ^ " --resume") in
+          Alcotest.(check int) (label ^ ": exit 2") 2 status;
+          Alcotest.(check int) (label ^ ": one line") 1
+            (List.length (String.split_on_char '\n' (String.trim out)));
+          List.iter
+            (fun m ->
+              Alcotest.(check bool) (label ^ ": names " ^ m) true
+                (Astring_contains.contains out m))
+            ("check: " :: sub :: mentions)))
+    [
+      ("bad manifest", "check.manifest", (fun oc -> output_string oc "x"),
+       [ "truncated" ]);
+      ("emptied key run", "layer_000002.keys",
+       (fun oc -> Unix.ftruncate (Unix.descr_of_out_channel oc) 0),
+       [ "layer_000002.keys" ]);
+    ]
+
 (* Unusable paths and malformed values are usage errors: exit 2 with
    one stderr line naming the verb and the path or value. The store
    maintenance verbs refuse a missing directory instead of creating an
@@ -724,6 +754,8 @@ let suite =
     Alcotest.test_case "experiments --store" `Slow test_experiments_store;
     Alcotest.test_case "store: oversized object is damage" `Quick
       test_store_oversized_object;
+    Alcotest.test_case "check --resume on a damaged spill dir" `Quick
+      test_check_resume_damaged;
   ]
   @ List.map
       (fun (label, make) ->

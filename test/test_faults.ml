@@ -93,7 +93,7 @@ let test_wrapped_reprs_deterministic () =
           | Step.Rmw _ -> Step.Got 0
         in
         let p' = p.Proc.advance resp in
-        go (p'.Proc.repr :: acc) p' (k - 1)
+        go (p'.Proc.repr () :: acc) p' (k - 1)
     in
     go [] (w.Algorithm.spawn ~n:2 ~me:0) 8
   in

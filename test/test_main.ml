@@ -12,6 +12,7 @@ let () =
       ("stats+vec+table", Test_stats_vec.suite);
       ("bitio", Test_bitio.suite);
       ("shmem", Test_shmem.suite);
+      ("changed", Test_changed.suite);
       ("cost", Test_cost.suite);
       ("mutex", Test_mutex.suite);
       ("algorithms", Test_algorithms.suite);

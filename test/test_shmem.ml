@@ -289,12 +289,52 @@ let test_algorithm_helpers () =
   Alcotest.(check bool) "tas not registers_only" false
     (Algorithm.registers_only Lb_algos.Rmw_locks.test_and_set)
 
+(* A state rebuilt by every step: an unchanged state is a fresh block,
+   never the old one, so [changed] must come from the structural
+   comparison. *)
+module Rebuilt = struct
+  type state = At of { pc : int; seen : int }
+
+  let initial ~n:_ ~me:_ = At { pc = 0; seen = 0 }
+
+  let pending ~n:_ ~me:_ (At { pc; _ }) : Step.action =
+    if pc = 0 then Step.Crit Step.Try else Step.Read 0
+
+  let advance ~n:_ ~me:_ (At { pc; seen }) (resp : Step.response) =
+    match resp with
+    | Step.Ack -> At { pc = pc + 1; seen }
+    | Step.Got v -> At { pc; seen = max seen v }
+
+  let repr (At { pc; seen }) = Printf.sprintf "%d:%d" pc seen
+end
+
+module Rebuilt_spawn = Proc.Make_spawn (Rebuilt)
+
 let test_proc_equal_state () =
   let p = toy.Algorithm.spawn ~n:2 ~me:0 in
   let q = toy.Algorithm.spawn ~n:2 ~me:1 in
-  Alcotest.(check bool) "same initial state" true (Proc.equal_state p q);
+  Alcotest.(check bool) "fresh spawn unchanged" false p.Proc.changed;
+  Alcotest.(check string) "same initial state" (p.Proc.repr ())
+    (q.Proc.repr ());
   let p' = p.Proc.advance Step.Ack in
-  Alcotest.(check bool) "advanced differs" false (Proc.equal_state p p')
+  Alcotest.(check bool) "advanced changed" true p'.Proc.changed;
+  Alcotest.(check bool) "advanced repr differs" true
+    (p.Proc.repr () <> p'.Proc.repr ());
+  let r = (Rebuilt_spawn.spawn ~n:1 ~me:0).Proc.advance Step.Ack in
+  let steps =
+    List.fold_left
+      (fun (acc, r) v ->
+        let r' = r.Proc.advance (Step.Got v) in
+        ((r'.Proc.changed, r.Proc.repr () <> r'.Proc.repr ()) :: acc, r'))
+      ([], r) [ 0; 3; 2; 3; 5 ]
+    |> fst |> List.rev
+  in
+  Alcotest.(check (list (pair bool bool))) "changed iff repr differs"
+    [
+      (false, false); (true, true); (false, false); (false, false);
+      (true, true);
+    ]
+    steps
 
 let suite =
   [
