@@ -1466,22 +1466,11 @@ let store_cmd =
     in
     let run dir dry force wait lease_ttl =
       let st = existing ~cmd:"gc" dir in
-      (* current behavioral fingerprints, memoized per (algo, n) *)
-      let fps : (string * int, string option) Hashtbl.t = Hashtbl.create 16 in
       let current_fp ~algo ~n =
-        match Hashtbl.find_opt fps (algo, n) with
-        | Some fp -> fp
-        | None ->
-          let fp =
-            match Lb_algos.Registry.find algo with
-            | None -> None
-            | Some a ->
-              if Lb_shmem.Algorithm.supports a n then
-                Some (Lb_store.Store_key.fingerprint a ~n)
-              else None
-          in
-          Hashtbl.add fps (algo, n) fp;
-          fp
+        match Lb_algos.Registry.find algo with
+        | Some a when Lb_shmem.Algorithm.supports a n ->
+          Some (Lb_store.Store_key.fingerprint a ~n)
+        | Some _ | None -> None
       in
       match
         Lb_store.Store_gc.run ~dry ~force ~wait ?lease_ttl:lease_ttl

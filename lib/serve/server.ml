@@ -433,9 +433,14 @@ let handle_job st conn (req : Http.request) =
                        ]);
                   let cancel = Pool.Cancel.create () in
                   register_cancel st cancel;
+                  (* the job computes on a domain of its own while this
+                     thread waits, so the connection threads keep the
+                     listener's domain; [Domain.join] re-raises *)
                   Fun.protect
                     ~finally:(fun () -> unregister_cancel st cancel)
-                    (fun () -> run_job st ~cancel ~send job);
+                    (fun () ->
+                      Domain.join
+                        (Domain.spawn (fun () -> run_job st ~cancel ~send job)));
                   job_served st client);
                 Http.finish_chunked conn))))
 
@@ -493,47 +498,46 @@ let run cfg =
     cfg.port_file;
   Printf.printf "serve: listening on http://%s:%d (store %s)\n%!" cfg.host port
     cfg.store_dir;
-  (* Connection domains: spawned per accept, reaped cooperatively — a
-     finishing handler records its id, the accept loop joins those (a
-     no-op wait) so handles don't accumulate over a long-lived server. *)
-  let dmu = Mutex.create () in
-  let live : (Domain.id * unit Domain.t) list ref = ref [] in
-  let done_ids : Domain.id list ref = ref [] in
-  let with_dmu f =
-    Mutex.lock dmu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock dmu) f
-  in
+  (* Connection threads: one systhread of this domain per accept,
+     reaped cooperatively — a finishing handler records its id, the
+     accept loop joins those (a no-op wait) so handles don't accumulate
+     over a long-lived server. Only the accept loop touches [live]. *)
+  let live : (int * Thread.t) list ref = ref [] in
+  let tmu = Mutex.create () in
+  let done_ids : int list ref = ref [] in
   let spawn_conn conn =
-    let d =
-      Domain.spawn (fun () ->
-          Fun.protect
-            ~finally:(fun () ->
-              (try Unix.close conn with Unix.Unix_error _ -> ());
-              with_dmu (fun () -> done_ids := Domain.self () :: !done_ids))
-            (fun () ->
-              try handle st conn with
-              | Unix.Unix_error _ -> ()  (* peer went away *)
-              | exn -> (
-                log st "handler error: %s" (Printexc.to_string exn);
-                try
-                  Http.respond conn ~status:500
-                    (err_body (Printexc.to_string exn))
-                with _ -> ())))
+    let conn_thread () =
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close conn with Unix.Unix_error _ -> ());
+          let id = Thread.id (Thread.self ()) in
+          Mutex.protect tmu (fun () -> done_ids := id :: !done_ids))
+        (fun () ->
+          try handle st conn with
+          | Unix.Unix_error _ -> ()  (* peer went away *)
+          | exn -> (
+            log st "handler error: %s" (Printexc.to_string exn);
+            try
+              Http.respond conn ~status:500 (err_body (Printexc.to_string exn))
+            with _ -> ()))
     in
-    with_dmu (fun () -> live := (Domain.get_id d, d) :: !live)
+    match Thread.create conn_thread () with
+    | t -> live := (Thread.id t, t) :: !live
+    | exception e ->
+      (* out of threads: drop this connection, keep serving the rest *)
+      log st "no thread for a connection: %s" (Printexc.to_string e);
+      (try Unix.close conn with Unix.Unix_error _ -> ())
   in
   let reap () =
-    let finished =
-      with_dmu (fun () ->
+    let ids =
+      Mutex.protect tmu (fun () ->
           let ids = !done_ids in
           done_ids := [];
-          let fin, rest =
-            List.partition (fun (id, _) -> List.mem id ids) !live
-          in
-          live := rest;
-          fin)
+          ids)
     in
-    List.iter (fun (_, d) -> Domain.join d) finished
+    let fin, rest = List.partition (fun (id, _) -> List.mem id ids) !live in
+    live := rest;
+    List.iter (fun (_, t) -> Thread.join t) fin
   in
   while not (Atomic.get st.draining) do
     match Unix.select [ sock ] [] [] 0.2 with
@@ -553,9 +557,7 @@ let run cfg =
   let deadline = Unix.gettimeofday () +. cfg.grace in
   with_mu st (fun () ->
       List.iter (fun c -> Pool.Cancel.set_deadline c deadline) st.cancels);
-  let remaining = with_dmu (fun () -> !live) in
-  List.iter (fun (_, d) -> Domain.join d) remaining;
-  reap ();
+  List.iter (fun (_, t) -> Thread.join t) !live;
   Lb_store.Store_lock.release_reader reader;
   Printf.printf "serve: drained (%d jobs served)\n%!"
     (with_mu st (fun () -> st.jobs_done))

@@ -1,7 +1,10 @@
 (** The [mutexlb serve] daemon: a long-running, multi-client job
     service over one content-addressed store.
 
-    One [Domain] per connection, one request per connection. POST
+    A thread per connection, a domain per granted job, one request
+    per connection: each accepted connection is served by a systhread
+    of the listener's domain, and a job the {!Scheduler} grants
+    computes on a domain spawned for it while that thread waits. POST
     [/v1/jobs] streams JSONL events over a chunked response:
     [accepted] → ([rejected] on drain | [granted] → sweep telemetry →
     ([result] | [drained] | [error])). Warm certify jobs — every
@@ -13,7 +16,7 @@
     accepting, reject every queued ticket with a retry-after hint, give
     running sweeps a cooperative cancel deadline of [grace] seconds
     (they checkpoint their manifest and release the store lease on the
-    way out), join every connection, exit. A store left by a drained
+    way out), join every connection thread, exit. A store left by a drained
     server resumes exactly like one left by Ctrl-C. *)
 
 type config = {

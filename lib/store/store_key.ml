@@ -44,7 +44,7 @@ let solo_trace buf (algo : Algorithm.t) ~n ~me =
     (* a crashing automaton still fingerprints deterministically *)
     Buffer.add_string buf ("!raised:" ^ Printexc.to_string e)
 
-let fingerprint (algo : Algorithm.t) ~n =
+let compute_fingerprint (algo : Algorithm.t) ~n =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "mutexlb-fp %d\nalgo %s\nkind %s\nmax_n %s\nn %d\n"
@@ -74,6 +74,21 @@ let fingerprint (algo : Algorithm.t) ~n =
     Buffer.add_char buf '\n'
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* (name, n) -> (the record it was computed for, digest). A hit needs
+   the very record asked about: a same-named record with another
+   automaton is recomputed and takes the slot. *)
+let memo : (string * int, Algorithm.t * string) Hashtbl.t = Hashtbl.create 16
+let memo_mu = Mutex.create ()
+
+let fingerprint (algo : Algorithm.t) ~n =
+  let slot = (algo.Algorithm.name, n) in
+  match Mutex.protect memo_mu (fun () -> Hashtbl.find_opt memo slot) with
+  | Some (a, fp) when a == algo -> fp
+  | Some _ | None ->
+    let fp = compute_fingerprint algo ~n in
+    Mutex.protect memo_mu (fun () -> Hashtbl.replace memo slot (algo, fp));
+    fp
 
 let derive ~fp ~algo ~n ~pi ~model =
   Digest.to_hex

@@ -35,7 +35,12 @@ val fingerprint : Lb_shmem.Algorithm.t -> n:int -> string
     algorithm's registers or transition behavior perturbs some solo
     trace, so cached results written under the old definition no longer
     match and [store gc] can drop them. Total: never raises on registry
-    algorithms, including the deliberately-faulty controls. *)
+    algorithms, including the deliberately-faulty controls.
+
+    Computed once per (algorithm, [n]) per process: the digest is
+    remembered under the name and [n] together with the record it was
+    computed for, and reused only for that same record ([==]), so a
+    same-named record with another automaton gets its own digest. *)
 
 val derive :
   fp:string ->

@@ -125,6 +125,8 @@ type reader = {
   r_store : Store.t;
   r_path : string;
   r_purpose : string;
+  r_mu : Mutex.t;  (** guards the two fields below and the file *)
+  mutable r_epoch : int;  (** the epoch the file was last written with *)
   mutable r_live : bool;
 }
 
@@ -140,19 +142,36 @@ let register_reader ?(purpose = "reader") st =
       (Atomic.fetch_and_add reader_counter 1)
   in
   let path = Filename.concat (readers_dir st) name in
-  Lb_util.Fsio.write_atomic ~path (reader_body ~purpose ~epoch:(epoch st));
-  { r_store = st; r_path = path; r_purpose = purpose; r_live = true }
+  let e = epoch st in
+  Lb_util.Fsio.write_atomic ~path (reader_body ~purpose ~epoch:e);
+  {
+    r_store = st;
+    r_path = path;
+    r_purpose = purpose;
+    r_mu = Mutex.create ();
+    r_epoch = e;
+    r_live = true;
+  }
 
+(* The file only ever needs the latest epoch: an unchanged epoch leaves
+   it as it is, so a server answering from the store writes nothing. *)
 let refresh_reader r =
-  if r.r_live then
-    Lb_util.Fsio.write_atomic ~path:r.r_path
-      (reader_body ~purpose:r.r_purpose ~epoch:(epoch r.r_store))
+  Mutex.protect r.r_mu (fun () ->
+      if r.r_live then begin
+        let e = epoch r.r_store in
+        if e <> r.r_epoch || not (Sys.file_exists r.r_path) then begin
+          Lb_util.Fsio.write_atomic ~path:r.r_path
+            (reader_body ~purpose:r.r_purpose ~epoch:e);
+          r.r_epoch <- e
+        end
+      end)
 
 let release_reader r =
-  if r.r_live then begin
-    r.r_live <- false;
-    try Sys.remove r.r_path with Sys_error _ -> ()
-  end
+  Mutex.protect r.r_mu (fun () ->
+      if r.r_live then begin
+        r.r_live <- false;
+        try Sys.remove r.r_path with Sys_error _ -> ()
+      end)
 
 let reader_files st =
   match Sys.readdir (readers_dir st) with

@@ -104,9 +104,12 @@ val register_reader : ?purpose:string -> Store.t -> reader
 (** Create this process's reader file, recording the current GC epoch. *)
 
 val refresh_reader : reader -> unit
-(** Rewrite the reader file with the current GC epoch — a long-running
-    server calls this between jobs so trash condemned while it was
-    registered can eventually be purged. *)
+(** Bring the reader file to the current GC epoch — a long-running
+    server calls this after each job so trash condemned while it was
+    registered can eventually be purged. The file is rewritten only
+    when the epoch differs from the one it was last written with, or
+    when it is missing; otherwise this reads the epoch and writes
+    nothing. Safe to call from several threads at once. *)
 
 val release_reader : reader -> unit
 (** Remove the reader file. Idempotent. *)

@@ -171,11 +171,34 @@ let test_readers_epoch () =
         Alcotest.(check int) "own pid" (Unix.getpid ()) pid;
         Alcotest.(check int) "joined at 0" 0 epoch
       | l -> Alcotest.failf "expected one reader, got %d" (List.length l));
+      let file =
+        let dir = Filename.concat (Store.dir st) "locks/readers" in
+        match Sys.readdir dir with
+        | [| f |] -> Filename.concat dir f
+        | fs -> Alcotest.failf "expected one reader file, got %d" (Array.length fs)
+      in
+      let ino () = (Unix.stat file).Unix.st_ino in
+      (* an unchanged epoch leaves the file as it is *)
+      let ino0 = ino () in
+      for i = 1 to 3 do
+        Lock.refresh_reader r;
+        Alcotest.(check int) (Printf.sprintf "refresh %d keeps the file" i) ino0
+          (ino ())
+      done;
+      let joined_at what expected =
+        match Lock.live_readers st with
+        | [ (_, epoch) ] -> Alcotest.(check int) what expected epoch
+        | _ -> Alcotest.failf "%s: reader lost" what
+      in
       Alcotest.(check int) "bump" 1 (Lock.bump_epoch st);
       Lock.refresh_reader r;
-      (match Lock.live_readers st with
-      | [ (_, epoch) ] -> Alcotest.(check int) "refreshed epoch" 1 epoch
-      | _ -> Alcotest.fail "reader lost on refresh");
+      Alcotest.(check bool) "a moved epoch rewrites the file" true (ino () <> ino0);
+      joined_at "refreshed epoch" 1;
+      (* a file removed from under the reader is written again *)
+      Sys.remove file;
+      Lock.refresh_reader r;
+      Alcotest.(check bool) "recreated" true (Sys.file_exists file);
+      joined_at "recreated at the current epoch" 1;
       Lock.release_reader r;
       Alcotest.(check int) "gone" 0 (List.length (Lock.live_readers st)))
 
@@ -556,6 +579,60 @@ let test_server_end_to_end () =
   | Error msg -> Alcotest.failf "stats: %s" msg);
   stop_server d
 
+(* The status code of GET [path] on a fresh connection, or [None] when
+   the server does not answer within 10 s: a server that stopped
+   serving fails the test instead of hanging it. *)
+let get_status ~port path =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let req =
+    Printf.sprintf "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
+      path
+  in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  (* "HTTP/1.1 200" *)
+  let head = Bytes.create 12 in
+  let rec fill pos =
+    if pos = 12 then int_of_string_opt (Bytes.sub_string head 9 3)
+    else
+      match Unix.read fd head pos (12 - pos) with
+      | 0 -> None
+      | k -> fill (pos + k)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None
+  in
+  fill 0
+
+(* An idle connection holds a thread, not a domain: more of them than
+   OCaml's 128 live domains leave the server answering. *)
+let test_server_idle_connections () =
+  let store_dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf store_dir) @@ fun () ->
+  let d, port = start_server ~jobs:1 ~store_dir () in
+  let job = certify_job ~n:4 ~perms:6 () in
+  let path o =
+    Option.bind o.Lb_serve.Client.o_result (fun r -> json_str r "path")
+  in
+  let o = submit_ok ~port job ~on_event:(fun _ -> ()) in
+  Alcotest.(check (option string)) "cold fill" (Some "swept") (path o);
+  let idle = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !idle)
+    (fun () ->
+      for _ = 1 to 150 do
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        idle := fd :: !idle;
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+      done;
+      Alcotest.(check (option int)) "health beside 150 idle connections"
+        (Some 200) (get_status ~port "/v1/health");
+      let o = submit_ok ~port job ~on_event:(fun _ -> ()) in
+      Alcotest.(check int) "warm status" 200 o.Lb_serve.Client.o_status;
+      Alcotest.(check (option string)) "warm certify" (Some "warm") (path o));
+  stop_server d
+
 let test_server_fairness () =
   let store_dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf store_dir) @@ fun () ->
@@ -857,6 +934,8 @@ let suite =
     Alcotest.test_case "sched: per-client cap" `Quick test_sched_per_client_cap;
     Alcotest.test_case "server: end to end over a socket" `Slow
       test_server_end_to_end;
+    Alcotest.test_case "server: many idle connections" `Slow
+      test_server_idle_connections;
     Alcotest.test_case "server: round-robin fairness under contention" `Slow
       test_server_fairness;
     Alcotest.test_case "server: drain checkpoints, restart resumes" `Slow

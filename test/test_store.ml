@@ -101,6 +101,68 @@ let test_fingerprint_sensitivity () =
   Alcotest.(check bool) "n-sensitive" true
     (fp_ya3 <> Store_key.fingerprint ya ~n:4)
 
+(* The digest is computed once per (algorithm, n) and reused only for
+   the very record it was computed for. *)
+let test_fingerprint_memo () =
+  List.iter
+    (fun (a : Lb_shmem.Algorithm.t) ->
+      for n = 2 to 8 do
+        if Lb_shmem.Algorithm.supports a n then begin
+          let label = Printf.sprintf "%s n=%d" a.Lb_shmem.Algorithm.name n in
+          let fp = Store_key.fingerprint a ~n in
+          Alcotest.(check string) (label ^ " twice") fp
+            (Store_key.fingerprint a ~n);
+          (* a copy is another record: computed afresh, to the same digest *)
+          Alcotest.(check string) (label ^ " copy") fp
+            (Store_key.fingerprint { a with name = a.name } ~n)
+        end
+      done)
+    Lb_algos.Registry.all;
+  (* a same-named record with another automaton never inherits the
+     digest, whichever of the two is asked about first *)
+  let impostor () =
+    { (Lb_algos.Registry.find_exn "peterson2") with name = "yang_anderson" }
+  in
+  let first = impostor () in
+  let fp_first = Store_key.fingerprint first ~n:2 in
+  Alcotest.(check bool) "impostor first" true
+    (fp_first <> Store_key.fingerprint ya ~n:2);
+  Alcotest.(check string) "impostor again" fp_first
+    (Store_key.fingerprint first ~n:2);
+  let fp_ya = Store_key.fingerprint ya ~n:2 in
+  Alcotest.(check bool) "impostor second" true
+    (fp_ya <> Store_key.fingerprint (impostor ()) ~n:2);
+  Alcotest.(check string) "real one again" fp_ya (Store_key.fingerprint ya ~n:2)
+
+(* Every [fp] line of the golden store files is the digest the current
+   code gives its algorithm and n, asked twice so that at least the
+   second answer comes from the memo. *)
+let test_fingerprint_golden () =
+  let check_file path =
+    let algo = ref "" and fp = ref "" and checked = ref 0 in
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.iter (fun l ->
+           match String.index_opt l ' ' with
+           | None -> ()
+           | Some i -> (
+             let v = String.sub l (i + 1) (String.length l - i - 1) in
+             match String.sub l 0 i with
+             | "algo" -> algo := v
+             | "fp" -> fp := v
+             | "n" ->
+               let a = Lb_algos.Registry.find_exn !algo in
+               for _ = 1 to 2 do
+                 Alcotest.(check string) (path ^ " fp") !fp
+                   (Store_key.fingerprint a ~n:(int_of_string v))
+               done;
+               incr checked
+             | _ -> ()));
+    Alcotest.(check bool) (path ^ " has fp lines") true (!checked > 0)
+  in
+  List.iter check_file
+    [ "golden/ya4_seed2_6.objects"; "golden/ya5_seed3_120.manifest" ]
+
 (* --------------------------- entry round trip ------------------------ *)
 
 let check_entry_eq msg (a : Store.entry) (b : Store.entry) =
@@ -665,6 +727,8 @@ let suite =
   [
     Alcotest.test_case "key stability" `Quick test_key_stability;
     Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
+    Alcotest.test_case "fingerprint memo" `Quick test_fingerprint_memo;
+    Alcotest.test_case "fingerprint golden" `Quick test_fingerprint_golden;
     Alcotest.test_case "entry roundtrip" `Quick test_entry_roundtrip;
     Alcotest.test_case "fold + stat" `Quick test_fold_and_stat;
     Alcotest.test_case "corruption: truncated" `Quick test_corruption_truncated;
