@@ -1,4 +1,5 @@
 open Lb_shmem
+module Json = Lb_util.Json
 
 type unit_report = {
   u_algo : string;
@@ -155,21 +156,25 @@ let pp ~verbose ppf report =
       (List.length (failures report))
 
 let to_json report =
-  let findings =
-    String.concat ","
-      (List.map
-         (fun (f, allowlisted) -> Finding.to_json ~allowlisted f)
-         report.findings)
-  in
-  let units =
-    String.concat ","
-      (List.map
-         (fun u ->
-           Printf.sprintf
-             "{\"algo\":%s,\"n\":%d,\"nodes\":%d,\"complete\":%b}"
-             (Lb_util.Json.escape u.u_algo) u.u_n u.u_nodes u.u_complete)
-         report.units)
-  in
-  Printf.sprintf
-    "{\"format_version\":%d,\"clean\":%b,\"findings\":[%s],\"units\":[%s]}"
-    format_version (clean report) findings units
+  Json.Obj
+    [
+      ("format_version", Json.Int format_version);
+      ("clean", Json.Bool (clean report));
+      ( "findings",
+        Json.List
+          (List.map
+             (fun (f, allowlisted) -> Finding.to_json ~allowlisted f)
+             report.findings) );
+      ( "units",
+        Json.List
+          (List.map
+             (fun u ->
+               Json.Obj
+                 [
+                   ("algo", Json.String u.u_algo);
+                   ("n", Json.Int u.u_n);
+                   ("nodes", Json.Int u.u_nodes);
+                   ("complete", Json.Bool u.u_complete);
+                 ])
+             report.units) );
+    ]

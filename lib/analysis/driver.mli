@@ -66,6 +66,7 @@ val pp : verbose:bool -> Format.formatter -> report -> unit
 (** Human-readable report: one line per finding (witness paths when
     [verbose]) and a summary tail. *)
 
-val to_json : report -> string
+val to_json : report -> Lb_util.Json.t
 (** Machine-readable report for CI gating:
-    [{"format_version":1,"clean":bool,"findings":[...],"units":[...]}]. *)
+    [{"format_version":1,"clean":bool,"findings":[...],"units":[...]}],
+    printed compactly by {!Lb_util.Json.to_string}. *)

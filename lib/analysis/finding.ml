@@ -77,26 +77,31 @@ let pp_witness ppf (w : witness) =
 module Json = Lb_util.Json
 
 let witness_to_json (w : witness) =
-  Printf.sprintf "{\"proc\":%d,\"steps\":[%s],\"target\":%s}" w.proc
-    (String.concat ","
-       (List.map
-          (fun s ->
-            Printf.sprintf "{\"repr\":%s,\"action\":%s,\"response\":%s}"
-              (Json.escape s.repr) (Json.escape s.action)
-              (Json.escape s.response))
-          w.steps))
-    (Json.escape w.target)
+  Json.Obj
+    [
+      ("proc", Json.Int w.proc);
+      ( "steps",
+        Json.List
+          (List.map
+             (fun s ->
+               Json.Obj
+                 [
+                   ("repr", Json.String s.repr);
+                   ("action", Json.String s.action);
+                   ("response", Json.String s.response);
+                 ])
+             w.steps) );
+      ("target", Json.String w.target);
+    ]
 
 let to_json ~allowlisted t =
-  Printf.sprintf
-    "{\"rule\":%s,\"severity\":%s,\"algo\":%s,\"n\":%d,%s\"message\":%s,\"allowlisted\":%b%s}"
-    (Json.escape t.rule)
-    (Json.escape (severity_name t.severity))
-    (Json.escape t.algo) t.n
-    (match t.proc with
-    | None -> ""
-    | Some p -> Printf.sprintf "\"proc\":%d," p)
-    (Json.escape t.message) allowlisted
-    (match t.witness with
-    | None -> ""
-    | Some w -> Printf.sprintf ",\"witness\":%s" (witness_to_json w))
+  Json.Obj
+    ([
+       ("rule", Json.String t.rule);
+       ("severity", Json.String (severity_name t.severity));
+       ("algo", Json.String t.algo);
+       ("n", Json.Int t.n);
+     ]
+    @ (match t.proc with None -> [] | Some p -> [ ("proc", Json.Int p) ])
+    @ [ ("message", Json.String t.message); ("allowlisted", Json.Bool allowlisted) ]
+    @ match t.witness with None -> [] | Some w -> [ ("witness", witness_to_json w) ])

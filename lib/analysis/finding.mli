@@ -64,5 +64,5 @@ val pp : Format.formatter -> t -> unit
 val pp_witness : Format.formatter -> witness -> unit
 (** Multi-line rendering of the witness path. *)
 
-val to_json : allowlisted:bool -> t -> string
-(** One JSON object (no trailing newline); machine-readable CI output. *)
+val to_json : allowlisted:bool -> t -> Lb_util.Json.t
+(** One JSON object; machine-readable CI output. *)

@@ -47,7 +47,6 @@ let model_name = function
   | Dsm_model -> "DSM"
   | Raw -> "raw"
 
-let all_models = [ Sc; Cc; Dsm_model; Raw ]
 
 let measure model algo ~n alpha =
   match model with

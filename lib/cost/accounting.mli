@@ -25,8 +25,6 @@ type model = Sc | Cc | Dsm_model | Raw
 
 val model_name : model -> string
 
-val all_models : model list
-
 val measure :
   model -> Lb_shmem.Algorithm.t -> n:int -> Lb_shmem.Execution.t -> int
 (** Cost of the execution under the chosen model ([Raw] counts shared

@@ -35,7 +35,6 @@ let set_store ?(resume = false) s =
   store_ref := s;
   resume_ref := resume
 
-let active_store () = !store_ref
 
 let certify_sweep (algo : Lb_shmem.Algorithm.t) ~n ~perms ~exhaustive =
   match !store_ref with

@@ -39,8 +39,6 @@ val set_store : ?resume:bool -> Lb_store.Store.t option -> unit
     quarantines per-π failures instead of failing fast. Process-global;
     set before running any experiment. *)
 
-val active_store : unit -> Lb_store.Store.t option
-
 val certify_sweep :
   Lb_shmem.Algorithm.t ->
   n:int ->

@@ -21,30 +21,19 @@ type t = { rows : row list; passed : int; honest : bool }
 
 (* ------------------------------ running ------------------------------ *)
 
-let violation_outcome = function
-  | Lb_mutex.Checker.Not_well_formed _ -> "ill_formed"
-  | Lb_mutex.Checker.Mutex_violated _ -> "mutex_violation"
-
 (* A schedule cell's execution — complete or truncated — still carries
    any safety violation it tripped over; report that in preference to
    the engine's own exit reason. *)
 let checked_outcome ~n exec fallback =
   match Lb_mutex.Checker.check ~n exec with
   | Ok () -> fallback
-  | Error v -> violation_outcome v
+  | Error v -> Lb_mutex.Checker.violation_slug v
 
 (* A corrupted value can flow anywhere the algorithm dataflows it —
    including into a register index (yang_anderson reads a slot id and
-   accesses the register it names). The system model rejects the
-   impossible access with Invalid_argument; that rejection IS the
-   detection, so report it as an outcome instead of letting the
-   exception surface as an engine crash. *)
-let is_system_rejection e =
-  match e with
-  | Invalid_argument msg ->
-    String.length msg >= 7 && String.sub msg 0 7 = "System:"
-  | _ -> false
-
+   accesses the register it names). The system model's rejection of
+   the impossible access IS the detection, so report it as an outcome
+   instead of letting the exception surface as an engine crash. *)
 let run_cell ~max_states ?deadline cell =
   let algo = Inject.wrap cell.plan (Lb_algos.Registry.find_exn cell.algo) in
   let n = cell.n in
@@ -52,7 +41,7 @@ let run_cell ~max_states ?deadline cell =
   | Model_check { rounds } -> (
     match Lb_mutex.Model_check.explore algo ~n ~rounds ~max_states ?deadline with
     | r -> Lb_mutex.Model_check.verdict_slug r.Lb_mutex.Model_check.verdict
-    | exception e when is_system_rejection e -> "invalid_access")
+    | exception e when System.is_rejection e -> "invalid_access")
   | Schedule { sched; max_steps } ->
     let base =
       match sched with
@@ -66,7 +55,7 @@ let run_cell ~max_states ?deadline cell =
     | exception Runner.Deadline_exceeded exec ->
       checked_outcome ~n exec "deadline_exceeded"
     | exception Runner.Stuck -> "stuck"
-    | exception e when is_system_rejection e -> "invalid_access")
+    | exception e when System.is_rejection e -> "invalid_access")
 
 let outcome_ok cell outcome =
   match cell.expect with

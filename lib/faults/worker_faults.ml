@@ -21,12 +21,6 @@ type claim_fuzz =
   | Duplicate  (** plant a same-epoch [.quit] twin next to a [.claim] *)
   | Garbage  (** drop a non-protocol filename into the directory *)
 
-let fuzz_to_string = function
-  | Truncate -> "truncate"
-  | Bitflip -> "bitflip"
-  | Duplicate -> "duplicate"
-  | Garbage -> "garbage"
-
 (* Per-worker kill points for a crash storm: [survivors] workers never
    die (max_int), the rest SIGKILL themselves after a seeded number of
    computed units in [1, ceil(total/workers)] — early enough that

@@ -26,8 +26,6 @@ type claim_fuzz =
   | Duplicate  (** plant a same-epoch [.quit] twin next to a [.claim] *)
   | Garbage  (** drop a non-protocol filename into the directory *)
 
-val fuzz_to_string : claim_fuzz -> string
-
 val kill_points :
   seed:int -> workers:int -> survivors:int -> total:int -> int array
 (** [kill_points ~seed ~workers ~survivors ~total] is one kill point

@@ -122,13 +122,6 @@ let lint_leg ~passes ~baseline algo ~n =
         }
   | [] -> Clean
 
-(* As in the chaos matrix: the system model rejecting an impossible
-   access with Invalid_argument "System: ..." IS the detection. *)
-let is_system_rejection = function
-  | Invalid_argument msg ->
-      String.length msg >= 7 && String.sub msg 0 7 = "System:"
-  | _ -> false
-
 let mc_leg ?rounds ?max_states ~config algo ~n =
   let rounds = Option.value rounds ~default:config.rounds in
   let max_states = Option.value max_states ~default:config.max_states in
@@ -150,14 +143,10 @@ let mc_leg ?rounds ?max_states ~config algo ~n =
           Inconclusive (Printf.sprintf "mem_exceeded at %d states" k)
       | Lb_mutex.Model_check.Deadline_exceeded k ->
           Inconclusive (Printf.sprintf "deadline_exceeded at %d states" k))
-  | exception e when is_system_rejection e ->
+  | exception e when System.is_rejection e ->
       Kill { name = "invalid_access"; detail = Printexc.to_string e }
   | exception e ->
       Kill { name = "uncaught_exception"; detail = Printexc.to_string e }
-
-let violation_name = function
-  | Lb_mutex.Checker.Not_well_formed _ -> "ill_formed"
-  | Lb_mutex.Checker.Mutex_violated _ -> "mutex_violation"
 
 let sched_leg ~config algo ~n =
   let checked exec fallback =
@@ -166,7 +155,7 @@ let sched_leg ~config algo ~n =
     | Error v ->
         Kill
           {
-            name = violation_name v;
+            name = Lb_mutex.Checker.violation_slug v;
             detail = Lb_mutex.Checker.violation_to_string v;
           }
   in
@@ -176,7 +165,7 @@ let sched_leg ~config algo ~n =
     | exception Runner.Out_of_fuel exec ->
         checked exec (Kill { name = "out_of_fuel"; detail = label })
     | exception Runner.Stuck -> Kill { name = "stuck"; detail = label }
-    | exception e when is_system_rejection e ->
+    | exception e when System.is_rejection e ->
         Kill { name = "invalid_access"; detail = Printexc.to_string e }
     | exception e ->
         Kill { name = "uncaught_exception"; detail = Printexc.to_string e }

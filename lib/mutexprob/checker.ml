@@ -21,6 +21,10 @@ let pp_violation ppf = function
 
 let violation_to_string v = Format.asprintf "%a" pp_violation v
 
+let violation_slug = function
+  | Not_well_formed _ -> "ill_formed"
+  | Mutex_violated _ -> "mutex_violation"
+
 (* The legal phase transitions on critical steps. *)
 let advance_phase phase (c : Step.crit) =
   match phase, c with

@@ -24,6 +24,10 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val violation_to_string : violation -> string
 
+val violation_slug : violation -> string
+(** ["ill_formed"] or ["mutex_violation"]: the outcome the chaos matrix
+    and the mutation campaign name a violation by. *)
+
 val check : n:int -> Lb_shmem.Execution.t -> (unit, violation) result
 (** Structural check of well-formedness and mutual exclusion. Does not
     replay the automata — combine with {!Lb_shmem.Execution.replay} to also

@@ -10,12 +10,17 @@ type certify_spec = {
   c_pi_timeout : float option;
 }
 
+type check_spec = { k_algos : string; k_n : int; k_rounds : int; k_max_states : int }
+type lint_spec = { l_algos : string; l_sizes : int list }
+type chaos_spec = { h_max_states : int; h_random : int; h_seed : int }
+type mutate_spec = { m_algos : string }
+
 type job =
   | Certify of certify_spec
-  | Check of { k_algos : string; k_n : int; k_rounds : int; k_max_states : int }
-  | Lint of { l_algos : string; l_sizes : int list }
-  | Chaos of { h_max_states : int; h_random : int; h_seed : int }
-  | Mutate of { m_algos : string }
+  | Check of check_spec
+  | Lint of lint_spec
+  | Chaos of chaos_spec
+  | Mutate of mutate_spec
 
 let kind = function
   | Certify _ -> "certify"
@@ -24,37 +29,31 @@ let kind = function
   | Chaos _ -> "chaos"
   | Mutate _ -> "mutate"
 
+(* ------------------------------ defaults ------------------------------ *)
+
+let default_perms = 24
+let default_seed = 1
+let default_rounds = 1
+let default_check_states = 500_000
+let default_chaos_states = 200_000
+let default_random = 0
+let default_lint_algos = "all"
+let default_mutate_algos = "correct"
+
 (* ------------------------------- parsing ------------------------------ *)
 
-let str_field ?default j name =
-  match Json.member name j with
-  | Some v -> (
-    match Json.as_string v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "field %S must be a string" name))
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "missing required field %S" name))
+let field conv what ?default j name =
+  match (Json.member name j, default) with
+  | Some v, _ -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S must be %s" name what))
+  | None, Some d -> Ok d
+  | None, None -> Error (Printf.sprintf "missing required field %S" name)
 
-let int_field ?default j name =
-  match Json.member name j with
-  | Some v -> (
-    match Json.as_int v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "field %S must be an integer" name))
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "missing required field %S" name))
-
-let bool_field ~default j name =
-  match Json.member name j with
-  | Some v -> (
-    match Json.as_bool v with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "field %S must be a boolean" name))
-  | None -> Ok default
+let str_field = field Json.as_string "a string"
+let int_field = field Json.as_int "an integer"
+let bool_field = field Json.as_bool "a boolean"
 
 let float_opt_field j name =
   match Json.member name j with
@@ -67,8 +66,11 @@ let float_opt_field j name =
 
 let ( let* ) = Result.bind
 
-let positive name i =
+let count_field ?default j name =
+  let* i = int_field ?default j name in
   if i >= 1 then Ok i else Error (Printf.sprintf "field %S must be >= 1" name)
+
+let sizes_ok sizes = sizes <> [] && List.for_all (fun n -> n >= 1) sizes
 
 let job_of_json j =
   match j with
@@ -77,11 +79,9 @@ let job_of_json j =
     match k with
     | "certify" ->
       let* c_algo = str_field j "algo" in
-      let* c_n = Result.bind (int_field j "n") (positive "n") in
-      let* c_perms =
-        Result.bind (int_field ~default:24 j "perms") (positive "perms")
-      in
-      let* c_seed = int_field ~default:0 j "seed" in
+      let* c_n = count_field j "n" in
+      let* c_perms = count_field ~default:default_perms j "perms" in
+      let* c_seed = int_field ~default:default_seed j "seed" in
       let* c_resume = bool_field ~default:false j "resume" in
       let* c_save_traces = bool_field ~default:false j "save_traces" in
       let* c_pi_timeout = float_opt_field j "pi_timeout" in
@@ -90,44 +90,33 @@ let job_of_json j =
            { c_algo; c_n; c_perms; c_seed; c_resume; c_save_traces; c_pi_timeout })
     | "check" ->
       let* k_algos = str_field j "algo" in
-      let* k_n = Result.bind (int_field j "n") (positive "n") in
-      let* k_rounds =
-        Result.bind (int_field ~default:1 j "rounds") (positive "rounds")
-      in
-      let* k_max_states =
-        Result.bind
-          (int_field ~default:500_000 j "max_states")
-          (positive "max_states")
-      in
+      let* k_n = count_field j "n" in
+      let* k_rounds = count_field ~default:default_rounds j "rounds" in
+      let* k_max_states = count_field ~default:default_check_states j "max_states" in
       Ok (Check { k_algos; k_n; k_rounds; k_max_states })
     | "lint" ->
-      let* l_algos = str_field ~default:"all" j "algo" in
+      let* l_algos = str_field ~default:default_lint_algos j "algo" in
       let* l_sizes =
         match Json.member "sizes" j with
-        | None -> Ok [ 2; 3; 4 ]
+        | None -> Ok Lb_analysis.Driver.default_sizes
         | Some v -> (
           match Json.as_list v with
           | None -> Error "field \"sizes\" must be a list of integers"
           | Some xs -> (
             let ints = List.filter_map Json.as_int xs in
-            if List.length ints <> List.length xs || ints = []
-               || List.exists (fun n -> n < 1) ints
-            then Error "field \"sizes\" must be a non-empty list of positive integers"
+            if List.length ints <> List.length xs || not (sizes_ok ints) then
+              Error "field \"sizes\" must be a non-empty list of positive integers"
             else Ok ints))
       in
       Ok (Lint { l_algos; l_sizes })
     | "chaos" ->
-      let* h_max_states =
-        Result.bind
-          (int_field ~default:60_000 j "max_states")
-          (positive "max_states")
-      in
-      let* h_random = int_field ~default:0 j "random" in
-      let* h_seed = int_field ~default:0 j "seed" in
+      let* h_max_states = count_field ~default:default_chaos_states j "max_states" in
+      let* h_random = int_field ~default:default_random j "random" in
+      let* h_seed = int_field ~default:default_seed j "seed" in
       if h_random < 0 then Error "field \"random\" must be >= 0"
       else Ok (Chaos { h_max_states; h_random; h_seed })
     | "mutate" ->
-      let* m_algos = str_field ~default:"correct" j "algo" in
+      let* m_algos = str_field ~default:default_mutate_algos j "algo" in
       Ok (Mutate { m_algos })
     | other -> Error (Printf.sprintf "unknown job kind %S" other))
   | _ -> Error "request body must be a JSON object"
@@ -172,20 +161,8 @@ let job_summary job =
 
 (* -------------------------- shared with the CLI ----------------------- *)
 
-let clamp_perms ?(warn = false) ~n perms =
-  if n <= 20 then begin
-    let total = Lb_util.Xmath.factorial n in
-    if perms > total then begin
-      if warn then
-        Printf.eprintf
-          "certify: --perms %d exceeds n! = %d at n=%d; clamping to the full \
-           family\n%!"
-          perms total n;
-      total
-    end
-    else perms
-  end
-  else perms
+let clamp_perms ~n perms =
+  if n <= 20 then min perms (Lb_util.Xmath.factorial n) else perms
 
 let family ~n ~perms ~seed =
   if n <= 8 && Lb_util.Xmath.factorial n <= perms then
@@ -214,24 +191,22 @@ let certificate_json (c : Lb_core.Bounds.certificate) =
       ("text", Json.String (certificate_text c));
     ]
 
-let resolve_algos ?(default_all = true) names =
-  let names = String.trim names in
-  let names = if names = "" then (if default_all then "all" else "correct") else names in
-  if names = "all" then Ok Lb_algos.Registry.all
-  else if names = "correct" then Ok Lb_algos.Registry.correct
-  else
-    let parts =
+let resolve_algos names =
+  match String.trim names with
+  | "all" -> Ok Lb_algos.Registry.all
+  | "correct" -> Ok Lb_algos.Registry.correct
+  | names -> (
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | name :: rest -> (
+        match Lb_algos.Registry.find name with
+        | Some a -> go (a :: acc) rest
+        | None -> Error (Printf.sprintf "unknown algorithm %S" name))
+    in
+    match
       String.split_on_char ',' names
       |> List.map String.trim
       |> List.filter (fun s -> s <> "")
-    in
-    if parts = [] then Error "no algorithm given"
-    else
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | name :: rest -> (
-          match Lb_algos.Registry.find name with
-          | Some a -> go (a :: acc) rest
-          | None -> Error (Printf.sprintf "unknown algorithm %S" name))
-      in
-      go [] parts
+    with
+    | [] -> Error "no algorithm given"
+    | parts -> go [] parts)

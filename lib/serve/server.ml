@@ -44,9 +44,7 @@ type state = {
   mutable jobs_done : int;
 }
 
-let with_mu st f =
-  Mutex.lock st.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
+let with_mu st f = Mutex.protect st.mu f
 
 let register_cancel st c =
   with_mu st (fun () ->
@@ -92,37 +90,46 @@ let error_event kind msg =
       ("error", Json.String msg);
     ]
 
-let certify_result ~path ~cert ~(report : Lb_store.Sweep.report) spec =
-  let p = report.Lb_store.Sweep.progress in
-  let cert_fields =
-    match cert with
-    | None -> [ ("certificate", Json.Null) ]
-    | Some c -> [ ("certificate", Protocol.certificate_json c) ]
-  in
+(* A drained certify checkpointed its manifest and resumes on
+   re-submission; the other kinds have no checkpoint, so draining them
+   is a plain abort — cooperative (between pool units: a single
+   model-check cell or pipeline leg still runs to completion), marked
+   non-resumable so the client exits 75 and re-submits elsewhere. *)
+let drained_event ~kind ~grace ~manifest resumable =
+  Json.Obj
+    ([
+       ("event", Json.String "drained");
+       ("kind", Json.String kind);
+       ("resumable", Json.Bool resumable);
+       ("retry_after", Json.Float grace);
+     ]
+    @ match manifest with Some m -> [ ("manifest", Json.String m) ] | None -> [])
+
+let certify_result ~path ~hits ~computed ~failed ~manifest cert
+    (spec : Protocol.certify_spec) =
   result_event "certify"
-    (cert <> None && report.Lb_store.Sweep.failures = [])
-    (cert_fields
-    @ [
-        ("path", Json.String path);
-        ("algo", Json.String spec.Protocol.c_algo);
-        ("n", Json.Int spec.Protocol.c_n);
-        ("hits", Json.Int p.Lb_store.Sweep.p_hits);
-        ("computed", Json.Int p.Lb_store.Sweep.p_computed);
-        ("failed", Json.Int p.Lb_store.Sweep.p_failed);
-        ("manifest", Json.String report.Lb_store.Sweep.manifest_path);
-      ])
+    (cert <> None && failed = 0)
+    [
+      ( "certificate",
+        match cert with None -> Json.Null | Some c -> Protocol.certificate_json c );
+      ("path", Json.String path);
+      ("algo", Json.String spec.c_algo);
+      ("n", Json.Int spec.c_n);
+      ("hits", Json.Int hits);
+      ("computed", Json.Int computed);
+      ("failed", Json.Int failed);
+      ("manifest", Json.String manifest);
+    ]
 
 (* The warm path: every permutation of the family already resolves to a
    valid store entry, so the certificate aggregates straight from the
    store — no scheduler slot, no lease, no worker domain. *)
-let try_warm st spec =
-  let open Protocol in
+let try_warm st (spec : Protocol.certify_spec) =
   match Lb_algos.Registry.find spec.c_algo with
   | None -> None
   | Some algo -> (
     let n = spec.c_n in
-    let perms = Protocol.clamp_perms ~n spec.c_perms in
-    let pis, exhaustive = Protocol.family ~n ~perms ~seed:spec.c_seed in
+    let pis, exhaustive = Job.family spec in
     match Lb_store.Sweep.plan ~who:"serve" ~store:st.store algo ~n ~perms:pis with
     | exception Invalid_argument _ -> None
     | plan -> (
@@ -140,179 +147,93 @@ let try_warm st spec =
       | None -> None
       | Some cert ->
         Some
-          (result_event "certify" true
-             [
-               ("certificate", Protocol.certificate_json cert);
-               ("path", Json.String "warm");
-               ("algo", Json.String algo.Lb_shmem.Algorithm.name);
-               ("n", Json.Int n);
-               ("hits", Json.Int total);
-               ("computed", Json.Int 0);
-               ("failed", Json.Int 0);
-               ("manifest", Json.String plan.Lb_store.Sweep.u_manifest);
-             ])))
+          (certify_result ~path:"warm" ~hits:total ~computed:0 ~failed:0
+             ~manifest:plan.Lb_store.Sweep.u_manifest (Some cert) spec)))
 
-let run_certify st ~cancel ~send spec =
-  let open Protocol in
-  match Lb_algos.Registry.find spec.c_algo with
-  | None -> send (error_event "certify" (Printf.sprintf "unknown algorithm %S" spec.c_algo))
-  | Some algo -> (
-    let n = spec.c_n in
-    let perms = Protocol.clamp_perms ~n spec.c_perms in
-    let pis, exhaustive = Protocol.family ~n ~perms ~seed:spec.c_seed in
-    let manifest = ref None in
-    let on_event ev =
-      (match ev with
-      | Lb_store.Sweep.Checkpoint { manifest = m; _ }
-      | Lb_store.Sweep.Finished { manifest = m; _ } ->
-        manifest := Some m
-      | _ -> ());
-      send (embed_json (Lb_store.Sweep.event_to_json ev))
-    in
-    match
-      Lb_store.Sweep.certify ~store:st.store ~resume:spec.c_resume
-        ?jobs:st.cfg.jobs ~save_traces:spec.c_save_traces
-        ?pi_timeout:spec.c_pi_timeout ~on_event ~cancel algo ~n ~perms:pis
-        ~exhaustive ()
-    with
-    | cert, report -> send (certify_result ~path:"swept" ~cert ~report spec)
-    | exception Invalid_argument msg -> send (error_event "certify" msg)
-    | exception Pool.Cancelled ->
-      send
-        (Json.Obj
-           ([
-              ("event", Json.String "drained");
-              ("kind", Json.String "certify");
-              ("resumable", Json.Bool true);
-              ("retry_after", Json.Float st.cfg.grace);
-            ]
-           @
-           match !manifest with
-           | Some m -> [ ("manifest", Json.String m) ]
-           | None -> []))
-    | exception Lb_store.Store_lock.Busy h ->
-      send
-        (error_event "certify"
-           (Format.asprintf "store writer lease busy: %a"
-              Lb_store.Store_lock.pp_held h)))
+let certify_event st ~cancel ~send spec =
+  let on_event ev = send (embed_json (Lb_store.Sweep.event_to_json ev)) in
+  match
+    Job.certify ~store:st.store ~cancel ~on_event ~jobs:st.cfg.jobs
+      ~checkpoint_every:None spec
+  with
+  | Error msg -> error_event "certify" msg
+  | Ok (Job.Swept (cert, report)) ->
+    let p = report.Lb_store.Sweep.progress in
+    certify_result ~path:"swept" ~hits:p.Lb_store.Sweep.p_hits
+      ~computed:p.Lb_store.Sweep.p_computed ~failed:p.Lb_store.Sweep.p_failed
+      ~manifest:report.Lb_store.Sweep.manifest_path cert spec
+  | Ok (Job.Interrupted manifest) ->
+    drained_event ~kind:"certify" ~grace:st.cfg.grace ~manifest true
+  | Ok (Job.Busy h) ->
+    error_event "certify"
+      (Format.asprintf "store writer lease busy: %a" Lb_store.Store_lock.pp_held h)
 
-(* Non-certify jobs have no checkpoint to resume from, so draining
-   them is a plain abort: cooperative (between pool units — a single
-   model-check cell or pipeline leg still runs to completion), with a
-   [drained] event marked non-resumable so the client exits 75 and the
-   caller re-submits elsewhere. *)
-let drained_event ~kind ~grace =
-  Json.Obj
-    [
-      ("event", Json.String "drained");
-      ("kind", Json.String kind);
-      ("resumable", Json.Bool false);
-      ("retry_after", Json.Float grace);
-    ]
-
-let cancellable st ~cancel ~send ~kind f =
-  match f () with
-  | () -> ()
-  | exception Pool.Cancelled ->
-    send (drained_event ~kind ~grace:st.cfg.grace)
-  | exception e when Pool.Cancel.requested cancel ->
-    (* An engine surfacing the drain as its own error (deadline,
-       torn pool) still reports as drained, not as a job failure. *)
-    ignore e;
-    send (drained_event ~kind ~grace:st.cfg.grace)
-
-let run_check st ~cancel ~send k_algos ~n ~rounds ~max_states =
-  match Protocol.resolve_algos k_algos with
-  | Error msg -> send (error_event "check" msg)
-  | Ok algos -> (
-    match
-      List.filter (fun a -> Lb_shmem.Algorithm.supports a n) algos
-    with
-    | [] ->
-      send (error_event "check" (Printf.sprintf "no listed algorithm supports n=%d" n))
-    | algos ->
-      cancellable st ~cancel ~send ~kind:"check" @@ fun () ->
-      let reports =
-        List.map
-          (fun algo ->
-            if Pool.Cancel.requested cancel then raise Pool.Cancelled;
-            let r = Lb_mutex.Model_check.explore algo ~n ~rounds ~max_states in
-            let certified =
-              r.Lb_mutex.Model_check.verdict = Lb_mutex.Model_check.Verified
-            in
-            ( certified,
-              Json.Obj
-                [
-                  ("algo", Json.String algo.Lb_shmem.Algorithm.name);
-                  ("n", Json.Int n);
-                  ("rounds", Json.Int rounds);
-                  ( "verdict",
-                    Json.String
-                      (Lb_mutex.Model_check.verdict_slug
-                         r.Lb_mutex.Model_check.verdict) );
-                  ("states", Json.Int r.Lb_mutex.Model_check.states);
-                  ("transitions", Json.Int r.Lb_mutex.Model_check.transitions);
-                  ("certified", Json.Bool certified);
-                ] ))
-          algos
-      in
-      send
-        (result_event "check"
-           (List.for_all fst reports)
-           [ ("reports", Json.List (List.map snd reports)) ]))
-
-let run_lint st ~cancel ~send l_algos ~sizes =
-  match Protocol.resolve_algos l_algos with
-  | Error msg -> send (error_event "lint" msg)
-  | Ok algos ->
-    cancellable st ~cancel ~send ~kind:"lint" @@ fun () ->
-    let report =
-      Lb_analysis.Driver.run ~sizes ~cancel
-        ~allow:Lb_algos.Registry.expected_findings algos
-    in
-    send
-      (result_event "lint"
-         (Lb_analysis.Driver.clean report)
-         [ ("report", embed_json (Lb_analysis.Driver.to_json report)) ])
-
-let run_chaos st ~cancel ~send ~max_states ~random ~seed =
-  let cells =
-    Lb_faults.Matrix.shipped
-    @ (if random > 0 then Lb_faults.Matrix.random_cells ~seed ~count:random
-       else [])
+let check_result (spec : Protocol.check_spec) (o : Job.check) =
+  let reports =
+    List.map
+      (fun ((algo : Lb_shmem.Algorithm.t), r) ->
+        let certified =
+          r.Lb_mutex.Model_check.verdict = Lb_mutex.Model_check.Verified
+        in
+        ( certified,
+          Json.Obj
+            [
+              ("algo", Json.String algo.Lb_shmem.Algorithm.name);
+              ("n", Json.Int spec.k_n);
+              ("rounds", Json.Int spec.k_rounds);
+              ( "verdict",
+                Json.String
+                  (Lb_mutex.Model_check.verdict_slug r.Lb_mutex.Model_check.verdict)
+              );
+              ("states", Json.Int r.Lb_mutex.Model_check.states);
+              ("transitions", Json.Int r.Lb_mutex.Model_check.transitions);
+              ("certified", Json.Bool certified);
+            ] ))
+      o.Job.reports
   in
-  cancellable st ~cancel ~send ~kind:"chaos" @@ fun () ->
-  let t = Lb_faults.Matrix.run ~cancel ~max_states cells in
-  send
-    (result_event "chaos" t.Lb_faults.Matrix.honest
-       [ ("matrix", embed_json (Lb_faults.Matrix.to_json t)) ])
+  (List.for_all fst reports, [ ("reports", Json.List (List.map snd reports)) ])
 
-let run_mutate st ~cancel ~send m_algos =
-  match Protocol.resolve_algos ~default_all:false m_algos with
-  | Error msg -> send (error_event "mutate" msg)
-  | Ok algos ->
-    cancellable st ~cancel ~send ~kind:"mutate" @@ fun () ->
-    let t =
-      Lb_mutate.Campaign.run ~cancel
-        ~allow:Lb_algos.Registry.expected_survivors algos
-    in
-    send
-      (result_event "mutate"
-         (Lb_mutate.Campaign.clean t)
-         [ ("campaign", embed_json (Lb_mutate.Campaign.to_json t)) ])
-
-let run_job st ~cancel ~send job =
+(* The event that ends a granted job: its result, an error about its
+   parameters, or [drained] when the drain cancelled it. An engine that
+   surfaces the drain as its own error (deadline, torn pool) still
+   reports as drained, not as a job failure. *)
+let job_event st ~cancel ~send job =
+  let kind = Protocol.kind job in
+  let ended f =
+    match f () with
+    | Ok (ok, fields) -> result_event kind ok fields
+    | Error msg -> error_event kind msg
+    | exception Pool.Cancelled -> drained_event ~kind ~grace:st.cfg.grace ~manifest:None false
+    | exception _ when Pool.Cancel.requested cancel ->
+      drained_event ~kind ~grace:st.cfg.grace ~manifest:None false
+  in
   match (job : Protocol.job) with
-  | Protocol.Certify spec -> run_certify st ~cancel ~send spec
-  | Protocol.Check { k_algos; k_n; k_rounds; k_max_states } ->
-    run_check st ~cancel ~send k_algos ~n:k_n ~rounds:k_rounds
-      ~max_states:k_max_states
-  | Protocol.Lint { l_algos; l_sizes } ->
-    run_lint st ~cancel ~send l_algos ~sizes:l_sizes
-  | Protocol.Chaos { h_max_states; h_random; h_seed } ->
-    run_chaos st ~cancel ~send ~max_states:h_max_states ~random:h_random
-      ~seed:h_seed
-  | Protocol.Mutate { m_algos } -> run_mutate st ~cancel ~send m_algos
+  | Protocol.Certify spec -> certify_event st ~cancel ~send spec
+  | Protocol.Check spec ->
+    ended (fun () ->
+        Job.check ~cancel ~deadline:None ~mem_budget:None ~spill_dir:None
+          ~resume:false spec
+        |> Result.map (check_result spec))
+  | Protocol.Lint spec ->
+    ended (fun () ->
+        Job.lint ~cancel ~settings:Lb_analysis.Automaton.default_settings
+          ~passes:Lb_analysis.Driver.default_passes ~allowlist:true spec
+        |> Result.map (fun report ->
+               ( Lb_analysis.Driver.clean report,
+                 [ ("report", Lb_analysis.Driver.to_json report) ] )))
+  | Protocol.Chaos spec ->
+    ended (fun () ->
+        let t = Job.chaos ~cancel ~deadline:None spec in
+        Ok
+          ( t.Lb_faults.Matrix.honest,
+            [ ("matrix", embed_json (Lb_faults.Matrix.to_json t)) ] ))
+  | Protocol.Mutate spec ->
+    ended (fun () ->
+        Job.mutate ~cancel ~config:Lb_mutate.Campaign.default
+          ~short_circuit:true ~allowlist:true spec
+        |> Result.map (fun t ->
+               ( Lb_mutate.Campaign.clean t,
+                 [ ("campaign", embed_json (Lb_mutate.Campaign.to_json t)) ] )))
 
 (* ------------------------------- requests ------------------------------ *)
 
@@ -359,6 +280,10 @@ let stats_body st =
         ("clients", Json.List clients);
       ])
 
+let draining_503 st conn =
+  Http.respond conn ~status:503 ~headers:(retry_after st.cfg.grace)
+    (err_body "draining")
+
 let handle_job st conn (req : Http.request) =
   let client =
     match Http.header req "x-client" with
@@ -372,10 +297,7 @@ let handle_job st conn (req : Http.request) =
     | Error msg -> Http.respond conn ~status:400 (err_body msg)
     | Ok job -> (
       log st "%s: %s job" client (Protocol.kind job);
-      if Atomic.get st.draining then
-        Http.respond conn ~status:503
-          ~headers:(retry_after st.cfg.grace)
-          (err_body "draining")
+      if Atomic.get st.draining then draining_503 st conn
       else
         let warm =
           match job with
@@ -396,10 +318,7 @@ let handle_job st conn (req : Http.request) =
                    ("error", Json.String "rate_limited");
                    ("retry_after", Json.Float ra);
                  ])
-          | Error `Draining ->
-            Http.respond conn ~status:503
-              ~headers:(retry_after st.cfg.grace)
-              (err_body "draining")
+          | Error `Draining -> draining_503 st conn
           | Ok ticket ->
             Fun.protect
               ~finally:(fun () -> Scheduler.finish st.sched ticket)
@@ -440,14 +359,16 @@ let handle_job st conn (req : Http.request) =
                     ~finally:(fun () -> unregister_cancel st cancel)
                     (fun () ->
                       Domain.join
-                        (Domain.spawn (fun () -> run_job st ~cancel ~send job)));
+                        (Domain.spawn (fun () ->
+                             send (job_event st ~cancel ~send job))));
                   job_served st client);
                 Http.finish_chunked conn))))
 
-let handle st conn =
-  Unix.setsockopt_float conn Unix.SO_RCVTIMEO 10.0;
-  Unix.setsockopt_float conn Unix.SO_SNDTIMEO 30.0;
-  match Http.read_request conn with
+(* [request] is what [Http.read_request] made of the connection; a
+   request cut short by the drain (see [run]) is answered 503. *)
+let handle st conn request =
+  match request with
+  | Error _ when Atomic.get st.draining -> draining_503 st conn
   | Error msg -> Http.respond conn ~status:400 (err_body msg)
   | Ok req -> (
     match (req.Http.meth, req.Http.path) with
@@ -462,6 +383,10 @@ let handle st conn =
         (err_body (Printf.sprintf "no such endpoint %S" path)))
 
 (* ------------------------------- lifecycle ----------------------------- *)
+
+(* An accepted connection: [reading] until its request is read,
+   [closed] once its handler closed [fd]. *)
+type conn = { fd : Unix.file_descr; mutable reading : bool; mutable closed : bool }
 
 let run cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -501,32 +426,42 @@ let run cfg =
   (* Connection threads: one systhread of this domain per accept,
      reaped cooperatively — a finishing handler records its id, the
      accept loop joins those (a no-op wait) so handles don't accumulate
-     over a long-lived server. Only the accept loop touches [live]. *)
-  let live : (int * Thread.t) list ref = ref [] in
+     over a long-lived server. Only the accept loop touches [live];
+     [tmu] guards [done_ids] and each connection's [reading] and
+     [closed]. *)
+  let live : (int * Thread.t * conn) list ref = ref [] in
   let tmu = Mutex.create () in
   let done_ids : int list ref = ref [] in
-  let spawn_conn conn =
+  let spawn_conn fd =
+    let c = { fd; reading = true; closed = false } in
     let conn_thread () =
       Fun.protect
         ~finally:(fun () ->
-          (try Unix.close conn with Unix.Unix_error _ -> ());
-          let id = Thread.id (Thread.self ()) in
-          Mutex.protect tmu (fun () -> done_ids := id :: !done_ids))
+          Mutex.protect tmu (fun () ->
+              c.closed <- true;
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              done_ids := Thread.id (Thread.self ()) :: !done_ids))
         (fun () ->
-          try handle st conn with
+          try
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0;
+            let request = Http.read_request fd in
+            Mutex.protect tmu (fun () -> c.reading <- false);
+            handle st fd request
+          with
           | Unix.Unix_error _ -> ()  (* peer went away *)
           | exn -> (
             log st "handler error: %s" (Printexc.to_string exn);
             try
-              Http.respond conn ~status:500 (err_body (Printexc.to_string exn))
+              Http.respond fd ~status:500 (err_body (Printexc.to_string exn))
             with _ -> ()))
     in
     match Thread.create conn_thread () with
-    | t -> live := (Thread.id t, t) :: !live
+    | t -> live := (Thread.id t, t, c) :: !live
     | exception e ->
       (* out of threads: drop this connection, keep serving the rest *)
       log st "no thread for a connection: %s" (Printexc.to_string e);
-      (try Unix.close conn with Unix.Unix_error _ -> ())
+      (try Unix.close fd with Unix.Unix_error _ -> ())
   in
   let reap () =
     let ids =
@@ -535,9 +470,9 @@ let run cfg =
           done_ids := [];
           ids)
     in
-    let fin, rest = List.partition (fun (id, _) -> List.mem id ids) !live in
+    let fin, rest = List.partition (fun (id, _, _) -> List.mem id ids) !live in
     live := rest;
-    List.iter (fun (_, t) -> Thread.join t) fin
+    List.iter (fun (_, t, _) -> Thread.join t) fin
   in
   while not (Atomic.get st.draining) do
     match Unix.select [ sock ] [] [] 0.2 with
@@ -550,14 +485,25 @@ let run cfg =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (* drain: stop accepting, reject the queue, deadline the running
-     jobs, wait for every connection to wind down. *)
+     jobs, wait for every connection to wind down. A connection still
+     waiting for its request would hold the drain until its receive
+     timeout: shutting its receiving side ends the wait at once, and
+     its handler answers 503. Under [tmu], so no fd is shut after its
+     handler closed it (the number may name another file by then). *)
   log st "drain: stopping (grace %.0fs)" cfg.grace;
   (try Unix.close sock with Unix.Unix_error _ -> ());
   Scheduler.drain st.sched;
   let deadline = Unix.gettimeofday () +. cfg.grace in
   with_mu st (fun () ->
       List.iter (fun c -> Pool.Cancel.set_deadline c deadline) st.cancels);
-  List.iter (fun (_, t) -> Thread.join t) !live;
+  Mutex.protect tmu (fun () ->
+      List.iter
+        (fun (_, _, c) ->
+          if c.reading && not c.closed then
+            try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
+            with Unix.Unix_error _ -> ())
+        !live);
+  List.iter (fun (_, t, _) -> Thread.join t) !live;
   Lb_store.Store_lock.release_reader reader;
   Printf.printf "serve: drained (%d jobs served)\n%!"
     (with_mu st (fun () -> st.jobs_done))

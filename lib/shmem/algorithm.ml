@@ -13,6 +13,7 @@ let supports a n =
   n >= 1 && match a.max_n with None -> true | Some k -> n <= k
 
 let registers_only a = a.kind = Registers_only
+let kind_name = function Registers_only -> "registers" | Uses_rmw -> "rmw"
 
 let pp ppf a =
   Format.fprintf ppf "%s (%s)%s" a.name a.description

@@ -27,4 +27,7 @@ val supports : t -> int -> bool
 
 val registers_only : t -> bool
 
+val kind_name : kind -> string
+(** ["registers"] or ["rmw"]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -6,7 +6,6 @@ let create () = Vec.create ()
 let of_steps l = Vec.of_list l
 let length = Vec.length
 let append = Vec.push
-let concat_onto t l = List.iter (Vec.push t) l
 let get = Vec.get
 let steps = Vec.to_list
 let copy = Vec.copy

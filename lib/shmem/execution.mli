@@ -16,9 +16,6 @@ val length : t -> int
 
 val append : t -> Step.t -> unit
 
-val concat_onto : t -> Step.t list -> unit
-(** Append several steps in order. *)
-
 val get : t -> int -> Step.t
 
 val steps : t -> Step.t list

@@ -31,6 +31,10 @@ let init algo ~n =
 
 let copy t = { t with regs = Array.copy t.regs; procs = Array.copy t.procs }
 
+let is_rejection = function
+  | Invalid_argument msg -> String.starts_with ~prefix:"System:" msg
+  | _ -> false
+
 let check_reg t r =
   if r < 0 || r >= Array.length t.regs then
     invalid_arg (Printf.sprintf "System: register %d out of range" r)

@@ -50,6 +50,13 @@ val apply : t -> Step.t -> outcome
     action differs from the issuing process's pending action, and
     [Invalid_argument] on a bad process index or register. *)
 
+val is_rejection : exn -> bool
+(** True for the [Invalid_argument] {!apply} raises on a register that
+    does not exist: the system model rejecting an impossible access. A
+    corrupted value can flow into a register index, and the chaos
+    matrix and the mutation campaign count this rejection as the
+    detection. *)
+
 val response_of : t -> Step.action -> Step.response
 (** The response the action would get in the current state, without
     executing it. *)

@@ -1,5 +1,4 @@
 let default_ttl = 30.0
-let heartbeat_every = default_ttl /. 6.
 
 type t = { c_dir : string }
 
@@ -245,16 +244,6 @@ let failure t ~key =
   match Lb_util.Fsio.read ~path:(failed_path t ~key) () with
   | s -> Some s
   | exception Sys_error _ -> None
-
-let scrub t =
-  (match Sys.readdir t.c_dir with
-  | names ->
-    Array.iter
-      (fun name ->
-        try Sys.remove (Filename.concat t.c_dir name) with Sys_error _ -> ())
-      names
-  | exception Sys_error _ -> ());
-  try Unix.rmdir t.c_dir with Unix.Unix_error _ -> ()
 
 let live_claims st ~ttl =
   let root = claims_root st in

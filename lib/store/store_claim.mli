@@ -146,13 +146,6 @@ val publish_failure : t -> key:string -> message:string -> bool
 val failure : t -> key:string -> string option
 (** The published quarantine message, if any. *)
 
-val scrub : t -> unit
-(** Remove the whole claims directory — called once a sweep has fully
-    resolved (claims for finished keys are pure debris). Safe under
-    races: a concurrent worker's claim files may survive the scrub (the
-    directory is recreated on demand); correctness never depends on a
-    scrub happening. *)
-
 val live_claims : Store.t -> ttl:float -> (string * string) list
 (** [(sweep_id, key)] of every in-TTL [.claim] across {e all} sweeps of
     the store — GC's "is anyone working here?" probe, the per-entry
@@ -187,10 +180,7 @@ val holder : t -> key:string -> epoch:int -> held option
 
 val default_ttl : float
 (** The claim TTL used by the CLI and serve paths when none is given:
-    [30.0] seconds — several heartbeat intervals ({!heartbeat_every})
-    past the longest expected unit, so a live-but-slow worker is not
-    spuriously stolen from, while a SIGKILL'd worker's units are
-    re-granted within a minute. *)
-
-val heartbeat_every : float
-(** Suggested heartbeat cadence for holders: [default_ttl /. 6.]. *)
+    [30.0] seconds — several heartbeat intervals past the longest
+    expected unit, so a live-but-slow worker is not spuriously stolen
+    from, while a SIGKILL'd worker's units are re-granted within a
+    minute. *)

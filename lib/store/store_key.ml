@@ -49,9 +49,7 @@ let compute_fingerprint (algo : Algorithm.t) ~n =
   Buffer.add_string buf
     (Printf.sprintf "mutexlb-fp %d\nalgo %s\nkind %s\nmax_n %s\nn %d\n"
        format_version algo.Algorithm.name
-       (match algo.Algorithm.kind with
-       | Algorithm.Registers_only -> "registers"
-       | Algorithm.Uses_rmw -> "rmw")
+       (Algorithm.kind_name algo.Algorithm.kind)
        (match algo.Algorithm.max_n with
        | None -> "any"
        | Some k -> string_of_int k)

@@ -49,18 +49,15 @@ let size t =
   Mutex.unlock t.lock;
   n
 
-type snapshot = { snap_ids : (string, int) Hashtbl.t; snap_size : int }
+type snapshot = (string, int) Hashtbl.t
 
 let snapshot t =
   Mutex.lock t.lock;
-  let s =
-    { snap_ids = Hashtbl.copy t.ids; snap_size = Vec.length t.names }
-  in
+  let s = Hashtbl.copy t.ids in
   Mutex.unlock t.lock;
   s
 
-let find snap s = Hashtbl.find_opt snap.snap_ids s
-let snapshot_size snap = snap.snap_size
+let find snap s = Hashtbl.find_opt snap s
 
 let names_from t from =
   Mutex.lock t.lock;

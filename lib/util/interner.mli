@@ -55,9 +55,6 @@ val find : snapshot -> string -> int option
 (** Lock-free lookup in a snapshot; [None] for strings interned after
     the snapshot was taken (or never). Safe to call from any domain. *)
 
-val snapshot_size : snapshot -> int
-(** {!size} at the time the snapshot was taken. *)
-
 val names_from : t -> int -> string list
 (** [names_from t from] is the list of names with ids [from, size)], in
     id order, read under one lock acquisition — the model checker's

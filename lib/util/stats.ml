@@ -42,6 +42,3 @@ let percentile xs p =
 
 let ratio a b = if b = 0.0 then nan else a /. b
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f max=%.2f" s.count s.mean
-    s.stddev s.min s.max

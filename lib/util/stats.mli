@@ -23,4 +23,3 @@ val percentile : float list -> float -> float
 val ratio : float -> float -> float
 (** [ratio a b] is [a /. b], or [nan] when [b = 0.]. *)
 
-val pp_summary : Format.formatter -> summary -> unit

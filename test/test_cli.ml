@@ -384,6 +384,33 @@ let test_certify_perms_clamp () =
   Alcotest.(check bool) "goes exhaustive" true
     (Astring_contains.contains out "(6 perms, exhaustive)")
 
+(* work clamps like certify, and its warning names work *)
+let test_work_perms_clamp () =
+  with_temp_dir (fun dir ->
+      let _, out =
+        check_runs "work clamp"
+          (Printf.sprintf "work -a yang_anderson -n 3 --perms 10 --store %s" dir)
+          0
+      in
+      Alcotest.(check bool) "warns as work" true
+        (Astring_contains.contains out
+           "work: --perms 10 exceeds n! = 6 at n=3; clamping to the full family");
+      Alcotest.(check bool) "not as certify" false
+        (Astring_contains.contains out "certify:"))
+
+(* check takes the job grammar's algorithm lists: all and correct *)
+let test_check_registry_lists () =
+  let status, out = run_cmd "check -a all -n 2 --json" in
+  Alcotest.(check int) "all: the faulty controls fail" 1 status;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("all: row " ^ name) true
+        (Astring_contains.contains out (Printf.sprintf "{\"algo\": \"%s\"" name)))
+    [ "yang_anderson"; "broken_spinlock"; "clh" ];
+  let _, out = check_runs "check correct" "check -a correct -n 2 --json" 0 in
+  Alcotest.(check bool) "correct: no faulty control" false
+    (Astring_contains.contains out "broken_spinlock")
+
 let test_certify_store_warm () =
   with_temp_dir (fun dir ->
       let args =
@@ -739,6 +766,8 @@ let suite =
     Alcotest.test_case "rmw gate on pipeline commands" `Quick test_rmw_gate;
     Alcotest.test_case "list --json" `Quick test_list_json;
     Alcotest.test_case "certify --perms clamp" `Quick test_certify_perms_clamp;
+    Alcotest.test_case "work --perms clamp" `Quick test_work_perms_clamp;
+    Alcotest.test_case "check -a all and correct" `Quick test_check_registry_lists;
     Alcotest.test_case "certify --store warm + maintenance" `Quick
       test_certify_store_warm;
     Alcotest.test_case "certify --store --events" `Quick test_certify_store_events;

@@ -367,6 +367,31 @@ let test_sweep_cancel_checkpoints_and_resumes () =
           Alcotest.(check string) "manifest byte-identical" ref_manifest
             (read_file report2.Sweep.manifest_path)))
 
+(* ------------------------------ protocol ------------------------------- *)
+
+(* A served job that leaves a field out runs what the verb runs when
+   its flag is left out: certify and chaos seed 1 and chaos max_states
+   200,000, as on the command line. *)
+let test_protocol_defaults () =
+  List.iter
+    (fun (body, summary) ->
+      match Result.bind (Json.parse body) Protocol.job_of_json with
+      | Error msg -> Alcotest.failf "%s: %s" body msg
+      | Ok job ->
+        Alcotest.(check string) body summary
+          (Json.to_string (Protocol.job_summary job)))
+    [
+      ( {|{"kind":"certify","algo":"bakery","n":3}|},
+        {|{"kind":"certify","algo":"bakery","n":3,"perms":24,"seed":1,"resume":false,"save_traces":false,"pi_timeout":null}|}
+      );
+      ( {|{"kind":"check","algo":"bakery","n":3}|},
+        {|{"kind":"check","algo":"bakery","n":3,"rounds":1,"max_states":500000}|} );
+      ({|{"kind":"lint"}|}, {|{"kind":"lint","algo":"all","sizes":[2,3,4]}|});
+      ( {|{"kind":"chaos"}|},
+        {|{"kind":"chaos","max_states":200000,"random":0,"seed":1}|} );
+      ({|{"kind":"mutate"}|}, {|{"kind":"mutate","algo":"correct"}|});
+    ]
+
 (* ------------------------------ scheduler ------------------------------ *)
 
 let sched_cfg ?(max_active = 1) ?(per_client = 1) ?(rate = 1000.0)
@@ -834,6 +859,31 @@ let test_server_drain_cancels_nonresumable () =
     Alcotest.(check bool) "finished cleanly instead" true
       (o.Lb_serve.Client.o_result <> None)
 
+(* A SIGTERM drain answers a connection still waiting for its request
+   at once, 503 draining, instead of letting it hold the drain until
+   its receive timeout (10 s, then a 400). *)
+let test_server_drain_idle_connection () =
+  let store_dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf store_dir) @@ fun () ->
+  let d, port = start_server ~grace:0.5 ~store_dir () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* let the accept loop hand the idle connection to a thread *)
+  Unix.sleepf 0.5;
+  let t0 = Unix.gettimeofday () in
+  stop_server d;
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "drained in %.2f s" took) true (took < 1.5);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let head = Bytes.create 12 in
+  let rec fill pos =
+    if pos = 12 then pos
+    else match Unix.read fd head pos (12 - pos) with 0 -> pos | k -> fill (pos + k)
+  in
+  let got = fill 0 in
+  Alcotest.(check string) "answered 503" "HTTP/1.1 503" (Bytes.sub_string head 0 got)
+
 (* --------------------------- torture test ------------------------------ *)
 
 let test_concurrent_store_torture () =
@@ -926,6 +976,8 @@ let suite =
       test_sweep_fenced;
     Alcotest.test_case "sweep: cancel checkpoints, resume byte-identical"
       `Slow test_sweep_cancel_checkpoints_and_resumes;
+    Alcotest.test_case "protocol: served defaults are the verbs'" `Quick
+      test_protocol_defaults;
     Alcotest.test_case "sched: round-robin across clients" `Quick
       test_sched_round_robin;
     Alcotest.test_case "sched: rate limit sheds at the door" `Quick
@@ -942,6 +994,8 @@ let suite =
       test_server_drain_and_resume;
     Alcotest.test_case "server: drain cancels non-resumable jobs" `Slow
       test_server_drain_cancels_nonresumable;
+    Alcotest.test_case "server: drain answers idle connections" `Slow
+      test_server_drain_idle_connection;
     Alcotest.test_case "store: reader/writer torture" `Slow
       test_concurrent_store_torture;
   ]
