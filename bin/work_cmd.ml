@@ -19,9 +19,12 @@ let work_cmd =
              ~doc:
                "Per-entry claim expiry. A claim not heartbeat-refreshed \
                 for $(docv) seconds counts as abandoned and is stolen \
-                (epoch-fenced) by a live worker. Must comfortably exceed \
-                one unit's compute time, or live workers steal from each \
-                other — safe (identical bytes) but wasteful.")
+                (epoch-fenced) by a live worker. A worker refreshes its \
+                claims between units, once $(docv)/6 has passed, so a \
+                unit running longer than 5/6 of $(docv) can be stolen \
+                from a live worker — safe (identical bytes) but \
+                wasteful. Must comfortably exceed one unit's compute \
+                time.")
   in
   let batch_arg =
     Arg.(value & opt (some int) None

@@ -54,17 +54,18 @@ let parse_name name =
 
 (* mtime distance from now, in either direction: a file stamped in the
    future (skewed writer, rsync'd store) must age out like any other,
-   or it would hold its claim forever. *)
+   or it would hold its claim forever. [None] when the file is gone. *)
 let age_of path =
   match Unix.stat path with
-  | st -> abs_float (Unix.gettimeofday () -. st.Unix.st_mtime)
-  | exception Unix.Unix_error _ -> infinity
+  | st -> Some (abs_float (Unix.gettimeofday () -. st.Unix.st_mtime))
+  | exception Unix.Unix_error _ -> None
 
-(* Each key's highest (epoch, is_claim) among the names [keep] accepts.
-   Both files at one epoch (release raced a fuzzer's duplicate): the
-   .claim is the conservative read. *)
+(* Each key's highest (epoch, is_claim) among the names [keep] accepts,
+   and the keys [keep] accepts that have a [.failed] record. Both files
+   at one epoch (release raced a fuzzer's duplicate): the .claim is the
+   conservative read. *)
 let scan t ~keep =
-  let table = Hashtbl.create 64 in
+  let table = Hashtbl.create 64 and failed = Hashtbl.create 8 in
   (match Sys.readdir t.c_dir with
   | names ->
     Array.iter
@@ -76,23 +77,39 @@ let scan t ~keep =
             when e' > e || (e' = e && (was_claim || not is_claim)) ->
             ()
           | Some _ | None -> Hashtbl.replace table key (e, is_claim))
-        | Some _ | None -> ())
+        | Some _ -> ()
+        | None -> (
+          match Filename.chop_suffix_opt ~suffix:".failed" name with
+          | Some key when keep key -> Hashtbl.replace failed key ()
+          | Some _ | None -> ()))
       names
   | exception Sys_error _ -> ());
-  table
+  (table, failed)
 
+(* The stat comes after the readdir, so a claim file can vanish between
+   the two: its holder released it (renamed it to .quit) or a stealer
+   swept it as debris. Either way the epoch is no longer held, and
+   reading it as an expired hold would steal a key nobody holds. *)
 let slot_of t ~key (e, is_claim) =
-  if is_claim then Held { epoch = e; age = age_of (claim_path t ~key ~epoch:e) }
+  if is_claim then
+    match age_of (claim_path t ~key ~epoch:e) with
+    | Some age -> Held { epoch = e; age }
+    | None -> Released { epoch = e }
   else Released { epoch = e }
 
+type snapshot = {
+  slots : (string, slot) Hashtbl.t;
+  failed : (string, unit) Hashtbl.t;
+}
+
 let snapshot t =
-  let table = scan t ~keep:Store_key.is_key in
+  let table, failed = scan t ~keep:Store_key.is_key in
   let slots = Hashtbl.create (Hashtbl.length table) in
   Hashtbl.iter (fun key top -> Hashtbl.replace slots key (slot_of t ~key top)) table;
-  slots
+  { slots; failed }
 
 let probe_slot t ~key =
-  match Hashtbl.find_opt (scan t ~keep:(String.equal key)) key with
+  match Hashtbl.find_opt (fst (scan t ~keep:(String.equal key))) key with
   | Some top -> slot_of t ~key top
   | None -> Free
 
@@ -260,10 +277,10 @@ let live_claims st ~ttl =
         Array.to_list names
         |> List.filter_map (fun name ->
                match parse_name name with
-               | Some (key, _e, true)
-                 when Store_key.is_key key
-                      && age_of (Filename.concat dir name) <= ttl ->
-                 Some (sweep_id, key)
+               | Some (key, _e, true) when Store_key.is_key key -> (
+                 match age_of (Filename.concat dir name) with
+                 | Some age when age <= ttl -> Some (sweep_id, key)
+                 | Some _ | None -> None)
                | Some _ | None -> None)
         |> List.sort_uniq compare
       | exception Sys_error _ -> [])

@@ -88,12 +88,22 @@ type slot =
   | Free  (** no claim file — take epoch 1 *)
   | Held of { epoch : int; age : float }
       (** live [.claim]; [age = |now - mtime|], stealable when stale *)
-  | Released of { epoch : int }  (** [.quit] high-water mark; take epoch+1 *)
+  | Released of { epoch : int }
+      (** [.quit] high-water mark, or a [.claim] that vanished between
+          the [readdir] and its [stat] (released or swept by a take
+          meanwhile); take epoch+1 *)
 
-val snapshot : t -> (string, slot) Hashtbl.t
-(** One [readdir] pass over the claims directory: the current slot of
-    every store key that has any claim or quit file (absent keys are
-    [Free]). Unparsable filenames are ignored as debris. *)
+type snapshot = {
+  slots : (string, slot) Hashtbl.t;
+      (** the slot of every store key that has a claim or quit file;
+          absent keys are [Free] *)
+  failed : (string, unit) Hashtbl.t;
+      (** every store key that has a [.failed] record *)
+}
+
+val snapshot : t -> snapshot
+(** One [readdir] pass over the claims directory. Unparsable filenames
+    are ignored as debris. *)
 
 val probe_slot : t -> key:string -> slot
 (** One [readdir] pass: the current slot of [key]. *)

@@ -222,18 +222,22 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
   (* Set under [lock] by a checkpoint whose refresh came back false:
      another process broke the lease and owns the store now. *)
   let fenced = ref false in
+  (* Outcomes the last manifest written recorded. *)
+  let saved = ref (-1) in
   let checkpoint_locked () =
     (* The refresh comes first, so a fenced sweep writes no manifest
        over its successor's; the heartbeat also keeps TTL-armed
        contenders from mistaking a long-running live sweep for a dead
        remote one. *)
     fenced := !fenced || not (Store_lock.refresh_writer lease);
-    if not !fenced then
+    if not !fenced then begin
       save_manifest plan (fun i ->
           match outcomes.(i) with
           | None -> `Pending
           | Some (Hit | Computed) -> `Done
           | Some (Failed msg) -> `Failed msg);
+      saved := !hits + !computed + !failed
+    end;
     not !fenced
   in
   let locked f =
@@ -287,10 +291,12 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
   let indices = List.init total (fun i -> i) in
   (* On a fail-fast abort ([resume = false] and a pipeline failure), the
      checkpoint below still records the units that did complete before
-     the exception propagates. *)
+     the exception propagates. A sweep whose last checkpoint recorded
+     every unit has nothing left to write. *)
   let records_opt =
     Fun.protect
-      ~finally:(fun () -> ignore (locked checkpoint_locked))
+      ~finally:(fun () ->
+        locked (fun () -> if !saved < total then ignore (checkpoint_locked ())))
       (fun () -> Lb_util.Pool.map ?jobs ?cancel work indices)
   in
   stop_if_fenced ();

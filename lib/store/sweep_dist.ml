@@ -28,39 +28,37 @@ type report = {
   d_manifest_path : string;
 }
 
-(* Heartbeats must keep flowing while the pool computes, so they live
-   on their own domain, refreshing every claim currently held. *)
+(* Held claims are refreshed from the worker's own loop — at the top of
+   each claim round, in each backoff nap, and after each unit on
+   whichever pool domain finished it — not from a domain of their own:
+   on OCaml 5 every minor collection stops every domain, so even one
+   that only sleeps slows the domains that compute (DESIGN §4). A claim
+   is thus refreshed at least every max(every, the longest unit in
+   flight). *)
 type heartbeat = {
   hb_mu : Mutex.t;
+  hb_every : float;
+  mutable hb_last : float;
   mutable hb_held : Store_claim.claim list;
-  hb_stop : bool Atomic.t;
   mutable hb_fenced : string list;  (* keys whose refresh came back false *)
 }
 
-let hb_start ~every =
-  let hb =
-    { hb_mu = Mutex.create (); hb_held = []; hb_stop = Atomic.make false;
-      hb_fenced = [] }
-  in
-  let dom =
-    Domain.spawn (fun () ->
-        let tick = Float.min 0.05 every in
-        let next = ref (Unix.gettimeofday () +. every) in
-        while not (Atomic.get hb.hb_stop) do
-          Unix.sleepf tick;
-          if Unix.gettimeofday () >= !next then begin
-            next := Unix.gettimeofday () +. every;
-            Mutex.lock hb.hb_mu;
-            List.iter
-              (fun c ->
-                if not (Store_claim.refresh c) then
-                  hb.hb_fenced <- Store_claim.key c :: hb.hb_fenced)
-              hb.hb_held;
-            Mutex.unlock hb.hb_mu
-          end
-        done)
-  in
-  (hb, dom)
+let hb_create ~every =
+  { hb_mu = Mutex.create (); hb_every = every; hb_last = Unix.gettimeofday ();
+    hb_held = []; hb_fenced = [] }
+
+(* A fenced claim leaves the held list: its key is reported once, and
+   there is nothing left to refresh. *)
+let hb_beat hb =
+  Mutex.lock hb.hb_mu;
+  let now = Unix.gettimeofday () in
+  if now -. hb.hb_last >= hb.hb_every then begin
+    hb.hb_last <- now;
+    let live, fenced = List.partition Store_claim.refresh hb.hb_held in
+    hb.hb_held <- live;
+    hb.hb_fenced <- List.rev_append (List.map Store_claim.key fenced) hb.hb_fenced
+  end;
+  Mutex.unlock hb.hb_mu
 
 let hb_add hb c =
   Mutex.lock hb.hb_mu;
@@ -102,15 +100,8 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
      we are gone; the whole-store writer lease is deliberately NOT
      taken — per-entry claims replace it for distributed sweeps. *)
   let reader = Store_lock.register_reader ~purpose:"work" store in
-  let hb, hb_dom = hb_start ~every:(Float.max 0.02 (ttl /. 6.)) in
-  let stop_hb () =
-    Atomic.set hb.hb_stop true;
-    Domain.join hb_dom
-  in
-  Fun.protect ~finally:(fun () ->
-      stop_hb ();
-      Store_lock.release_reader reader)
-  @@ fun () ->
+  let hb = hb_create ~every:(ttl /. 6.) in
+  Fun.protect ~finally:(fun () -> Store_lock.release_reader reader) @@ fun () ->
   (* [resolved.(i)]: None = pending; Some true = done (store entry);
      Some false = failed (.failed record). Monotonic — durable facts
      never un-resolve within a run. *)
@@ -128,6 +119,7 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
   in
   (* The manifest is derived from durable state only, so every worker
      checkpointing at the same store state writes identical bytes. *)
+  let checkpointed = ref (-1) (* [resolved_count] the last one recorded *) in
   let checkpoint () =
     locked (fun () ->
         Sweep.save_manifest plan (fun i ->
@@ -135,6 +127,7 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
             | None -> `Pending
             | Some true -> `Done
             | Some false -> `Failed (failure i));
+        checkpointed := !resolved_count;
         on_event
           (Checkpoint { manifest = mpath; resolved = !resolved_count; total }))
   in
@@ -149,7 +142,10 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
   let since_checkpoint = ref 0 in
   let compute_one (i, claim) =
     let pi = plan.Sweep.u_pis.(i) and key = plan.Sweep.u_keys.(i) in
-    Fun.protect ~finally:(fun () -> hb_remove hb claim; Store_claim.release claim)
+    Fun.protect ~finally:(fun () ->
+        hb_remove hb claim;
+        Store_claim.release claim;
+        hb_beat hb)
     @@ fun () ->
     let outcome =
       (* Re-probe durable state under the claim: a fenced-out previous
@@ -217,6 +213,7 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
       (match cancel with
       | Some c when Lb_util.Pool.Cancel.requested c -> raise Lb_util.Pool.Cancelled
       | _ -> ());
+      hb_beat hb;
       let left = deadline -. Unix.gettimeofday () in
       if left > 0.0 then begin
         Unix.sleepf (Float.min 0.05 left);
@@ -231,30 +228,54 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
     checkpoint ();
     raise Lb_util.Pool.Cancelled
   in
-  let rec round () =
-    (match cancel with
-    | Some c when Lb_util.Pool.Cancel.requested c -> drain []
-    | _ -> ());
-    List.iter (fun k -> locked (fun () -> on_event (Fenced { key = k })))
-      (hb_take_fenced hb);
-    (* Refresh unresolved units from durable state. *)
+  (* One readdir per round gives every key's claim slot and .failed
+     record. The first round probes the store for every unresolved
+     unit; later rounds only for units whose key has a claim file or a
+     .failed record, since that is where a peer's work shows. A key
+     nobody has claimed stays pending without I/O: [compute_one]
+     re-probes the store under its claim, so an entry that a plain
+     {!Sweep} wrote meanwhile still resolves as a hit. *)
+  let pending_units ~probe_all (snap : Store_claim.snapshot) =
     let pending = ref [] in
-    Array.iteri
-      (fun i r ->
-        if r = None then
+    for i = total - 1 downto 0 do
+      if resolved.(i) = None then begin
+        let key = plan.Sweep.u_keys.(i) in
+        let failed = Hashtbl.mem snap.failed key in
+        if probe_all || failed || Hashtbl.mem snap.slots key then
           match Sweep.lookup plan i with
           | `Hit _ ->
             mark i true;
             locked (fun () -> incr hits)
-          | `Absent | `Damaged _ -> (
-            match Store_claim.failure claims ~key:plan.Sweep.u_keys.(i) with
-            | Some _ -> mark i false
-            | None -> pending := i :: !pending))
-      resolved;
-    let pending = List.rev !pending in
-    if pending = [] then ()
-    else begin
-      let snap = Store_claim.snapshot claims in
+          | `Absent | `Damaged _ ->
+            if failed then mark i false else pending := i :: !pending
+        else pending := i :: !pending
+      end
+    done;
+    !pending
+  in
+  let rec round ~first =
+    (match cancel with
+    | Some c when Lb_util.Pool.Cancel.requested c -> drain []
+    | _ -> ());
+    hb_beat hb;
+    List.iter (fun k -> locked (fun () -> on_event (Fenced { key = k })))
+      (hb_take_fenced hb);
+    let snap = Store_claim.snapshot claims in
+    match pending_units ~probe_all:first snap with
+    | [] ->
+      (* Every unit is resolved. A claim still held past the TTL belongs
+         to a worker that died after publishing its unit: retire it, so
+         the sweep leaves only released claims and gc need not wait it
+         out. *)
+      Hashtbl.iter
+        (fun key slot ->
+          match slot with
+          | Store_claim.Held { age; _ } when age > ttl ->
+            Option.iter Store_claim.release
+              (Store_claim.try_claim ~slot claims ~key ~ttl)
+          | Store_claim.Held _ | Store_claim.Free | Store_claim.Released _ -> ())
+        snap.slots
+    | pending ->
       (* Rotate the candidate list by a jittered offset so K workers
          starting together fan out over the family instead of queueing
          on the same first key. Results are unaffected — claims only
@@ -275,7 +296,8 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
           if !n_claimed < batch then begin
             let key = plan.Sweep.u_keys.(i) in
             let slot =
-              Option.value ~default:Store_claim.Free (Hashtbl.find_opt snap key)
+              Option.value ~default:Store_claim.Free
+                (Hashtbl.find_opt snap.slots key)
             in
             match Store_claim.try_claim ~slot claims ~key ~ttl with
             | Some c ->
@@ -322,13 +344,14 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
            unstarted ones still hold claims — hand them back so
            survivors need not wait out the TTL. *)
         drain claimed);
-      round ()
-    end
+      round ~first:false
   in
-  round ();
+  round ~first:true;
   (* Finalize: every unit resolved. The records, failures and final
-     manifest all derive from durable state in family order. *)
-  checkpoint ();
+     manifest all derive from durable state in family order; the
+     manifest is written unless the last checkpoint already recorded
+     every unit. *)
+  if locked (fun () -> !checkpointed) < total then checkpoint ();
   let records = ref [] and failures = ref [] and failed = ref 0 in
   for i = total - 1 downto 0 do
     match Sweep.lookup plan i with

@@ -8,18 +8,26 @@
     progress on one family. Each round a worker:
 
     {ol
-    {- re-derives every unresolved unit's state from {e durable} facts:
-       a valid store entry means Done, a published [.failed] record
-       means Failed, anything else is Pending;}
-    {- snapshots the claims directory and claims a batch of pending
-       units nobody holds a live claim on — including units whose claim
-       {e expired} (worker killed, clock skewed), which are stolen with
-       epoch fencing so the previous holder, should it resume, cannot
-       interfere;}
+    {- lists the claims directory once, which gives every key's claim
+       slot and every published [.failed] record;}
+    {- re-derives unresolved units' states from {e durable} facts: a
+       valid store entry means Done, a [.failed] record means Failed,
+       anything else is Pending. The first round probes the store for
+       every unit; later rounds only for units whose key has a claim
+       file or a [.failed] record, where a peer worker's progress
+       shows. A key nobody has claimed stays Pending without I/O;
+       the unit is probed again under its claim before it is computed,
+       so an entry another engine stored is still a hit;}
+    {- claims a batch of pending units nobody holds a live claim on —
+       including units whose claim {e expired} (worker killed, clock
+       skewed), which are stolen with epoch fencing so the previous
+       holder, should it resume, cannot interfere;}
     {- computes its batch on the domain pool, publishing each result
        content-addressed (idempotent) or each failure through the
-       exactly-once [.failed] channel, heartbeating held claims from a
-       dedicated domain the whole time;}
+       exactly-once [.failed] channel. The worker refreshes its held
+       claims from its own loop — at the top of each round, in each
+       backoff nap and after each unit — once [ttl/6] has passed since
+       the last refresh; no domain is spawned for it;}
     {- checkpoints the shared manifest — {e derived} from the durable
        facts above, so every worker writes the same bytes for the same
        store state — and backs off with seeded jitter when it found
@@ -95,9 +103,11 @@ val work :
   report
 (** Run one worker until the whole sweep is resolved (or [cancel]
     fires). [ttl] (default {!Store_claim.default_ttl}) is the claim
-    expiry; it must comfortably exceed one unit's compute time or live
-    workers steal from each other (safe — duplicated work, identical
-    bytes — but wasteful). [batch] (default [2 × jobs]) bounds claims
+    expiry. Claims are refreshed between units, so a claim goes
+    unrefreshed for up to max([ttl/6], the longest unit in flight): a
+    unit that runs longer than 5/6 of [ttl] can be stolen from a live
+    worker (safe — duplicated work, identical bytes — but wasteful), so
+    [ttl] must comfortably exceed one unit's compute time. [batch] (default [2 × jobs]) bounds claims
     held at once; [seed] (default the pid) feeds only the contention
     jitter — it cannot affect results. [on_event] may be called from
     pool workers; keep it cheap and thread-safe. Failures are always

@@ -1,12 +1,16 @@
 (* Worker domains are spawned per [map] call and joined before it
-   returns. A shared persistent pool would amortize the ~tens of
-   microseconds of Domain.spawn, but it makes nested maps (a parallel
-   certify inside a parallel experiment grid) deadlock-prone: every
-   worker could end up blocked waiting for queue slots serviced only by
-   workers. Per-call domains plus a domain-local "I am a worker" flag —
-   under which nested maps degrade to List.map — keep the whole sweep
-   layer composable, and the spawn cost is invisible next to a single
-   construct→encode→decode run. *)
+   returns. A shared persistent pool would amortize the spawn, but it
+   makes nested maps (a parallel certify inside a parallel experiment
+   grid) deadlock-prone: every worker could end up blocked waiting for
+   queue slots serviced only by workers, and on OCaml 5 its idle
+   domains would slow every minor collection. Per-call domains plus a
+   domain-local "I am a worker" flag — under which nested maps degrade
+   to List.map — keep the whole sweep layer composable. The spawn is
+   paid once per call, not per item, but it is not free: on a 2-vCPU VM
+   (OCaml 5.1.1) an empty spawn and join takes 0.19–0.28 ms, and a
+   yang_anderson n=10 unit takes 1.77–2.39 ms on a fresh domain against
+   1.04–1.42 ms on the calling domain. The calling domain works as one
+   of the [jobs] workers, so [jobs = 1] spawns nothing. *)
 
 let in_worker_key = Domain.DLS.new_key (fun () -> false)
 let in_worker () = Domain.DLS.get in_worker_key

@@ -20,9 +20,9 @@
        results. The test suite checks this with a qcheck property over
        random certify sweeps.}}
 
-    Workers are spawned per {!map} call and joined before it returns
-    (domains are cheap relative to a single construct→encode→decode run);
-    a call never leaves domains behind. Calls from inside a worker — e.g.
+    Workers are spawned per {!map} call and joined before it returns,
+    and the calling domain works as one of them; a call never leaves
+    domains behind. Calls from inside a worker — e.g.
     a parallel {!Lb_core.Pipeline.certify} cell inside a parallel
     experiment grid — are detected with domain-local storage and run
     sequentially, so nested maps can never deadlock or oversubscribe the

@@ -64,7 +64,7 @@ let test_claim_lifecycle () =
       let t = Claim.open_ st ~sweep_id:"s1" in
       let key = key_of "unit-a" in
       Alcotest.(check int) "empty snapshot" 0
-        (Hashtbl.length (Claim.snapshot t));
+        (Hashtbl.length (Claim.snapshot t).Claim.slots);
       let c1 =
         match Claim.try_claim t ~key ~ttl:30.0 with
         | Some c -> c
@@ -76,14 +76,14 @@ let test_claim_lifecycle () =
       (match Claim.try_claim t ~key ~ttl:30.0 with
       | Some _ -> Alcotest.fail "double grant on a live claim"
       | None -> ());
-      (match Hashtbl.find_opt (Claim.snapshot t) key with
+      (match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
       | Some (Claim.Held { epoch = 1; age }) ->
         Alcotest.(check bool) "young claim" true (age < 10.0)
       | _ -> Alcotest.fail "snapshot misses the held claim");
       Alcotest.(check bool) "heartbeat sticks" true (Claim.refresh c1);
       Claim.release c1;
       Claim.release c1 (* idempotent *);
-      (match Hashtbl.find_opt (Claim.snapshot t) key with
+      (match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
       | Some (Claim.Released { epoch = 1 }) -> ()
       | _ -> Alcotest.fail "release did not leave a quit high-water mark");
       (* re-claim moves the epoch up — .quit keeps 1 from ever recurring *)
@@ -94,7 +94,7 @@ let test_claim_lifecycle () =
       in
       Alcotest.(check int) "epoch after release" 2 (Claim.epoch c2);
       Claim.abandon c2;
-      match Hashtbl.find_opt (Claim.snapshot t) key with
+      match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
       | Some (Claim.Released { epoch = 2 }) -> ()
       | _ -> Alcotest.fail "abandon did not release")
 
@@ -105,7 +105,7 @@ let test_claim_steal_and_fence () =
       let c1 = Option.get (Claim.try_claim t ~key ~ttl:0.05) in
       Unix.sleepf 0.12;
       (* expired: a snapshot shows it stale, and a steal wins epoch 2 *)
-      (match Hashtbl.find_opt (Claim.snapshot t) key with
+      (match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
       | Some (Claim.Held { epoch = 1; age }) ->
         Alcotest.(check bool) "stale age" true (age > 0.05)
       | _ -> Alcotest.fail "expired claim vanished from the snapshot");
@@ -118,7 +118,7 @@ let test_claim_steal_and_fence () =
       (* fencing: the zombie's heartbeat fails, its release is a no-op *)
       Alcotest.(check bool) "zombie fenced" false (Claim.refresh c1);
       Claim.release c1;
-      (match Hashtbl.find_opt (Claim.snapshot t) key with
+      (match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
       | Some (Claim.Held { epoch = 2; _ }) -> ()
       | _ -> Alcotest.fail "zombie release disturbed the successor");
       Alcotest.(check bool) "successor alive" true (Claim.refresh c2);
@@ -134,7 +134,9 @@ let test_claim_failure_exactly_once () =
       Alcotest.(check bool) "second publish defers" false
         (Claim.publish_failure t ~key ~message:"boom: second");
       Alcotest.(check (option string)) "the winner's message stands"
-        (Some "boom: first") (Claim.failure t ~key))
+        (Some "boom: first") (Claim.failure t ~key);
+      Alcotest.(check bool) "the snapshot lists the record" true
+        (Hashtbl.mem (Claim.snapshot t).Claim.failed key))
 
 (* Satellite: the corruption matrix. Claim-file content is diagnostic
    only and unparsable names are debris, so truncation, bit flips,
@@ -153,7 +155,7 @@ let test_claim_corruption_matrix () =
       Alcotest.(check bool) "fuzz ops landed" true (List.length applied > 0);
       (* scans survive, held keys stay held (torn content can't free
          them), a fresh key is still grantable *)
-      let snap = Claim.snapshot t in
+      let snap = (Claim.snapshot t).Claim.slots in
       List.iter
         (fun key ->
           match Hashtbl.find_opt snap key with
@@ -191,12 +193,31 @@ let test_claim_duplicate_prefers_held () =
       let _c = Option.get (Claim.try_claim t ~key ~ttl:30.0) in
       let twin = Filename.concat (Claim.dir t) (key ^ ".1.quit") in
       Out_channel.with_open_bin twin (fun oc -> output_string oc "stale twin");
-      (match Hashtbl.find_opt (Claim.snapshot t) key with
+      (match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
       | Some (Claim.Held { epoch = 1; _ }) -> ()
       | _ -> Alcotest.fail "duplicate .quit shadowed a live .claim");
       match Claim.try_claim t ~key ~ttl:30.0 with
       | Some _ -> Alcotest.fail "duplicate .quit allowed a double grant"
       | None -> ())
+
+(* A claim file that vanishes between a scan's readdir and its stat was
+   released or swept by a take; a dangling symlink fails its stat the
+   same way. Either reads as a released epoch, never as an expired hold
+   that a taker would report as stolen. *)
+let test_claim_vanished_reads_released () =
+  with_store (fun st ->
+      let t = Claim.open_ st ~sweep_id:"s1" in
+      let key = key_of "vanished" in
+      Unix.symlink "nowhere" (Filename.concat (Claim.dir t) (key ^ ".1.claim"));
+      (match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
+      | Some (Claim.Released { epoch = 1 }) -> ()
+      | _ -> Alcotest.fail "snapshot read a claim it cannot stat as held");
+      (match Claim.probe_slot t ~key with
+      | Claim.Released { epoch = 1 } -> ()
+      | _ -> Alcotest.fail "probe_slot read a claim it cannot stat as held");
+      match Claim.try_claim t ~key ~ttl:30.0 with
+      | Some c -> Alcotest.(check int) "the next epoch" 2 (Claim.epoch c)
+      | None -> Alcotest.fail "released epoch refused")
 
 (* ------------------------- lease TTL and skew -------------------------- *)
 
@@ -327,26 +348,137 @@ let test_dist_three_workers_in_process () =
       Alcotest.(check string) "aggregate certificate" (cert_text oracle_cert)
         (cert_text (Option.get cert)))
 
+(* Two workers over [pis] on one store, each on its own domain. *)
+let two_workers st ?on_event ~ttl pis =
+  let worker () =
+    Domain.spawn (fun () ->
+        Dist.work ~store:st ~jobs:1 ~ttl ?on_event ya ~n:4 ~perms:pis ())
+  in
+  List.map Domain.join [ worker (); worker () ]
+
+(* Workers refresh their claims from their own loop, so live workers
+   whose units are far shorter than the TTL never steal from each
+   other and are never fenced. *)
+let test_dist_live_workers_never_steal () =
+  let _, oracle_manifest = oracle () in
+  let pis, _ = family () in
+  with_store (fun st ->
+      let strays = Atomic.make 0 in
+      let on_event = function
+        | Dist.Stolen _ | Dist.Fenced _ -> Atomic.incr strays
+        | _ -> ()
+      in
+      let reports = two_workers st ~on_event ~ttl:1.0 pis in
+      Alcotest.(check int) "no claim stolen or fenced" 0 (Atomic.get strays);
+      List.iter
+        (fun r ->
+          Alcotest.(check string) "manifest bytes" oracle_manifest
+            (read_file r.Dist.d_manifest_path))
+        reports)
+
+(* A TTL shorter than one unit lets live workers steal from each other:
+   duplicated work, the same bytes. *)
+let test_dist_ttl_under_a_unit_converges () =
+  let _, oracle_manifest = oracle () in
+  let pis, _ = family () in
+  with_store (fun st ->
+      let reports = two_workers st ~ttl:1e-6 pis in
+      List.iter
+        (fun r ->
+          Alcotest.(check string) "manifest bytes" oracle_manifest
+            (read_file r.Dist.d_manifest_path);
+          Alcotest.(check int) "nothing failed" 0 r.Dist.d_failed)
+        reports)
+
+(* Rounds after the first do not probe a key nobody has claimed; the
+   probe under the claim still finds an entry a plain Sweep stored
+   meanwhile, so it is a hit and is not recomputed. *)
+let test_dist_finds_plain_sweep_entry () =
+  let _, oracle_manifest = oracle () in
+  let pis, _ = family () in
+  with_store (fun st ->
+      let stored = ref false in
+      let on_event = function
+        | Dist.Unit { index; _ } when not !stored ->
+          (* batch 1: the first round claimed [index] alone *)
+          stored := true;
+          let other = List.nth pis (if index = 0 then 1 else 0) in
+          ignore (Sweep.sweep ~store:st ~jobs:1 ya ~n:4 ~perms:[ other ] ())
+        | _ -> ()
+      in
+      let r =
+        Dist.work ~store:st ~jobs:1 ~batch:1 ~on_event ya ~n:4 ~perms:pis ()
+      in
+      Alcotest.(check int) "the stored unit is a hit" 1 r.Dist.d_hits;
+      Alcotest.(check int) "the others computed once" 11 r.Dist.d_computed;
+      Alcotest.(check string) "manifest bytes" oracle_manifest
+        (read_file r.Dist.d_manifest_path))
+
+(* A sweep whose last checkpoint recorded every unit does not write the
+   manifest again on its way out. *)
+let test_final_manifest_written_once () =
+  let pis, _ = family () in
+  with_store (fun st ->
+      let inode = ref (-1) in
+      let on_event = function
+        | Sweep.Checkpoint { manifest; done_; total } when done_ = total ->
+          inode := (Unix.stat manifest).Unix.st_ino
+        | _ -> ()
+      in
+      let r = Sweep.sweep ~store:st ~jobs:1 ~on_event ya ~n:4 ~perms:pis () in
+      Alcotest.(check int) "Sweep: no rewrite after the last checkpoint" !inode
+        (Unix.stat r.Sweep.manifest_path).Unix.st_ino);
+  with_store (fun st ->
+      let complete = ref 0 in
+      let on_event = function
+        | Dist.Checkpoint { resolved; total; _ } when resolved = total ->
+          incr complete
+        | _ -> ()
+      in
+      ignore (Dist.work ~store:st ~jobs:1 ~on_event ya ~n:4 ~perms:pis ());
+      Alcotest.(check int) "Sweep_dist: one complete checkpoint" 1 !complete)
+
+(* The claims directory a worker over [pis] uses, and a unit's key. *)
+let sweep_claims st pis =
+  let fp = Store_key.fingerprint ya ~n:4 in
+  Claim.open_ st
+    ~sweep_id:
+      (Store_key.sweep_id ~fp ~algo:ya.Lb_shmem.Algorithm.name ~n:4 ~perms:pis
+         ~model:Store_key.sc_model)
+
+let unit_key pi =
+  Store_key.derive ~fp:(Store_key.fingerprint ya ~n:4)
+    ~algo:ya.Lb_shmem.Algorithm.name ~n:4 ~pi ~model:Store_key.sc_model
+
+(* A worker killed after publishing a unit but before releasing its
+   claim leaves a held claim on a done unit, which no survivor needs to
+   steal. Once it is past the TTL, a survivor's last round retires it,
+   so the sweep ends with released claims only. *)
+let test_dist_retires_dead_claim_on_done_unit () =
+  let pis, _ = family () in
+  with_store (fun st ->
+      let pi = List.hd pis in
+      ignore (Sweep.sweep ~store:st ~jobs:1 ya ~n:4 ~perms:[ pi ] ());
+      let t = sweep_claims st pis in
+      let key = unit_key pi in
+      ignore (Option.get (Claim.try_claim t ~key ~ttl:30.0));
+      ignore (Wf.skew_claims ~dir:(Claim.dir t) ~by:(-3600.0));
+      ignore (Dist.work ~store:st ~jobs:1 ya ~n:4 ~perms:pis ());
+      match Hashtbl.find_opt (Claim.snapshot t).Claim.slots key with
+      | Some (Claim.Released _) -> ()
+      | _ -> Alcotest.fail "the dead holder's claim was left held")
+
 let test_dist_steals_abandoned_claims () =
   let _, oracle_manifest = oracle () in
   let pis, _ = family () in
   with_store (fun st ->
       (* a "crashed" worker: claims three units and vanishes without
          computing or releasing them *)
-      let fp = Store_key.fingerprint ya ~n:4 in
-      let sweep_id =
-        Store_key.sweep_id ~fp ~algo:ya.Lb_shmem.Algorithm.name ~n:4 ~perms:pis
-          ~model:Store_key.sc_model
-      in
-      let t = Claim.open_ st ~sweep_id in
+      let t = sweep_claims st pis in
       let doomed =
         List.filteri (fun i _ -> i < 3) pis
         |> List.map (fun pi ->
-               let key =
-                 Store_key.derive ~fp ~algo:ya.Lb_shmem.Algorithm.name ~n:4 ~pi
-                   ~model:Store_key.sc_model
-               in
-               Option.get (Claim.try_claim t ~key ~ttl:0.1))
+               Option.get (Claim.try_claim t ~key:(unit_key pi) ~ttl:0.1))
       in
       Alcotest.(check int) "zombie holds three" 3 (List.length doomed);
       Unix.sleepf 0.25;
@@ -647,6 +779,8 @@ let suite =
       test_claim_corruption_matrix;
     Alcotest.test_case "duplicate quit prefers held" `Quick
       test_claim_duplicate_prefers_held;
+    Alcotest.test_case "vanished claim reads released" `Quick
+      test_claim_vanished_reads_released;
     Alcotest.test_case "lock ttl breaks stale" `Quick test_lock_ttl_breaks_stale;
     Alcotest.test_case "lock ttl future skew" `Quick test_lock_ttl_future_skew;
     Alcotest.test_case "lock fenced holder" `Quick test_lock_fenced_holder;
@@ -655,6 +789,16 @@ let suite =
     Alcotest.test_case "dist matches oracle" `Quick test_dist_matches_oracle;
     Alcotest.test_case "dist three workers" `Slow
       test_dist_three_workers_in_process;
+    Alcotest.test_case "dist live workers never steal" `Quick
+      test_dist_live_workers_never_steal;
+    Alcotest.test_case "dist ttl under a unit converges" `Quick
+      test_dist_ttl_under_a_unit_converges;
+    Alcotest.test_case "dist finds a plain sweep entry" `Quick
+      test_dist_finds_plain_sweep_entry;
+    Alcotest.test_case "final manifest written once" `Quick
+      test_final_manifest_written_once;
+    Alcotest.test_case "dist retires a dead claim on a done unit" `Quick
+      test_dist_retires_dead_claim_on_done_unit;
     Alcotest.test_case "dist steals abandoned claims" `Quick
       test_dist_steals_abandoned_claims;
     Alcotest.test_case "dist failures exactly-once" `Quick
