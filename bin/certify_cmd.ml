@@ -125,18 +125,18 @@ let submit ~host ~port ~client ~retries ~backoff
    worker left pending, so it is also the healing pass. Byte-identity
    with --workers 0 holds because workers only add store entries the
    local sweep would have computed identically. *)
-let spawn_workers ~workers ~dir (spec : Lb_serve.Protocol.certify_spec) =
+let spawn_workers ~workers ~dir ~checkpoint_every
+    (spec : Lb_serve.Protocol.certify_spec) =
   let exe = Sys.executable_name in
+  let opt flag show = function None -> [] | Some v -> [ flag; show v ] in
   let args =
     [
       exe; "work"; "--store"; dir; "--algo"; spec.c_algo; "-n"; string_of_int spec.c_n;
       "--seed"; string_of_int spec.c_seed; "--perms"; string_of_int spec.c_perms;
     ]
     @ (if spec.c_save_traces then [ "--save-traces" ] else [])
-    @
-    match spec.c_pi_timeout with
-    | None -> []
-    | Some t -> [ "--pi-timeout"; Printf.sprintf "%g" t ]
+    @ opt "--pi-timeout" (Printf.sprintf "%g") spec.c_pi_timeout
+    @ opt "--checkpoint-every" string_of_int checkpoint_every
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pids =
@@ -291,7 +291,7 @@ let certify_cmd =
       let cert = Lb_core.Pipeline.certify algo ~n:c_n ~perms:pis ~exhaustive () in
       Format.printf "%a@." Lb_core.Bounds.pp_certificate cert
     | None, Some dir ->
-      if workers > 0 then spawn_workers ~workers ~dir spec;
+      if workers > 0 then spawn_workers ~workers ~dir ~checkpoint_every spec;
       sweep ~dir ~events ~checkpoint_every spec
   in
   Cmd.v

@@ -24,9 +24,10 @@ let print_report ~json ~stats ~n ~rounds (algo : Lb_shmem.Algorithm.t)
       (if stats then
          Printf.sprintf
            ", \"stats\": {\"expand_seconds\": %.3f, \"merge_seconds\": %.3f, \
-            \"spill_seconds\": %.3f, \"layers\": %d}"
+            \"spill_seconds\": %.3f, \"layers\": %d, \"scan_layers\": %d}"
            st.Model_check.expand_seconds st.Model_check.merge_seconds
            st.Model_check.spill_seconds st.Model_check.layers
+           st.Model_check.scan_layers
        else "")
   else begin
     Format.printf
@@ -37,9 +38,12 @@ let print_report ~json ~stats ~n ~rounds (algo : Lb_shmem.Algorithm.t)
       (Model_check.states_per_sec r)
       (Model_check.bytes_per_state r);
     if stats then
-      Format.printf "  stages: expand %.3fs, merge %.3fs, spill %.3fs over %d layers@."
+      Format.printf
+        "  stages: expand %.3fs, merge %.3fs, spill %.3fs over %d layers (%d \
+         scanned the spill runs)@."
         st.Model_check.expand_seconds st.Model_check.merge_seconds
         st.Model_check.spill_seconds st.Model_check.layers
+        st.Model_check.scan_layers
   end;
   match r.Model_check.verdict with
   | Model_check.Mutex_violation tr

@@ -19,7 +19,21 @@ val of_string : ?bits:int -> string -> t
     not copied or expanded, so reading an on-disk spill run costs its
     file size, not 8x it. [bits] bounds the readable prefix (default:
     every bit of the string, including any zero padding the writer
-    added); raises [Invalid_argument] if it exceeds [8 * length]. *)
+    added); raises [Invalid_argument] if it exceeds [8 * length].
+
+    Over a packed source {!gamma} reads a code from a 63-bit window,
+    one 64-bit load at the code's first byte: the window's leading
+    zeros are the code's, and a shift gives its value. The window
+    holds 56 to 63 bits past the read position, so values below 2^28
+    always fit. A longer code, one that runs past the readable prefix,
+    or one that starts in the buffer's last 7 bytes is read by the bit
+    loop the bool-array source uses, so values, {!pos} and {!Exhausted}
+    are the same from either source. *)
+
+val of_bytes : ?bits:int -> Bytes.t -> t
+(** {!of_string} over a buffer, e.g. one a caller reuses from file to
+    file; bytes past [bits] may hold anything. The reader aliases the
+    buffer: do not change it while reading. *)
 
 val pos : t -> int
 (** Bits consumed so far. *)

@@ -56,13 +56,10 @@ let to_bool_array t =
   out
 
 let to_bytes t =
-  let bits = to_bool_array t in
-  let nbytes = (t.total + 7) / 8 in
-  let out = Bytes.make nbytes '\000' in
-  Array.iteri
-    (fun i b ->
-      if b then
-        let cur = Char.code (Bytes.get out (i / 8)) in
-        Bytes.set out (i / 8) (Char.chr (cur lor (1 lsl (7 - (i mod 8))))))
-    bits;
+  let full = Buffer.length t.buf in
+  let out = Bytes.create (if t.nacc > 0 then full + 1 else full) in
+  Buffer.blit t.buf 0 out 0 full;
+  (* the accumulator holds fewer than 8 bits: pad them to one byte *)
+  if t.nacc > 0 then
+    Bytes.set out full (Char.chr ((t.acc lsl (8 - t.nacc)) land 0xff));
   out

@@ -28,7 +28,8 @@ val gamma0 : t -> int -> unit
 (** [gamma0 t n] encodes [n >= 0] as [gamma (n+1)]. *)
 
 val to_bytes : t -> Bytes.t
-(** The written stream, padded with zero bits to a byte boundary. *)
+(** The written stream, padded with zero bits to a byte boundary: the
+    full bytes written so far plus the pending bits of the last one. *)
 
 val to_bool_array : t -> bool array
 (** The exact bit sequence (no padding). *)

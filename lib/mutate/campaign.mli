@@ -19,8 +19,9 @@
       survivor. The kill names the verdict.
     - {e schedule}: a round-robin and fixed-seed random executions; a
       checker violation, a deadlock ([stuck]), or burning the step
-      budget ([out_of_fuel] — the livelock class a closed verified
-      state space cannot show) kills. The kill names the outcome.
+      budget ([out_of_fuel] — the livelock class: its cycle is in the
+      state space, but {!Lb_mutex.Model_check} has no livelock verdict
+      and does not search for one) kills. The kill names the outcome.
     - {e deep_check} (escalation): a mutant that every staged layer
       passed clean is re-checked at [rounds + 1] before being declared
       a survivor — the one-round bound is blind to faults that only

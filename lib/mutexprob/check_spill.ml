@@ -256,11 +256,16 @@ let write_run ~dir ~layer keys =
     ~path:(Filename.concat dir (run_file layer))
     (Bytes.to_string (Bit_writer.to_bytes w))
 
-let iter_run_keys ~dir ~layer ~keylen ~count:expect f =
+type buffer = { mutable bytes : Bytes.t }
+
+let buffer () = { bytes = Bytes.empty }
+
+let iter_run_keys ~buf ~dir ~layer ~keylen ~count:expect f =
   let path = Filename.concat dir (run_file layer) in
-  let s = Fsio.read ~path () in
+  let bytes, len = Fsio.read_into ~path buf.bytes in
+  buf.bytes <- bytes;
   try
-    let r = Bit_reader.of_string s in
+    let r = Bit_reader.of_bytes ~bits:(8 * len) bytes in
     let count = Bit_reader.gamma0 r in
     if count <> expect then
       failwith

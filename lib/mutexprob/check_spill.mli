@@ -109,10 +109,21 @@ val write_run : dir:string -> layer:int -> int array list -> unit
     sorted within each shard, when called by the model checker). All
     keys must share one length. *)
 
+type buffer
+(** A read buffer for {!iter_run_keys}, reused from run to run. It is
+    reallocated, at the run's exact size, only for a run larger than
+    every run read through it before, so a scan that reads its largest
+    run first allocates once. One per scanning domain. *)
+
+val buffer : unit -> buffer
+
 val iter_run_keys :
+  buf:buffer ->
   dir:string -> layer:int -> keylen:int -> count:int -> (int array -> unit) -> unit
-(** Stream a run's keys in their stored order. [count] is the key count
-    the manifest records for the layer; a run whose header disagrees is
+(** Stream a run's keys in their stored order, reading the file into
+    [buf] through {!Lb_util.Fsio.read_into} and decoding it in place
+    with {!Lb_bitio.Bit_reader.of_bytes}. [count] is the key count the
+    manifest records for the layer; a run whose header disagrees is
     rejected before any key is passed on. The array passed to the
     callback is reused between calls — copy it if it must be retained.
     Raises [Sys_error] on a missing file and [Failure] on a malformed

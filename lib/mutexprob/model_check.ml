@@ -14,6 +14,7 @@ type stats = {
   merge_seconds : float;
   spill_seconds : float;
   layers : int;
+  scan_layers : int;
 }
 
 type report = {
@@ -375,6 +376,75 @@ type shard_out = {
 
 let empty_shard_out = { so_news = [||]; so_old = [||]; so_lookup = None }
 
+(* ------------------- delayed duplicate detection ---------------------- *)
+
+(* Phase 4: prove news visited before this layer by one decode of every
+   spilled key. A bitmap over the pending lookups' Key.hash lets only
+   the few keys whose bit is set pay for [shard_of] and a table probe.
+   The runs are split into groups balanced by key count, one per domain
+   and read buffer; each group returns its (shard, index) hits, and
+   [so_old] is marked from them after the join, so the marks do not
+   depend on the split. Inside a pool worker, or at [jobs = 1], the
+   runs are one group on the calling domain. *)
+let scan_runs ~jobs ~bufs ~dir ~keylen runs souts =
+  let pending =
+    Array.fold_left
+      (fun a so ->
+        match so.so_lookup with Some t -> a + Ktbl.length t | None -> a)
+      0 souts
+  in
+  (* 64 bits a lookup: about 1% of keys pass falsely, and a layer's
+     bitmap stays in cache. FNV's multiply carries upward, so bits from
+     20 up depend on more of the key than the low ones *)
+  let mask = Lb_util.Xmath.next_power_of_two (64 * pending) - 1 in
+  let bitmap = Bytes.make ((mask lsr 3) + 1) '\000' in
+  let slot k = (Key.hash k lsr 20) land mask in
+  Array.iter
+    (fun so ->
+      Option.iter
+        (Ktbl.iter (fun k _ ->
+             let b = slot k in
+             Bytes.set_uint8 bitmap (b lsr 3)
+               (Bytes.get_uint8 bitmap (b lsr 3) lor (1 lsl (b land 7)))))
+        so.so_lookup)
+    souts;
+  let scan (buf, group) =
+    let hits = ref [] in
+    List.iter
+      (fun (layer, count) ->
+        Check_spill.iter_run_keys ~buf ~dir ~layer ~keylen ~count (fun k ->
+            let b = slot k in
+            if Bytes.get_uint8 bitmap (b lsr 3) land (1 lsl (b land 7)) <> 0
+            then
+              let sh = shard_of k in
+              match souts.(sh).so_lookup with
+              | Some t -> (
+                match Ktbl.find_opt t k with
+                | Some i -> hits := (sh, i) :: !hits
+                | None -> ())
+              | None -> ()))
+      group;
+    !hits
+  in
+  let ngroups =
+    if jobs = 1 || Lb_util.Pool.in_worker () then 1
+    else min jobs (List.length runs)
+  in
+  (* largest run to the lightest group; a group is built smallest run
+     first, so it is reversed to read its largest run first, which sizes
+     its buffer in one allocation *)
+  let groups = Array.make ngroups [] and load = Array.make ngroups 0 in
+  List.iter
+    (fun ((_, count) as run) ->
+      let g = ref 0 in
+      Array.iteri (fun i l -> if l < load.(!g) then g := i) load;
+      groups.(!g) <- run :: groups.(!g);
+      load.(!g) <- load.(!g) + count)
+    (List.stable_sort (fun (_, a) (_, b) -> compare b a) runs);
+  Lb_util.Pool.map ~jobs scan
+    (List.init ngroups (fun g -> (bufs.(g), List.rev groups.(g))))
+  |> List.iter (List.iter (fun (sh, i) -> souts.(sh).so_old.(i) <- true))
+
 (* Merge two position-ascending candidate lists. *)
 let rec merge_pos acc a b =
   match (a, b) with
@@ -564,6 +634,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           merge_seconds = 0.;
           spill_seconds = 0.;
           layers = m.Check_spill.c_layer;
+          scan_layers = 0;
         };
     }
   | _ ->
@@ -603,6 +674,9 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         Some
           { sp; log = Check_spill.Nodes.of_handle sp; runs; flushed_ids = 0 }
     in
+    (* phase 4's read buffers, one per scanning domain, reused across
+       runs and layers; not counted in live_words (DESIGN §6f) *)
+    let scan_bufs = Array.init jobs (fun _ -> Check_spill.buffer ()) in
     Fun.protect
       ~finally:(fun () ->
         match session with Some s -> Check_spill.close s.sp | None -> ())
@@ -634,6 +708,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
     let expand_s = ref 0. in
     let merge_sec = ref 0. in
     let spill_s = ref 0. in
+    let scan_layers = ref 0 in
     (* Insert a key new to its shard. *)
     let shard_add sh k =
       Ktbl.replace visited.shards.(sh) k ();
@@ -794,7 +869,8 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       List.iter
         (fun (lay, count) ->
           if not !stop then
-            Check_spill.iter_run_keys ~dir ~layer:lay ~keylen ~count (fun k ->
+            Check_spill.iter_run_keys ~buf:scan_bufs.(0) ~dir ~layer:lay
+              ~keylen ~count (fun k ->
                 if not !stop then begin
                   let k = Array.copy k in
                   shard_add (shard_of k) k;
@@ -980,18 +1056,9 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
              could decide *)
           if Array.exists (fun so -> so.so_lookup <> None) souts then begin
             let s = Option.get session in
-            let dir = Check_spill.dir s.sp in
-            List.iter
-              (fun (lay, count) ->
-                Check_spill.iter_run_keys ~dir ~layer:lay ~keylen ~count
-                  (fun k ->
-                    match souts.(shard_of k).so_lookup with
-                    | Some t -> (
-                      match Ktbl.find_opt t k with
-                      | Some i -> souts.(shard_of k).so_old.(i) <- true
-                      | None -> ())
-                    | None -> ()))
-              s.runs
+            incr scan_layers;
+            scan_runs ~jobs ~bufs:scan_bufs ~dir:(Check_spill.dir s.sp)
+              ~keylen s.runs souts
           end;
           List.iter
             (fun co ->
@@ -1229,6 +1296,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           merge_seconds = !merge_sec;
           spill_seconds = !spill_s;
           layers = !layer;
+          scan_layers = !scan_layers;
         };
     }
 

@@ -61,10 +61,13 @@
     [mem_budget], the largest resident shards are then evicted; keys are
     already durable in the runs, so membership for an evicted shard
     streams the runs once per layer (delayed duplicate detection)
-    instead of holding the keys in RAM. A killed or deadline-stopped
-    check resumes from its last completed layer and produces the same
-    verdict, counts and spill bytes as an uninterrupted run, whatever
-    job count wrote the checkpoint. *)
+    instead of holding the keys in RAM. That scan splits the runs into
+    [jobs] groups balanced by key count, one per domain and reused read
+    buffer, and marks the duplicates its groups report after the join,
+    so its result does not depend on the split. A killed or
+    deadline-stopped check resumes from its last completed layer and
+    produces the same verdict, counts and spill bytes as an
+    uninterrupted run, whatever job count wrote the checkpoint. *)
 
 type verdict =
   | Verified  (** the bounded state space is exhausted with no violation *)
@@ -117,6 +120,12 @@ type stats = {
       (** wall-clock spent in durable checkpoints, eviction and resume
           reload *)
   layers : int;  (** completed BFS layers *)
+  scan_layers : int;
+      (** layers whose merge scanned the spilled runs: those after the
+          first eviction with a new candidate that no resident shard
+          could decide. A count, not a time, and the same at every job
+          count; [0] in RAM, and a resumed check counts only the layers
+          it ran itself *)
 }
 (** Per-stage timing breakdown ([mutexlb check --stats]); wall-clock
     figures, so not deterministic — everything else in a {!report}

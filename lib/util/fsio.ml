@@ -30,7 +30,7 @@ let write_atomic ~path content =
 let default_max_bytes = 256 * 1024 * 1024
 let text_max_bytes = 64 * 1024 * 1024
 
-let read ?(max_bytes = default_max_bytes) ~path () =
+let read_into ?(max_bytes = default_max_bytes) ~path buf =
   if max_bytes < 1 then invalid_arg "Fsio.read: max_bytes must be >= 1";
   let ic = open_in_bin path in
   Fun.protect
@@ -42,4 +42,10 @@ let read ?(max_bytes = default_max_bytes) ~path () =
           (Sys_error
              (Printf.sprintf "%s is %d bytes, over the %d-byte limit" path len
                 max_bytes));
-      really_input_string ic len)
+      let buf = if len <= Bytes.length buf then buf else Bytes.create len in
+      really_input ic buf 0 len;
+      (buf, len))
+
+(* into an empty buffer: one allocation, of exactly the file's length *)
+let read ?max_bytes ~path () =
+  Bytes.unsafe_to_string (fst (read_into ?max_bytes ~path Bytes.empty))

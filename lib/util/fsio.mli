@@ -25,6 +25,15 @@ val read : ?max_bytes:int -> path:string -> unit -> string
     bounds the allocation so a corrupt or hostile length can't take the
     process down; an oversized file raises [Sys_error]. *)
 
+val read_into :
+  ?max_bytes:int -> path:string -> Bytes.t -> Bytes.t * int
+(** [read_into ~path buf] is {!read} into a caller's buffer: the file's
+    bytes land at the start of [buf] if they fit, else in a fresh
+    buffer of exactly their length. Returns the buffer holding them and
+    their count; pass that buffer to the next call, so a scan that
+    reads its largest file first allocates once. Bytes past the count
+    are left over from earlier reads. *)
+
 val text_max_bytes : int
 (** 64 MiB: the [max_bytes] for line-oriented text files (store
     entries, sweep manifests, bits and trace files), each far smaller

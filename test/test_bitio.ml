@@ -137,6 +137,86 @@ let test_of_string () =
           (String.length packed)))
     (fun () -> ignore (Br.of_string ~bits:over packed))
 
+(* ------------------- packed reader vs the bit loop -------------------- *)
+
+type field = Bits of int * int | Gamma of int | Gamma0 of int
+
+let show_field = function
+  | Bits (w, v) -> Printf.sprintf "bits %d:%d" w v
+  | Gamma v -> Printf.sprintf "gamma %d" v
+  | Gamma0 v -> Printf.sprintf "gamma0 %d" v
+
+(* values of 2^28 and up can outrun a 63-bit window; up to 2^59 some
+   codes (119 bits) outrun any *)
+let gen_field =
+  let open QCheck.Gen in
+  let big = map (fun x -> Int64.to_int x land max_int) ui64 in
+  let magnitude =
+    frequency [ (6, int_range 0 10); (2, int_range 11 27); (2, int_range 28 58) ]
+  in
+  let sized = map2 (fun e r -> (1 lsl e) lor (r land ((1 lsl e) - 1))) magnitude big in
+  frequency
+    [
+      (2, map2 (fun w r -> Bits (w, r land ((1 lsl w) - 1))) (int_range 0 62) big);
+      (3, map (fun v -> Gamma v) sized);
+      (3, map (fun v -> Gamma0 (v - 1)) sized);
+    ]
+
+let write_field w = function
+  | Bits (width, value) -> Bw.bits w ~value ~width
+  | Gamma v -> Bw.gamma w v
+  | Gamma0 v -> Bw.gamma0 w v
+
+let read_field r = function
+  | Bits (width, _) -> Br.bits r ~width
+  | Gamma _ -> Br.gamma r
+  | Gamma0 _ -> Br.gamma0 r
+
+(* each field's value and the position after it, then how the stream
+   ended: [Some (i, pos)] if field [i] raised Exhausted, leaving [pos] *)
+let replay r fields =
+  let rec go i acc = function
+    | [] -> (List.rev acc, None)
+    | f :: rest -> (
+      match read_field r f with
+      | v -> go (i + 1) ((v, Br.pos r) :: acc) rest
+      | exception Br.Exhausted -> (List.rev acc, Some (i, Br.pos r)))
+  in
+  go 0 [] fields
+
+(* the packing [to_bytes] did through the bool array: the oracle for
+   the writer's byte output *)
+let to_bytes_oracle w =
+  let bits = Bw.to_bool_array w in
+  let out = Bytes.make ((Array.length bits + 7) / 8) '\000' in
+  Array.iteri
+    (fun i b ->
+      if b then
+        Bytes.set out (i / 8)
+          (Char.chr (Char.code (Bytes.get out (i / 8)) lor (1 lsl (7 - (i mod 8))))))
+    bits;
+  out
+
+let packed_agrees_with_bit_loop =
+  QCheck.Test.make ~name:"packed reader = bit loop, every truncation" ~count:200
+    (QCheck.make
+       ~print:(fun fs -> String.concat "; " (List.map show_field fs))
+       QCheck.Gen.(list_size (int_range 0 24) gen_field))
+    (fun fields ->
+      let w = Bw.create () in
+      List.iter (write_field w) fields;
+      let total = Bw.length_bits w in
+      let packed = Bw.to_bytes w in
+      let bools = Bw.to_bool_array w in
+      Bytes.equal packed (to_bytes_oracle w)
+      && replay (Br.of_writer w) fields
+         = replay (Br.of_string ~bits:total (Bytes.to_string packed)) fields
+      && List.for_all
+           (fun k ->
+             replay (Br.of_bool_array (Array.sub bools 0 k)) fields
+             = replay (Br.of_bytes ~bits:k packed) fields)
+           (List.init (total + 1) Fun.id))
+
 (* ------------------------------ Key_run ------------------------------ *)
 
 module Kr = Lb_bitio.Key_run
@@ -157,7 +237,8 @@ let run_roundtrip ~keylen keys =
   with_dir (fun dir ->
       Spill.write_run ~dir ~layer:0 keys;
       let acc = ref [] in
-      Spill.iter_run_keys ~dir ~layer:0 ~keylen ~count:(List.length keys)
+      Spill.iter_run_keys ~buf:(Spill.buffer ()) ~dir ~layer:0 ~keylen
+        ~count:(List.length keys)
         (fun k -> acc := Array.copy k :: !acc);
       let bytes =
         (Unix.stat (Filename.concat dir "layer_000000.keys")).Unix.st_size
@@ -250,6 +331,7 @@ let suite =
     QCheck_alcotest.to_alcotest gamma0_roundtrip;
     QCheck_alcotest.to_alcotest mixed_roundtrip;
     QCheck_alcotest.to_alcotest bool_array_roundtrip;
+    QCheck_alcotest.to_alcotest packed_agrees_with_bit_loop;
     QCheck_alcotest.to_alcotest zigzag_roundtrip;
     QCheck_alcotest.to_alcotest spill_run_roundtrip;
   ]

@@ -535,6 +535,24 @@ let test_experiments_store () =
       Alcotest.(check bool) "has entries" true
         (not (Astring_contains.contains out "entries        0 ")))
 
+(* --checkpoint-every reaches the spawned workers: at 1000 a 120-perm
+   worker checkpoints only when it has resolved every unit, where the
+   default (64) would also print 64/120 *)
+let test_certify_workers_checkpoint_every () =
+  with_temp_dir (fun dir ->
+      let _, out =
+        check_runs "certify --workers 1 --checkpoint-every 1000"
+          (Printf.sprintf
+             "certify -a yang_anderson -n 5 --perms 120 --store %s --workers 1 \
+              --checkpoint-every 1000"
+             dir)
+          0
+      in
+      Alcotest.(check bool) "worker checkpoints at 120/120" true
+        (Astring_contains.contains out "checkpoint: 120/120");
+      Alcotest.(check bool) "no checkpoint at 64/120" false
+        (Astring_contains.contains out "64/120"))
+
 let test_store_gc_lease () =
   with_temp_dir (fun dir ->
       ignore
@@ -776,6 +794,8 @@ let suite =
     Alcotest.test_case "store flags require --store" `Quick
       test_store_flags_require_store;
     Alcotest.test_case "store gc lease refusal" `Quick test_store_gc_lease;
+    Alcotest.test_case "certify --workers --checkpoint-every" `Quick
+      test_certify_workers_checkpoint_every;
     Alcotest.test_case "certify --connect usage" `Quick
       test_certify_connect_usage;
     Alcotest.test_case "certify --store quarantine" `Quick

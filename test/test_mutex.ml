@@ -613,26 +613,42 @@ let prop_mc_bound_jobs =
       && a.MC.live_words = b.MC.live_words)
 
 (* spill bytes do not depend on the job count, eviction and the disk
-   membership pass included *)
+   membership pass included. Phase 4 scans the spilled runs in 32 of
+   the 63 layers under 2 MiB and, with most shards evicted, in 38 under
+   1 MiB; split across the pool, that scan still reaches the in-RAM
+   states and transitions and leaves every spill byte as it is at
+   jobs=1 *)
 let test_mc_jobs_spill_identity () =
-  with_spill (fun d1 ->
-      with_spill (fun d4 ->
-          let r1 =
-            MC.explore ya ~n:3 ~mem_budget:(2 * 1024 * 1024) ~spill_dir:d1
-              ~jobs:1
-          in
-          let r4 =
-            MC.explore ya ~n:3 ~mem_budget:(2 * 1024 * 1024) ~spill_dir:d4
-              ~jobs:4
-          in
-          check_same_outcome "jobs=1 vs jobs=4 under budget" r1 r4;
+  let base = MC.explore ya ~n:3 in
+  List.iter
+    (fun (mib, scan_layers) ->
+      let run jobs dir =
+        let r =
+          MC.explore ya ~n:3 ~mem_budget:(mib * 1024 * 1024) ~spill_dir:dir
+            ~jobs
+        in
+        let label = Printf.sprintf "%d MiB, jobs=%d" mib jobs in
+        check_same_outcome label base r;
+        Alcotest.(check int) (label ^ ": layers") 63 r.MC.stats.MC.layers;
+        Alcotest.(check int)
+          (label ^ ": layers with a run scan")
+          scan_layers r.MC.stats.MC.scan_layers;
+        dir_bytes dir
+      in
+      let d1 = with_spill (run 1) in
+      List.iter
+        (fun jobs ->
           List.iter2
-            (fun (f1, c1) (f4, c4) ->
-              Alcotest.(check string) "spill file name" f1 f4;
+            (fun (f1, c1) (f, c) ->
+              Alcotest.(check string) "spill file name" f1 f;
               Alcotest.(check bool)
-                (Printf.sprintf "spill file %s bytes" f1)
-                true (c1 = c4))
-            (dir_bytes d1) (dir_bytes d4)))
+                (Printf.sprintf "%d MiB, jobs=%d: spill file %s bytes" mib
+                   jobs f1)
+                true (c1 = c))
+            d1
+            (with_spill (run jobs)))
+        [ 2; 4 ])
+    [ (2, 32); (1, 38) ]
 
 (* a checkpoint written at one job count resumes at another: the job
    count is scheduling, not state, so nothing pins it in the manifest *)
