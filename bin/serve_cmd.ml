@@ -12,8 +12,8 @@ let serve_cmd =
           ~doc:
             "Store directory the service owns. Created if absent. Concurrent \
              $(b,mutexlb certify --store) runs against the same directory are \
-             safe: the server registers as a reader and takes the writer \
-             lease only while a sweep is running.")
+             safe: the server takes the writer lease only while a sweep is \
+             running.")
   in
   let host_arg =
     Arg.(

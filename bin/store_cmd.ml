@@ -75,9 +75,11 @@ let store_cmd =
            & info [ "force" ]
                ~doc:
                  "Run even while another writer (a sweep, a server) holds \
-                  the store lease. Safe against readers — condemned entries \
-                  go to trash, not straight to unlink — but a concurrent \
-                  sweep may recompute entries gc just condemned.")
+                  the store lease or a worker holds live per-entry claims. \
+                  Safe against readers — a lookup that opened an entry \
+                  before its unlink reads it whole, one after finds it \
+                  absent — but a concurrent sweep may recompute entries gc \
+                  just condemned.")
     in
     let wait_arg =
       Arg.(value & opt float 0.0
@@ -128,12 +130,8 @@ let store_cmd =
           (List.length r.Lb_store.Store_gc.g_condemned)
           (if dry then "would be dropped" else "dropped");
         if not dry then
-          Printf.printf
-            "gc trash       %d dir(s) purged, %d deferred to live readers, \
-             %d claim dir(s) swept (epoch %d)\n"
-            r.Lb_store.Store_gc.g_trash_purged
-            r.Lb_store.Store_gc.g_trash_deferred
-            r.Lb_store.Store_gc.g_claims_swept r.Lb_store.Store_gc.g_epoch
+          Printf.printf "gc claims      %d claim dir(s) swept\n"
+            r.Lb_store.Store_gc.g_claims_swept
     in
     Cmd.v
       (Cmd.info "gc"
@@ -142,10 +140,11 @@ let store_cmd =
             current code (plus damaged and unknown-algorithm entries). Keys \
             embed the fingerprint, so stale entries can never be served by \
             mistake -- gc only reclaims the space. Refuses (exit 1) while a \
-            sweep holds the store's writer lease unless $(b,--force); \
-            condemned entries are renamed into an epoch-stamped trash \
-            directory and only purged once no registered reader predates \
-            the condemnation.")
+            sweep holds the store's writer lease or a worker holds live \
+            per-entry claims, unless $(b,--force); otherwise unlinks each \
+            condemned entry. A running server or worker needs no \
+            protection from that: a lookup of a removed entry misses and \
+            recomputes.")
       Term.(const run $ dir_arg $ dry_arg $ force_arg $ wait_arg $ lease_ttl_arg)
   in
   Cmd.group

@@ -35,7 +35,6 @@ let retry_after seconds =
 type state = {
   cfg : config;
   store : Lb_store.Store.t;
-  reader : Lb_store.Store_lock.reader;
   sched : Scheduler.t;
   draining : bool Atomic.t;
   mu : Mutex.t;  (** guards the three fields below *)
@@ -60,9 +59,7 @@ let job_served st client =
   with_mu st (fun () ->
       Hashtbl.replace st.served client
         (1 + Option.value ~default:0 (Hashtbl.find_opt st.served client));
-      st.jobs_done <- st.jobs_done + 1);
-  (* let GC purge trash condemned since we joined *)
-  Lb_store.Store_lock.refresh_reader st.reader
+      st.jobs_done <- st.jobs_done + 1)
 
 let log st fmt =
   if st.cfg.verbose then Printf.eprintf ("serve: " ^^ fmt ^^ "\n%!")
@@ -244,7 +241,6 @@ let health_fields st =
     ("queued", Json.Int (Scheduler.queued st.sched));
     ("running", Json.Int (Scheduler.running st.sched));
     ("jobs_done", Json.Int (with_mu st (fun () -> st.jobs_done)));
-    ("epoch", Json.Int (Lb_store.Store_lock.epoch st.store));
   ]
 
 let stats_body st =
@@ -391,12 +387,10 @@ type conn = { fd : Unix.file_descr; mutable reading : bool; mutable closed : boo
 let run cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let store = Lb_store.Store.open_ ~dir:cfg.store_dir in
-  let reader = Lb_store.Store_lock.register_reader ~purpose:"serve" store in
   let st =
     {
       cfg;
       store;
-      reader;
       sched = Scheduler.create ~config:cfg.sched ();
       draining = Atomic.make false;
       mu = Mutex.create ();
@@ -504,6 +498,5 @@ let run cfg =
             with Unix.Unix_error _ -> ())
         !live);
   List.iter (fun (_, t, _) -> Thread.join t) !live;
-  Lb_store.Store_lock.release_reader reader;
   Printf.printf "serve: drained (%d jobs served)\n%!"
     (with_mu st (fun () -> st.jobs_done))

@@ -137,16 +137,18 @@ let entry_of_string ~key s =
 
 type lookup = [ `Absent | `Hit of entry | `Damaged of string ]
 
+(* The open decides: an entry unlinked before it (a concurrent gc) is a
+   clean miss, and one unlinked after it still reads whole. *)
 let lookup t ~key : lookup =
   let path = object_path t ~key in
-  if not (Sys.file_exists path) then `Absent
-  else
-    match Lb_util.Fsio.read ~max_bytes:Lb_util.Fsio.text_max_bytes ~path () with
-    | s -> (
-      match entry_of_string ~key s with
-      | Ok e -> `Hit e
-      | Error msg -> `Damaged msg)
-    | exception Sys_error msg -> `Damaged ("unreadable: " ^ msg)
+  let max_bytes = Lb_util.Fsio.text_max_bytes in
+  match Lb_util.Fsio.read_opt ~max_bytes ~path () with
+  | None -> `Absent
+  | Some s -> (
+    match entry_of_string ~key s with
+    | Ok e -> `Hit e
+    | Error msg -> `Damaged msg)
+  | exception Sys_error msg -> `Damaged ("unreadable: " ^ msg)
 
 let put t e =
   let key = key_of_entry e in
@@ -169,16 +171,15 @@ let object_keys t =
              Array.to_list (Sys.readdir d) |> List.filter Store_key.is_key)
     |> List.sort compare
 
+(* A key listed but gone by its lookup was removed in between (a
+   concurrent gc): it is no entry, so [f] never sees it. *)
 let fold t ~init ~f =
   List.fold_left
     (fun acc key ->
-      let r =
-        match lookup t ~key with
-        | `Hit e -> Ok e
-        | `Damaged msg -> Error msg
-        | `Absent -> Error "vanished during fold"
-      in
-      f acc ~key r)
+      match lookup t ~key with
+      | `Hit e -> f acc ~key (Ok e)
+      | `Damaged msg -> f acc ~key (Error msg)
+      | `Absent -> acc)
     init (object_keys t)
 
 type stat = {

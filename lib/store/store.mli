@@ -57,7 +57,9 @@ val lookup : t -> key:string -> lookup
 (** Fetch by key. [`Damaged] carries a one-line diagnostic (truncation,
     checksum mismatch, unsupported format version, bad field, key
     mismatch…); damaged entries are left in place for [store verify] to
-    report and for the sweep engine to overwrite. *)
+    report and for the sweep engine to overwrite. An entry unlinked
+    while it is being looked up (by a concurrent [store gc]) is
+    [`Absent], not damaged. *)
 
 val put : t -> entry -> unit
 (** Atomically write (or overwrite) the entry under {!key_of_entry}. *)
@@ -70,7 +72,8 @@ val fold :
 (** Fold over every object file in deterministic (sorted-key) order.
     [f] receives the parsed entry or the damage diagnostic. Files whose
     names are not well-formed keys are ignored (editor droppings,
-    [.tmp] remnants). *)
+    [.tmp] remnants), and so is a listed file that is gone by the time
+    it is read. *)
 
 val manifest_path : t -> id:string -> string
 (** Path of the per-sweep manifest named by a {!Store_key.sweep_id}. *)

@@ -40,9 +40,10 @@ let failed_path t ~key = Filename.concat t.c_dir (key ^ ".failed")
 
 (* [<key>.<epoch>.claim|quit] -> (key, epoch, is_claim). Anything
    else in the directory — .failed records, torn temp files, fuzz
-   debris, a GC epoch file — parses to None and is ignored by the
-   protocol. Which keys count is the caller's business: a sweep's keys
-   are store keys, the writer lease's is [writer]. *)
+   debris, an older binary's [epoch] file or [readers/] directory —
+   parses to None and is ignored by the protocol. Which keys count is
+   the caller's business: a sweep's keys are store keys, the writer
+   lease's is [writer]. *)
 let parse_name name =
   match String.split_on_char '.' name with
   | [ key; e; kind ] when key <> "" -> (

@@ -45,11 +45,11 @@
     grows by one per acquisition) keeps one file.
 
     A claim file's {e content} is its holder ({!held}): pid, host,
-    purpose and start time, the same four lines a {!Store_lock} reader
-    file carries. The work-claim rule never reads it, so a torn,
-    truncated or bit-flipped claim file cannot confuse a distributed
-    sweep — the corruption tests check exactly this. The writer rule
-    reads it to spot a holder whose pid is dead.
+    purpose and start time, one ["name value"] line each. The
+    work-claim rule never reads it, so a torn, truncated or bit-flipped
+    claim file cannot confuse a distributed sweep — the corruption
+    tests check exactly this. The writer rule reads it to spot a holder
+    whose pid is dead.
 
     {2 Exactly-once failure publication}
 
@@ -169,24 +169,12 @@ type held = {
   h_purpose : string;  (** e.g. ["sweep"], ["gc"], ["work"] *)
   h_since : float;  (** Unix time the file was written *)
 }
-(** Who wrote a claim, lease or reader file. *)
-
-val holder_body : purpose:string -> string
-(** This process's holder as a file body: [pid], [host], [purpose] and
-    [since] lines, each ["name value"]. A reader file appends its GC
-    epoch as one more line. *)
-
-val body_field : string -> string -> string option
-(** [body_field body name]: the value of the first ["name value"] line
-    of [body], if it has a non-empty value. *)
-
-val parse_holder : string -> held option
-(** The holder a {!holder_body} wrote; [None] if a field is missing or
-    malformed (a torn write). *)
+(** Who wrote a claim or lease file. *)
 
 val holder : t -> key:string -> epoch:int -> held option
 (** The parsed body of [<key>.<epoch>.claim]; [None] if it is gone or
-    does not parse. *)
+    does not parse (a field missing or malformed, as after a torn
+    write). *)
 
 val default_ttl : float
 (** The claim TTL used by the CLI and serve paths when none is given:

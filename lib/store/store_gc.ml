@@ -3,28 +3,9 @@ type reason = string
 type report = {
   g_kept : int;
   g_condemned : (string * reason) list;
-  g_trash_purged : int;
-  g_trash_deferred : int;
   g_claims_swept : int;
-  g_epoch : int;
   g_dry : bool;
 }
-
-let trash_dir st = Filename.concat (Store.dir st) "trash"
-
-let trash_epoch_dir st e =
-  Filename.concat (trash_dir st) (Printf.sprintf "epoch_%d" e)
-
-let epoch_of_dirname name =
-  if String.length name > 6 && String.sub name 0 6 = "epoch_" then
-    int_of_string_opt (String.sub name 6 (String.length name - 6))
-  else None
-
-let trash_epochs st =
-  match Sys.readdir (trash_dir st) with
-  | names ->
-    Array.to_list names |> List.filter_map epoch_of_dirname |> List.sort compare
-  | exception Sys_error _ -> []
 
 (* Classify every entry. [Store.fold] visits keys in sorted order and we
    cons, so the reversed accumulator is back in key order. *)
@@ -47,35 +28,18 @@ let scan ~current_fp st =
   in
   (kept, List.rev condemned)
 
-let remove_tree dir =
-  (match Sys.readdir dir with
-  | names ->
-    Array.iter
-      (fun name ->
-        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-      names
-  | exception Sys_error _ -> ());
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
-(* Unlink trash/epoch_K iff every live registered reader joined at
-   epoch >= K (it registered after that condemnation, so no stale path
-   from an older listing can survive in it). No readers: purge all. *)
-let purge_trash st =
-  let live = Store_lock.live_readers st in
-  let min_joined =
-    match live with
-    | [] -> max_int
-    | (_, e0) :: rest ->
-      List.fold_left (fun acc (_, e) -> min acc e) e0 rest
-  in
-  List.fold_left
-    (fun (purged, deferred) k ->
-      if k <= min_joined then begin
-        remove_tree (trash_epoch_dir st k);
-        (purged + 1, deferred)
-      end
-      else (purged, deferred + 1))
-    (0, 0) (trash_epochs st)
+(* Remove [path] and everything under it, without following symlinks.
+   What cannot be removed stays for the next pass. *)
+let rec remove_tree path =
+  try
+    if (Unix.lstat path).Unix.st_kind = Unix.S_DIR then begin
+      Array.iter
+        (fun name -> remove_tree (Filename.concat path name))
+        (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  with Unix.Unix_error _ | Sys_error _ -> ()
 
 (* Remove per-sweep claim directories wholesale. Only called from the
    destructive pass, which refused to start (absent --force) while any
@@ -98,32 +62,22 @@ let sweep_claim_dirs st =
       0 names
   | exception Sys_error _ -> 0
 
+(* Unlinking at once is safe for readers: a lookup that opened a
+   condemned entry before its unlink reads it whole, and one that opens
+   after finds it [`Absent] (DESIGN §6i). *)
 let destructive_pass ~current_fp st =
-  ignore (Store_lock.reap_dead_readers st);
   let claims_swept = sweep_claim_dirs st in
   let kept, condemned = scan ~current_fp st in
-  let e =
-    if condemned = [] then Store_lock.epoch st
-    else begin
-      let e = Store_lock.bump_epoch st in
-      let dir = trash_epoch_dir st e in
-      Lb_util.Fsio.mkdir_p dir;
-      List.iter
-        (fun (key, _why) ->
-          try Sys.rename (Store.object_path st ~key) (Filename.concat dir key)
-          with Sys_error _ -> ())
-        condemned;
-      e
-    end
-  in
-  let purged, deferred = purge_trash st in
+  List.iter
+    (fun (key, _why) ->
+      try Sys.remove (Store.object_path st ~key) with Sys_error _ -> ())
+    condemned;
+  (* condemned entries an older gc parked under trash/epoch_K/ *)
+  remove_tree (Filename.concat (Store.dir st) "trash");
   {
     g_kept = kept;
     g_condemned = condemned;
-    g_trash_purged = purged;
-    g_trash_deferred = deferred;
     g_claims_swept = claims_swept;
-    g_epoch = e;
     g_dry = false;
   }
 
@@ -132,8 +86,8 @@ let destructive_pass ~current_fp st =
    condemn an entry a worker is about to trust, so in-TTL claims refuse
    the pass exactly like a held writer lease (rendered through the same
    [held] shape). Expired claim debris, by contrast, is reaped. *)
-let live_claim_holder ?(claim_ttl = Store_claim.default_ttl) st =
-  match Store_claim.live_claims st ~ttl:claim_ttl with
+let live_claim_holder st =
+  match Store_claim.live_claims st ~ttl:Store_claim.default_ttl with
   | [] -> None
   | claims ->
     Some
@@ -145,23 +99,15 @@ let live_claim_holder ?(claim_ttl = Store_claim.default_ttl) st =
         h_since = 0.0;
       }
 
-let run ?(dry = false) ?(force = false) ?(wait = 0.0) ?lease_ttl ?claim_ttl
-    ~current_fp st =
+let run ?(dry = false) ?(force = false) ?(wait = 0.0) ?lease_ttl ~current_fp
+    st =
   if dry then begin
     let kept, condemned = scan ~current_fp st in
     Ok
-      {
-        g_kept = kept;
-        g_condemned = condemned;
-        g_trash_purged = 0;
-        g_trash_deferred = List.length (trash_epochs st);
-        g_claims_swept = 0;
-        g_epoch = Store_lock.epoch st;
-        g_dry = true;
-      }
+      { g_kept = kept; g_condemned = condemned; g_claims_swept = 0; g_dry = true }
   end
   else
-    match live_claim_holder ?claim_ttl st with
+    match live_claim_holder st with
     | Some h when not force -> Error h
     | Some _ | None -> (
       match Store_lock.acquire_writer ~wait ?ttl:lease_ttl st ~purpose:"gc" with

@@ -7,7 +7,7 @@
     stale entry can never be {e served} by mistake — GC only reclaims
     the space.
 
-    Concurrency protocol (the part a live [mutexlb serve] relies on):
+    Concurrency protocol: refuse, then unlink.
 
     {ol
     {- Refuse to run while the {!Store_lock} writer lease is held
@@ -16,19 +16,17 @@
        outlasts the lease holder. A destructive pass takes the lease
        itself, so no sweep can start under it; breaking a stale lease
        to do so fences its old holder (see {!Sweep.sweep}).}
-    {- Bump the GC epoch to [E], then {e rename} every condemned entry
-       into [trash/epoch_E/] instead of unlinking it. Rename is atomic:
-       a reader that already resolved the old path keeps reading valid
-       bytes (POSIX) or gets a clean [`Absent] and recomputes — never a
-       torn read.}
-    {- Permanently delete a trash directory [epoch_K] only when every
-       live registered reader joined at epoch ≥ K — i.e. registered
-       after those entries were already condemned, so it cannot be
-       holding a path to them from a listing that predates the
-       condemnation. With no registered readers, trash is purged
-       immediately (the batch-CLI fast path).}}
+    {- Unlink every condemned entry. Readers need no protection from
+       this: a lookup that opened the entry before the unlink reads it
+       whole (POSIX keeps an open file's inode alive), and one that
+       opens after finds it [`Absent] and recomputes — never a torn
+       read. (Over NFS, a reader on another host can instead fail
+       mid-read; {!Store.lookup} reports that as [`Damaged] and the
+       unit is recomputed.) The pass also removes claim directories
+       holding no live claim, and any [trash/] tree an older gc left
+       behind.}}
 
-    A dry run takes no lease, moves nothing, and reports what a
+    A dry run takes no lease, removes nothing, and reports what a
     destructive pass would do. *)
 
 type reason = string
@@ -38,14 +36,9 @@ type reason = string
 type report = {
   g_kept : int;
   g_condemned : (string * reason) list;  (** key → why, in key order *)
-  g_trash_purged : int;  (** trash directories permanently deleted *)
-  g_trash_deferred : int;
-      (** trash directories kept because a live registered reader
-          predates them *)
   g_claims_swept : int;
       (** per-sweep claim directories removed (expired distributed-sweep
           debris; always [0] on dry runs) *)
-  g_epoch : int;  (** epoch after the pass (unchanged on dry runs) *)
   g_dry : bool;
 }
 
@@ -54,7 +47,6 @@ val run :
   ?force:bool ->
   ?wait:float ->
   ?lease_ttl:float ->
-  ?claim_ttl:float ->
   current_fp:(algo:string -> n:int -> string option) ->
   Store.t ->
   (report, Store_lock.held) result
@@ -67,7 +59,6 @@ val run :
     sweep's lease too: the sweep is fenced and stops with
     {!Store_lock.Busy} instead of writing on beside the gc. [Error]
     is the refusal path: the writer lease is held, or a distributed
-    worker holds an in-TTL {!Store_claim} per-entry claim ([claim_ttl],
-    default {!Store_claim.default_ttl}, decides freshness) — and
-    [force] was not given. The caller renders the holder as a named
-    error and exits nonzero. *)
+    worker holds a {!Store_claim} per-entry claim younger than
+    {!Store_claim.default_ttl} — and [force] was not given. The caller
+    renders the holder as a named error and exits nonzero. *)

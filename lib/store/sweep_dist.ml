@@ -96,12 +96,9 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
   let total = Array.length plan.Sweep.u_pis in
   let mpath = plan.Sweep.u_manifest in
   let claims = Store_claim.open_ store ~sweep_id:plan.Sweep.u_sweep_id in
-  (* Register as a reader so a concurrent gc defers destruction until
-     we are gone; the whole-store writer lease is deliberately NOT
-     taken — per-entry claims replace it for distributed sweeps. *)
-  let reader = Store_lock.register_reader ~purpose:"work" store in
+  (* The whole-store writer lease is deliberately NOT taken — per-entry
+     claims replace it for distributed sweeps. *)
   let hb = hb_create ~every:(ttl /. 6.) in
-  Fun.protect ~finally:(fun () -> Store_lock.release_reader reader) @@ fun () ->
   (* [resolved.(i)]: None = pending; Some true = done (store entry);
      Some false = failed (.failed record). Monotonic — durable facts
      never un-resolve within a run. *)

@@ -2,10 +2,10 @@
     sweep, coordinated only through the store directory.
 
     Where {!Sweep} serializes on the store-wide {!Store_lock} writer
-    lease, a distributed worker holds {e no} store-wide lock — it
-    registers as a reader (so GC defers destruction under it) and takes
+    lease, a distributed worker holds {e no} store-wide lock — it takes
     {!Store_claim} per-entry leases instead, so K workers make K-way
-    progress on one family. Each round a worker:
+    progress on one family, and their live claims keep GC from
+    running. Each round a worker:
 
     {ol
     {- lists the claims directory once, which gives every key's claim

@@ -25,6 +25,13 @@ val read : ?max_bytes:int -> path:string -> unit -> string
     bounds the allocation so a corrupt or hostile length can't take the
     process down; an oversized file raises [Sys_error]. *)
 
+val read_opt : ?max_bytes:int -> path:string -> unit -> string option
+(** {!read}, but [None] when no file is at [path] at the moment it is
+    opened. The open decides: a file unlinked before it (say by a
+    concurrent [store gc]) is a clean miss, and one unlinked after it
+    still reads whole, since the open descriptor keeps it alive. Any
+    other failure raises [Sys_error]. *)
+
 val read_into :
   ?max_bytes:int -> path:string -> Bytes.t -> Bytes.t * int
 (** [read_into ~path buf] is {!read} into a caller's buffer: the file's

@@ -628,7 +628,7 @@ let test_gc_expired_claims_are_debris () =
       let n = Wf.skew_claims ~dir:(Claim.dir t) ~by:(-3600.0) in
       Alcotest.(check int) "claim aged" 1 n;
       let fp ~algo:_ ~n:_ = None in
-      match Gc.run ~claim_ttl:60.0 ~current_fp:fp st with
+      match Gc.run ~current_fp:fp st with
       | Ok r -> Alcotest.(check int) "expired claim swept" 1 r.Gc.g_claims_swept
       | Error _ -> Alcotest.fail "gc refused over expired claims")
 

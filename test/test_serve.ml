@@ -1,9 +1,10 @@
-(* The job service and the store concurrency layer beneath it: writer
-   lease + reader registration (Store_lock), epoch-based GC over a live
-   store (Store_gc), the sweep engine's lease/cancel integration, the
-   fair scheduler, and the served protocol end-to-end over a real
-   socket — including the acceptance bar that a served certificate is
-   byte-identical to the batch CLI path. *)
+(* The job service and the store concurrency layer beneath it: the
+   writer lease (Store_lock), GC over a live store that refuses under
+   the lease and otherwise unlinks (Store_gc), the sweep engine's
+   lease/cancel integration, the fair scheduler, and the served
+   protocol end-to-end over a real socket — including the acceptance
+   bar that a served certificate is byte-identical to the batch CLI
+   path. *)
 
 module Store = Lb_store.Store
 module Store_key = Lb_store.Store_key
@@ -162,59 +163,6 @@ let test_lock_debris_bounded () =
       Alcotest.(check (list string)) "one writer file" [ "writer.200.quit" ]
         writer_files)
 
-let test_readers_epoch () =
-  with_store (fun st ->
-      Alcotest.(check int) "virgin epoch" 0 (Lock.epoch st);
-      let r = Lock.register_reader ~purpose:"test" st in
-      (match Lock.live_readers st with
-      | [ (pid, epoch) ] ->
-        Alcotest.(check int) "own pid" (Unix.getpid ()) pid;
-        Alcotest.(check int) "joined at 0" 0 epoch
-      | l -> Alcotest.failf "expected one reader, got %d" (List.length l));
-      let file =
-        let dir = Filename.concat (Store.dir st) "locks/readers" in
-        match Sys.readdir dir with
-        | [| f |] -> Filename.concat dir f
-        | fs -> Alcotest.failf "expected one reader file, got %d" (Array.length fs)
-      in
-      let ino () = (Unix.stat file).Unix.st_ino in
-      (* an unchanged epoch leaves the file as it is *)
-      let ino0 = ino () in
-      for i = 1 to 3 do
-        Lock.refresh_reader r;
-        Alcotest.(check int) (Printf.sprintf "refresh %d keeps the file" i) ino0
-          (ino ())
-      done;
-      let joined_at what expected =
-        match Lock.live_readers st with
-        | [ (_, epoch) ] -> Alcotest.(check int) what expected epoch
-        | _ -> Alcotest.failf "%s: reader lost" what
-      in
-      Alcotest.(check int) "bump" 1 (Lock.bump_epoch st);
-      Lock.refresh_reader r;
-      Alcotest.(check bool) "a moved epoch rewrites the file" true (ino () <> ino0);
-      joined_at "refreshed epoch" 1;
-      (* a file removed from under the reader is written again *)
-      Sys.remove file;
-      Lock.refresh_reader r;
-      Alcotest.(check bool) "recreated" true (Sys.file_exists file);
-      joined_at "recreated at the current epoch" 1;
-      Lock.release_reader r;
-      Alcotest.(check int) "gone" 0 (List.length (Lock.live_readers st)))
-
-let test_reap_dead_readers () =
-  with_store (fun st ->
-      let pid = dead_pid () in
-      write_file
-        (Filename.concat (Store.dir st)
-           (Printf.sprintf "locks/readers/%d-0.reader" pid))
-        (Printf.sprintf "pid %d\nhost %s\npurpose crashed\nepoch 0\nsince %.3f\n"
-           pid (Unix.gethostname ()) (Unix.gettimeofday ()));
-      Alcotest.(check int) "dead reader invisible" 0
-        (List.length (Lock.live_readers st));
-      Alcotest.(check int) "reaped" 1 (Lock.reap_dead_readers st);
-      Alcotest.(check int) "nothing to reap twice" 0 (Lock.reap_dead_readers st))
-
 (* --------------------------------- gc --------------------------------- *)
 
 let test_gc_refuses_under_lease () =
@@ -239,40 +187,74 @@ let test_gc_dry_run_moves_nothing () =
       | Error _ -> Alcotest.fail "dry run should never refuse"
       | Ok r ->
         Alcotest.(check bool) "dry" true r.Gc.g_dry;
-        Alcotest.(check int) "all would go" 6 (List.length r.Gc.g_condemned);
-        Alcotest.(check int) "epoch untouched" 0 r.Gc.g_epoch);
+        Alcotest.(check int) "all would go" 6 (List.length r.Gc.g_condemned));
       Alcotest.(check int) "entries survive a dry run" 6
         (Store.stat st).Store.s_entries)
 
-let test_gc_epochs_defer_to_readers () =
+let store_keys st = Store.fold st ~init:[] ~f:(fun acc ~key _ -> key :: acc)
+
+(* A destructive pass unlinks what it condemns at once: a reader that
+   opened an entry before the pass still reads every byte of it, and a
+   lookup after it finds the key absent. *)
+let test_gc_unlinks_under_open_reader () =
   with_store (fun st ->
       let _ = populate st ~n:3 in
-      let rd = Lock.register_reader ~purpose:"holdout" st in
-      (* destructive stale pass: condemn everything, but the reader
-         joined at epoch 0 so the trash must survive *)
-      (match Gc.run ~current_fp:stale_fp st with
-      | Error _ -> Alcotest.fail "gc refused with no writer"
-      | Ok r ->
-        Alcotest.(check int) "condemned all" 6 (List.length r.Gc.g_condemned);
-        Alcotest.(check int) "epoch bumped" 1 r.Gc.g_epoch;
-        Alcotest.(check int) "nothing purged yet" 0 r.Gc.g_trash_purged;
-        Alcotest.(check int) "trash deferred" 1 r.Gc.g_trash_deferred);
-      Alcotest.(check int) "objects gone" 0 (Store.stat st).Store.s_entries;
-      (* a second pass with the reader still at epoch 0 keeps deferring *)
+      let open_entries =
+        List.map
+          (fun key ->
+            let path = Store.object_path st ~key in
+            (key, read_file path, open_in_bin path))
+          (store_keys st)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun (_, _, ic) -> close_in_noerr ic) open_entries)
+        (fun () ->
+          (match Gc.run ~current_fp:stale_fp st with
+          | Ok r ->
+            Alcotest.(check int) "condemned all" 6 (List.length r.Gc.g_condemned)
+          | Error _ -> Alcotest.fail "gc refused with no writer");
+          List.iter
+            (fun (key, bytes, ic) ->
+              Alcotest.(check bool) "unlinked" false
+                (Sys.file_exists (Store.object_path st ~key));
+              Alcotest.(check string) "the open entry reads whole" bytes
+                (In_channel.input_all ic);
+              Alcotest.(check bool) "absent after the pass" true
+                (Store.lookup st ~key = `Absent))
+            open_entries);
+      Alcotest.(check bool) "no trash directory" false
+        (Sys.file_exists (Filename.concat (Store.dir st) "trash")))
+
+(* An older gc parked condemned entries under trash/epoch_K/, where
+   nothing else would ever remove them. A dry run leaves them; a
+   destructive pass removes the tree. An older binary's reader files
+   and epoch stay: an older server still running on the store rewrites
+   its reader file after each job. *)
+let test_gc_removes_old_trash () =
+  with_store (fun st ->
+      let _ = populate st ~n:3 in
+      let root = Store.dir st in
+      let key = List.hd (store_keys st) in
+      let parked = Filename.concat root ("trash/epoch_3/" ^ key) in
+      write_file parked (read_file (Store.object_path st ~key));
+      let legacy = [ "locks/epoch"; "locks/readers/1-0.reader" ] in
+      List.iter (fun f -> write_file (Filename.concat root f) "") legacy;
+      (match Gc.run ~dry:true ~current_fp:live_fp st with
+      | Ok r -> Alcotest.(check int) "dry keeps all" 6 r.Gc.g_kept
+      | Error _ -> Alcotest.fail "dry run refused");
+      Alcotest.(check bool) "a dry run leaves the trash" true
+        (Sys.file_exists parked);
       (match Gc.run ~current_fp:live_fp st with
-      | Ok r ->
-        Alcotest.(check int) "still deferred" 1 r.Gc.g_trash_deferred;
-        Alcotest.(check int) "still nothing purged" 0 r.Gc.g_trash_purged;
-        Alcotest.(check int) "no bump without condemnation" 1 r.Gc.g_epoch
+      | Ok r -> Alcotest.(check int) "kept all" 6 r.Gc.g_kept
       | Error _ -> Alcotest.fail "gc refused");
-      (* once the reader re-joins at the current epoch, trash purges *)
-      Lock.refresh_reader rd;
-      (match Gc.run ~current_fp:live_fp st with
-      | Ok r ->
-        Alcotest.(check int) "purged" 1 r.Gc.g_trash_purged;
-        Alcotest.(check int) "no deferrals left" 0 r.Gc.g_trash_deferred
-      | Error _ -> Alcotest.fail "gc refused");
-      Lock.release_reader rd)
+      Alcotest.(check bool) "trash removed" false
+        (Sys.file_exists (Filename.concat root "trash"));
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) (f ^ " left as it is") true
+            (Sys.file_exists (Filename.concat root f)))
+        legacy)
 
 (* --------------------------- sweep + lease ----------------------------- *)
 
@@ -904,20 +886,16 @@ let test_concurrent_store_torture () =
       let readers =
         List.init 3 (fun _ ->
             Domain.spawn (fun () ->
-                let r = Lock.register_reader ~purpose:"torture" st in
-                Fun.protect
-                  ~finally:(fun () -> Lock.release_reader r)
-                  (fun () ->
-                    while not (Atomic.get stop) do
-                      List.iter
-                        (fun key ->
-                          (match Store.lookup st ~key with
-                          | `Damaged _ -> Atomic.incr damaged
-                          | `Hit _ | `Absent -> ());
-                          Atomic.incr reads)
-                        keys;
-                      Unix.sleepf 0.002
-                    done)))
+                while not (Atomic.get stop) do
+                  List.iter
+                    (fun key ->
+                      (match Store.lookup st ~key with
+                      | `Damaged _ -> Atomic.incr damaged
+                      | `Hit _ | `Absent -> ());
+                      Atomic.incr reads)
+                    keys;
+                  Unix.sleepf 0.002
+                done))
       in
       let writer =
         Domain.spawn (fun () ->
@@ -940,8 +918,6 @@ let test_concurrent_store_torture () =
       Alcotest.(check int) "zero damaged reads" 0 (Atomic.get damaged);
       Alcotest.(check bool) "readers actually read" true
         (Atomic.get reads > 0);
-      Alcotest.(check int) "no reader files left" 0
-        (List.length (Lock.live_readers st));
       (* the concurrent sweep's output is byte-identical to a
          sequential one in a fresh store *)
       with_store (fun st2 ->
@@ -963,14 +939,14 @@ let suite =
       test_lock_one_winner;
     Alcotest.test_case "lock: writer debris stays bounded" `Quick
       test_lock_debris_bounded;
-    Alcotest.test_case "lock: readers + epoch" `Quick test_readers_epoch;
-    Alcotest.test_case "lock: reap dead readers" `Quick test_reap_dead_readers;
     Alcotest.test_case "gc: refuses under lease, --force overrides" `Quick
       test_gc_refuses_under_lease;
     Alcotest.test_case "gc: dry run moves nothing" `Quick
       test_gc_dry_run_moves_nothing;
-    Alcotest.test_case "gc: trash defers to live readers" `Quick
-      test_gc_epochs_defer_to_readers;
+    Alcotest.test_case "gc: unlinks under an open reader" `Quick
+      test_gc_unlinks_under_open_reader;
+    Alcotest.test_case "gc: removes an older gc's trash" `Quick
+      test_gc_removes_old_trash;
     Alcotest.test_case "sweep: Busy when lease held" `Quick test_sweep_busy;
     Alcotest.test_case "sweep: fenced sweep stops writing" `Quick
       test_sweep_fenced;

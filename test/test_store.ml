@@ -219,6 +219,55 @@ let test_fold_and_stat () =
         [ ("bakery", 3, 1); ("yang_anderson", 3, 6) ]
         s.Store.s_by_algo)
 
+(* An entry unlinked and rewritten under a reader, as a concurrent gc
+   and a sweep would: every lookup is a hit or a clean miss, never
+   damage. The lookups run on this domain, since Alcotest is not
+   domain-safe. *)
+let test_lookup_vanishing_entry () =
+  with_store (fun st ->
+      let e = entry_of ya ~n:3 (List.hd (perms_of 3)) in
+      let key = Store.key_of_entry e in
+      Store.put st e;
+      let stop = Atomic.make false in
+      let churn =
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              Store.remove st ~key;
+              Store.put st e
+            done)
+      in
+      let damaged = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Domain.join churn)
+        (fun () ->
+          for _ = 1 to 50_000 do
+            match Store.lookup st ~key with
+            | `Hit _ | `Absent -> ()
+            | `Damaged msg -> damaged := msg :: !damaged
+          done);
+      Alcotest.(check (list string)) "no lookup reads damage" [] !damaged)
+
+(* A key that is listed but gone by its turn (removed by a concurrent
+   gc) is no entry: fold skips it instead of reporting damage. *)
+let test_fold_skips_vanished () =
+  with_store (fun st ->
+      let entries = List.map (fun pi -> entry_of ya ~n:3 pi) (perms_of 3) in
+      List.iter (Store.put st) entries;
+      let keys = List.sort compare (List.map Store.key_of_entry entries) in
+      let removed = List.nth keys 1 in
+      let seen =
+        Store.fold st ~init:[] ~f:(fun acc ~key r ->
+            if key = List.hd keys then Store.remove st ~key:removed;
+            match r with
+            | Ok _ -> key :: acc
+            | Error msg -> Alcotest.failf "%s reached f as Error %s" key msg)
+      in
+      Alcotest.(check (list string)) "every other key, in order"
+        (List.filter (fun k -> k <> removed) keys)
+        (List.rev seen))
+
 (* ----------------------------- corruption ---------------------------- *)
 
 let damaged_diag = function
@@ -731,6 +780,10 @@ let suite =
     Alcotest.test_case "fingerprint golden" `Quick test_fingerprint_golden;
     Alcotest.test_case "entry roundtrip" `Quick test_entry_roundtrip;
     Alcotest.test_case "fold + stat" `Quick test_fold_and_stat;
+    Alcotest.test_case "lookup of an entry unlinked under it" `Quick
+      test_lookup_vanishing_entry;
+    Alcotest.test_case "fold skips a key removed under it" `Quick
+      test_fold_skips_vanished;
     Alcotest.test_case "corruption: truncated" `Quick test_corruption_truncated;
     Alcotest.test_case "corruption: flipped bit" `Quick test_corruption_flipped_bit;
     Alcotest.test_case "corruption: stale version" `Quick test_corruption_stale_version;
