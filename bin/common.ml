@@ -76,7 +76,10 @@ let seed_arg = seed_opt ~default:Lb_serve.Protocol.default_seed
 
 let jobs_arg =
   let doc =
-    "Worker domains for the sweep. Defaults to $(b,MUTEXLB_JOBS) if set, \
+    "At most $(docv) domains at once, counting the calling domain and, \
+     under $(b,serve), the listener and each running job's domain: a \
+     sweep starts only the workers that fit beside them (a granted job \
+     always gets its own domain). Defaults to $(b,MUTEXLB_JOBS) if set, \
      else the machine's recommended domain count; 1 forces a sequential \
      sweep (results are identical at every job count)."
   in

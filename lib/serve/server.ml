@@ -350,13 +350,13 @@ let handle_job st conn (req : Http.request) =
                   register_cancel st cancel;
                   (* the job computes on a domain of its own while this
                      thread waits, so the connection threads keep the
-                     listener's domain; [Domain.join] re-raises *)
+                     listener's domain; both count against [jobs], and
+                     [on_domain] re-raises *)
                   Fun.protect
                     ~finally:(fun () -> unregister_cancel st cancel)
                     (fun () ->
-                      Domain.join
-                        (Domain.spawn (fun () ->
-                             send (job_event st ~cancel ~send job))));
+                      Pool.on_domain (fun () ->
+                          send (job_event st ~cancel ~send job)));
                   job_served st client);
                 Http.finish_chunked conn))))
 

@@ -4,8 +4,11 @@
     A thread per connection, a domain per granted job, one request
     per connection: each accepted connection is served by a systhread
     of the listener's domain, and a job the {!Scheduler} grants
-    computes on a domain spawned for it while that thread waits. POST
-    [/v1/jobs] streams JSONL events over a chunked response:
+    computes on a domain spawned for it ({!Lb_util.Pool.on_domain})
+    while that thread waits. The listener and the job domains count
+    against [jobs], so a job's sweep starts workers only where they fit
+    beside them. POST [/v1/jobs] streams JSONL events over a chunked
+    response:
     [accepted] → ([rejected] on drain | [granted] → sweep telemetry →
     ([result] | [drained] | [error])). Warm certify jobs — every
     permutation already a store hit — are answered from the store
@@ -26,7 +29,10 @@ type config = {
       (** write the bound port here once listening — how tests and
           scripts find an ephemeral port *)
   store_dir : string;
-  jobs : int option;  (** worker domains per running job *)
+  jobs : int option;
+      (** at most this many domains at once ({!Lb_util.Pool.map}'s
+          [jobs]), counting the listener and each running job's domain;
+          [None] is {!Lb_util.Pool.default_jobs} *)
   sched : Scheduler.config;
   grace : float;  (** drain deadline for running jobs, seconds *)
   verbose : bool;  (** request log on stderr *)

@@ -10,7 +10,13 @@
    (OCaml 5.1.1) an empty spawn and join takes 0.19–0.28 ms, and a
    yang_anderson n=10 unit takes 1.77–2.39 ms on a fresh domain against
    1.04–1.42 ms on the calling domain. The calling domain works as one
-   of the [jobs] workers, so [jobs = 1] spawns nothing. *)
+   of the [jobs] workers, so [jobs = 1] spawns nothing.
+
+   [jobs] bounds every domain of the process, not one call's: [running]
+   counts the main domain, each [map] worker and each [on_domain]
+   domain, and a [map] starts only the workers that fit under [jobs]
+   beside them. There is no size threshold: the probe in DESIGN §4 found
+   that whether a core is free decides, not the size of the work. *)
 
 let in_worker_key = Domain.DLS.new_key (fun () -> false)
 let in_worker () = Domain.DLS.get in_worker_key
@@ -59,18 +65,40 @@ let cancel_requested = function
   | None -> false
   | Some c -> Cancel.requested c
 
+(* The domains running now. The main domain is the first. *)
+let running = Atomic.make 1
+
+(* Reserve up to [want] worker domains that fit under [jobs] with those
+   already running; compare-and-set, so concurrent maps never overshoot
+   the budget between them. *)
+let rec reserve ~jobs want =
+  let cur = Atomic.get running in
+  let k = Xmath.imin want (jobs - cur) in
+  if k <= 0 then 0
+  else if Atomic.compare_and_set running cur (cur + k) then k
+  else reserve ~jobs want
+
+let release k = ignore (Atomic.fetch_and_add running (-k))
+
+let on_domain f =
+  Atomic.incr running;
+  Fun.protect
+    ~finally:(fun () -> release 1)
+    (fun () -> Domain.join (Domain.spawn f))
+
 (* Result slots are written by exactly one worker each and read only
    after every worker has been joined, so plain (non-atomic) array
    stores are race-free under the OCaml 5 memory model. *)
 type 'b slot = Empty | Done of 'b
 
-let parallel_map ~jobs ?cancel f items =
+(* [workers] domains are already reserved; the caller releases them. *)
+let parallel_map ~workers ?cancel f items =
   let n = Array.length items in
   let results = Array.make n Empty in
   let lock = Mutex.create () in
   let finished = Condition.create () in
   let next = ref 0 in
-  let live = ref 0 in
+  let live = ref workers in
   let failure = ref None in
   (* [take] hands out input indices; once a failure is recorded it
      returns [None] so workers fail fast instead of draining the rest
@@ -119,11 +147,20 @@ let parallel_map ~jobs ?cancel f items =
     if !live = 0 then Condition.signal finished;
     Mutex.unlock lock
   in
-  let spawned = Xmath.imin jobs n - 1 in
-  live := spawned;
-  let domains = Array.init spawned (fun _ -> Domain.spawn worker) in
-  (* the calling domain is the [jobs]-th worker; flag it so nested maps
-     inside [f] run sequentially here too *)
+  (* A spawn that raises is the map's failure: the workers already
+     started stop at their next take and are joined below, so none is
+     still applying [f] once [map] has raised. *)
+  let domains = ref [] in
+  (try
+     for _ = 1 to workers do
+       domains := Domain.spawn worker :: !domains
+     done
+   with exn ->
+     record exn (Printexc.get_raw_backtrace ());
+     Mutex.protect lock (fun () ->
+         live := !live - (workers - List.length !domains)));
+  (* the calling domain is a worker too; flag it so nested maps inside
+     [f] run sequentially here *)
   let was_worker = Domain.DLS.get in_worker_key in
   Domain.DLS.set in_worker_key true;
   Fun.protect
@@ -134,7 +171,7 @@ let parallel_map ~jobs ?cancel f items =
     Condition.wait finished lock
   done;
   Mutex.unlock lock;
-  Array.iter Domain.join domains;
+  List.iter Domain.join !domains;
   (match !failure with
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ());
@@ -152,10 +189,15 @@ let map ?jobs ?cancel f xs =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
   match xs with
-  | [] -> []
-  | [ _ ] -> seq_map ?cancel f xs
-  | _ when jobs = 1 || in_worker () -> seq_map ?cancel f xs
-  | _ -> parallel_map ~jobs ?cancel f (Array.of_list xs)
+  | [] | [ _ ] -> seq_map ?cancel f xs
+  | _ when in_worker () -> seq_map ?cancel f xs
+  | _ -> (
+    match reserve ~jobs (List.length xs - 1) with
+    | 0 -> seq_map ?cancel f xs
+    | workers ->
+      Fun.protect
+        ~finally:(fun () -> release workers)
+        (fun () -> parallel_map ~workers ?cancel f (Array.of_list xs)))
 
 let iter ?jobs ?cancel f xs = ignore (map ?jobs ?cancel f xs)
 

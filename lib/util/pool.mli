@@ -25,8 +25,16 @@
     domains behind. Calls from inside a worker — e.g.
     a parallel {!Lb_core.Pipeline.certify} cell inside a parallel
     experiment grid — are detected with domain-local storage and run
-    sequentially, so nested maps can never deadlock or oversubscribe the
-    machine. *)
+    sequentially, so nested maps can never deadlock.
+
+    The pool owns every domain the process runs, and one count covers
+    them all: the main domain, each {!map} worker and each {!on_domain}
+    domain. A {!map} called with [jobs] starts only the workers that fit
+    under [jobs] beside the domains already counted, so a [map] inside
+    an {!on_domain} while the main domain runs (a served job beside the
+    listener) adds none at [jobs = 2]. {!on_domain} itself always
+    starts its domain. A domain started other than through this module
+    is not counted. *)
 
 val default_jobs : unit -> int
 (** The job count used when {!map} is called without [?jobs]: the value
@@ -77,13 +85,26 @@ exception Cancelled
     nothing of value is lost. *)
 
 val map : ?jobs:int -> ?cancel:Cancel.t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [List.map f xs], computed by up to [jobs]
-    domains (the calling domain participates as one of the workers).
-    [jobs] defaults to {!default_jobs}; [jobs = 1], an empty or
-    singleton [xs], and calls from inside a pool worker all degrade to a
-    plain sequential [List.map]. [cancel] is polled before each item on
-    both the parallel and sequential paths; see {!Cancelled}. Raises
-    [Invalid_argument] if [jobs < 1]. *)
+(** [map ~jobs f xs] is [List.map f xs], computed by the calling domain
+    and at most [jobs − r] worker domains, where [r] is the number of
+    domains the pool counts as running (1 from a lone main domain, so
+    [jobs − 1] workers there). [jobs] defaults to {!default_jobs}. The
+    workers are reserved atomically, so concurrent maps never start
+    more than the budget between them, and their slots come back when
+    [map] returns or raises. A call granted no worker — [jobs = 1], a
+    full budget, an empty or singleton [xs], or a call from inside a
+    pool worker — is a plain sequential [List.map] on the calling
+    domain. [cancel] is polled before each item on both the parallel
+    and sequential paths; see {!Cancelled}. If spawning a worker raises,
+    the workers already started are joined and [map] re-raises that
+    exception. Raises [Invalid_argument] if [jobs < 1]. *)
+
+val on_domain : (unit -> 'a) -> 'a
+(** [on_domain f] runs [f ()] on a freshly spawned domain, waits for
+    it, and returns its result or re-raises its exception. The domain
+    always starts, whatever the budget, and counts against every {!map}
+    while it runs. Apart from {!map}'s workers, the library and the CLI
+    start every domain through it. *)
 
 val iter : ?jobs:int -> ?cancel:Cancel.t -> ('a -> unit) -> 'a list -> unit
 (** [iter ~jobs f xs] is [ignore (map ~jobs f xs)] without building the

@@ -139,9 +139,10 @@ let test_of_string () =
 
 (* ------------------- packed reader vs the bit loop -------------------- *)
 
-type field = Bits of int * int | Gamma of int | Gamma0 of int
+type field = Bit of bool | Bits of int * int | Gamma of int | Gamma0 of int
 
 let show_field = function
+  | Bit b -> Printf.sprintf "bit %b" b
   | Bits (w, v) -> Printf.sprintf "bits %d:%d" w v
   | Gamma v -> Printf.sprintf "gamma %d" v
   | Gamma0 v -> Printf.sprintf "gamma0 %d" v
@@ -163,11 +164,13 @@ let gen_field =
     ]
 
 let write_field w = function
+  | Bit b -> Bw.bit w b
   | Bits (width, value) -> Bw.bits w ~value ~width
   | Gamma v -> Bw.gamma w v
   | Gamma0 v -> Bw.gamma0 w v
 
 let read_field r = function
+  | Bit _ -> Bool.to_int (Br.bit r)
   | Bits (width, _) -> Br.bits r ~width
   | Gamma _ -> Br.gamma r
   | Gamma0 _ -> Br.gamma0 r
@@ -216,6 +219,72 @@ let packed_agrees_with_bit_loop =
              replay (Br.of_bool_array (Array.sub bools 0 k)) fields
              = replay (Br.of_bytes ~bits:k packed) fields)
            (List.init (total + 1) Fun.id))
+
+(* The writer as it was, one bit per call: the oracle for the writer
+   that shifts in a field at a time. *)
+module Bit_at_a_time = struct
+  type t = { buf : Buffer.t; mutable acc : int; mutable nacc : int }
+
+  let create () = { buf = Buffer.create 64; acc = 0; nacc = 0 }
+
+  let bit t b =
+    t.acc <- (t.acc lsl 1) lor Bool.to_int b;
+    t.nacc <- t.nacc + 1;
+    if t.nacc = 8 then begin
+      Buffer.add_char t.buf (Char.chr t.acc);
+      t.acc <- 0;
+      t.nacc <- 0
+    end
+
+  let bits t ~value ~width =
+    for i = width - 1 downto 0 do
+      bit t ((value lsr i) land 1 = 1)
+    done
+
+  let gamma t n =
+    let k = Lb_util.Xmath.floor_log2 n in
+    for _ = 1 to k do
+      bit t false
+    done;
+    bits t ~value:n ~width:(k + 1)
+
+  let write t = function
+    | Bit b -> bit t b
+    | Bits (width, value) -> bits t ~value ~width
+    | Gamma v -> gamma t v
+    | Gamma0 v -> gamma t (v + 1)
+
+  let length_bits t = (8 * Buffer.length t.buf) + t.nacc
+
+  let to_bytes t =
+    let b = Buffer.create (Buffer.length t.buf + 1) in
+    Buffer.add_buffer b t.buf;
+    if t.nacc > 0 then Buffer.add_char b (Char.chr (t.acc lsl (8 - t.nacc)));
+    Buffer.to_bytes b
+
+  let to_bool_array t =
+    let bytes = to_bytes t in
+    Array.init (length_bits t) (fun i ->
+        (Char.code (Bytes.get bytes (i / 8)) lsr (7 - (i mod 8))) land 1 = 1)
+end
+
+(* single bits, fixed fields up to 62 wide and gamma codes of values
+   up to 2^59, so fields land at every offset in the pending byte and
+   the widest go in as two pieces *)
+let writer_agrees_with_bit_at_a_time =
+  QCheck.Test.make ~name:"writer = bit-at-a-time writer" ~count:500
+    (QCheck.make
+       ~print:(fun fs -> String.concat "; " (List.map show_field fs))
+       QCheck.Gen.(
+         list_size (int_range 0 40)
+           (frequency [ (1, map (fun b -> Bit b) bool); (3, gen_field) ])))
+    (fun fields ->
+      let w = Bw.create () and o = Bit_at_a_time.create () in
+      List.iter (write_field w) fields;
+      List.iter (Bit_at_a_time.write o) fields;
+      Bw.length_bits w = Bit_at_a_time.length_bits o
+      && Bytes.equal (Bw.to_bytes w) (Bit_at_a_time.to_bytes o)
+      && Bw.to_bool_array w = Bit_at_a_time.to_bool_array o)
 
 (* ------------------------------ Key_run ------------------------------ *)
 
@@ -332,6 +401,7 @@ let suite =
     QCheck_alcotest.to_alcotest mixed_roundtrip;
     QCheck_alcotest.to_alcotest bool_array_roundtrip;
     QCheck_alcotest.to_alcotest packed_agrees_with_bit_loop;
+    QCheck_alcotest.to_alcotest writer_agrees_with_bit_at_a_time;
     QCheck_alcotest.to_alcotest zigzag_roundtrip;
     QCheck_alcotest.to_alcotest spill_run_roundtrip;
   ]

@@ -1,7 +1,8 @@
 (* The domain pool behind every parallel sweep: order preservation,
    fail-fast exception propagation, sequential equivalence at jobs=1,
-   nested-map degradation, and — the property the whole engine rests
-   on — parallel certify sweeps equal to sequential ones bit for bit. *)
+   nested-map degradation, the process-wide domain budget, and — the
+   property the whole engine rests on — parallel certify sweeps equal
+   to sequential ones bit for bit. *)
 
 module Pool = Lb_util.Pool
 module P = Lb_core.Permutation
@@ -139,6 +140,91 @@ let map_chunked_equals_map =
       let f x = (x * 31) + 7 in
       Pool.map_chunked ~jobs ~chunk f xs = Pool.map ~jobs f xs)
 
+(* ------------------------- the domain budget ------------------------- *)
+
+let self () = (Domain.self () :> int)
+
+(* A two-item map at jobs=2 from the main domain: each item waits (up to
+   10 s) for the other to start, so both complete only if the map got
+   its worker — that is, only if no earlier call left a slot taken. *)
+let rendezvous_completes () =
+  let started = Atomic.make 0 in
+  let meet _ =
+    Atomic.incr started;
+    let give_up = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < give_up do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get started >= 2
+  in
+  Pool.map ~jobs:2 meet [ 0; 1 ] = [ true; true ]
+
+(* Work (pipeline runs, no clock) until [stop ()] holds, at most 200
+   runs: long enough that a worker the budget should not have granted
+   starts an item meanwhile. *)
+let linger stop =
+  let k = ref 0 in
+  while !k < 200 && not (stop ()) do
+    ignore (Pl.run_checked ya ~n:3 (P.identity 3));
+    incr k
+  done
+
+let test_on_domain_no_worker () =
+  (* the main domain and the job's domain fill a budget of 2, so every
+     item runs on the job's domain, one after another *)
+  let started = Atomic.make 0 in
+  let job, items =
+    Pool.on_domain (fun () ->
+        ( self (),
+          Pool.map ~jobs:2
+            (fun _ ->
+              Atomic.incr started;
+              linger (fun () -> Atomic.get started > 1);
+              self ())
+            (List.init 4 Fun.id) ))
+  in
+  Alcotest.(check bool) "a domain of its own" true (job <> self ());
+  Alcotest.(check (list int))
+    "every item on the job's domain" (List.init 4 (fun _ -> job)) items
+
+let test_main_domain_worker () =
+  Alcotest.(check bool) "two domains meet" true (rendezvous_completes ())
+
+let test_slots_come_back () =
+  (match Pool.map ~jobs:2 (fun _ -> failwith "boom") [ 1; 2 ] with
+  | _ -> Alcotest.fail "map: exception swallowed"
+  | exception Failure _ -> ());
+  let cancel = Pool.Cancel.create () in
+  Pool.Cancel.set cancel;
+  (match Pool.map ~jobs:2 ~cancel succ [ 1; 2 ] with
+  | _ -> Alcotest.fail "map: not cancelled"
+  | exception Pool.Cancelled -> ());
+  (match Pool.on_domain (fun () -> failwith "job") with
+  | _ -> Alcotest.fail "on_domain: exception swallowed"
+  | exception Failure m -> Alcotest.(check string) "re-raised" "job" m);
+  Alcotest.(check bool) "two domains still meet" true (rendezvous_completes ())
+
+let test_on_domain_width () =
+  (* jobs=3 less the main and the job's domain leaves one worker: at
+     most two domains are ever inside [f] *)
+  let inside = Atomic.make 0 and peak = Atomic.make 0 in
+  let rec raise_peak v =
+    let p = Atomic.get peak in
+    if v > p && not (Atomic.compare_and_set peak p v) then raise_peak v
+  in
+  let ys =
+    Pool.on_domain (fun () ->
+        Pool.map ~jobs:3
+          (fun i ->
+            raise_peak (Atomic.fetch_and_add inside 1 + 1);
+            linger (fun () -> Atomic.get inside > 2);
+            Atomic.decr inside;
+            i)
+          (List.init 6 Fun.id))
+  in
+  Alcotest.(check (list int)) "every item" (List.init 6 Fun.id) ys;
+  Alcotest.(check bool) "at most two domains in f" true (Atomic.get peak <= 2)
+
 let certify_parallel_equals_sequential =
   QCheck.Test.make ~name:"parallel certify = sequential certify" ~count:10
     QCheck.(triple (int_range 0 1) (int_range 2 6) (int_range 1 8))
@@ -166,6 +252,13 @@ let suite =
     Alcotest.test_case "chunk_list shapes" `Quick test_chunk_list;
     Alcotest.test_case "map_chunked invalid chunk" `Quick
       test_map_chunked_invalid;
+    Alcotest.test_case "on_domain: map adds no worker" `Quick
+      test_on_domain_no_worker;
+    Alcotest.test_case "main domain: map gets its worker" `Quick
+      test_main_domain_worker;
+    Alcotest.test_case "budget slots come back" `Quick test_slots_come_back;
+    Alcotest.test_case "on_domain: two domains in f" `Quick
+      test_on_domain_width;
     QCheck_alcotest.to_alcotest map_chunked_equals_map;
     QCheck_alcotest.to_alcotest certify_parallel_equals_sequential;
   ]
