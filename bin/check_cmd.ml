@@ -24,10 +24,11 @@ let print_report ~json ~stats ~n ~rounds (algo : Lb_shmem.Algorithm.t)
       (if stats then
          Printf.sprintf
            ", \"stats\": {\"expand_seconds\": %.3f, \"merge_seconds\": %.3f, \
-            \"spill_seconds\": %.3f, \"layers\": %d, \"scan_layers\": %d}"
+            \"spill_seconds\": %.3f, \"layers\": %d, \"scan_layers\": %d, \
+            \"worker_domains\": %d}"
            st.Model_check.expand_seconds st.Model_check.merge_seconds
            st.Model_check.spill_seconds st.Model_check.layers
-           st.Model_check.scan_layers
+           st.Model_check.scan_layers st.Model_check.domains
        else "")
   else begin
     Format.printf
@@ -40,10 +41,10 @@ let print_report ~json ~stats ~n ~rounds (algo : Lb_shmem.Algorithm.t)
     if stats then
       Format.printf
         "  stages: expand %.3fs, merge %.3fs, spill %.3fs over %d layers (%d \
-         scanned the spill runs)@."
+         scanned the spill runs); worker domains started: %d@."
         st.Model_check.expand_seconds st.Model_check.merge_seconds
         st.Model_check.spill_seconds st.Model_check.layers
-        st.Model_check.scan_layers
+        st.Model_check.scan_layers st.Model_check.domains
   end;
   match r.Model_check.verdict with
   | Model_check.Mutex_violation tr

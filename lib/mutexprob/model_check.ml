@@ -15,6 +15,7 @@ type stats = {
   spill_seconds : float;
   layers : int;
   scan_layers : int;
+  domains : int;
 }
 
 type report = {
@@ -148,42 +149,67 @@ let crit_delta = function Step.Enter -> 1 | Step.Exit -> -1 | Step.Try | Step.Re
    steps — coded 0) or only [Got v] (reads, rmw — coded by the value
    read). The cache is a pure function memo: its contents never affect
    results, so sharing it across worker domains under a mutex keeps the
-   exploration deterministic. The advanced process's id is NOT cached
-   here — id resolution happens against a per-layer interner snapshot,
-   with first-seen reprs interned in the sequential patch step. *)
+   exploration deterministic. Lookups read a snapshot first, a copy
+   taken before each parallel expansion and read by every domain
+   without the lock: with two domains taking one mutex for every step,
+   filter n=4's expansion at jobs=2 was no faster than at jobs=1 (six
+   explores: 1.56–1.65 s under the lock, 1.08–1.10 s reading the
+   snapshot, 1.57–1.63 s at jobs=1; 2 vCPUs). The memo stays small
+   (308 entries for filter n=4), so the copy is cheap; only the few
+   transitions first met in a layer take the lock. The advanced
+   process's id is NOT cached here — id resolution happens against a
+   per-layer interner snapshot, with first-seen reprs interned in the
+   sequential patch step. *)
 type memo = {
   mlock : Mutex.t;
   mtbl : (int * int * int, Proc.t * bool * string) Hashtbl.t;
+  mutable msnap : (int * int * int, Proc.t * bool * string) Hashtbl.t;
 }
 
-let memo_create () = { mlock = Mutex.create (); mtbl = Hashtbl.create 1024 }
+let memo_create () =
+  {
+    mlock = Mutex.create ();
+    mtbl = Hashtbl.create 1024;
+    msnap = Hashtbl.create 1;
+  }
 
-let resp_code (action : Step.action) (key : int array) =
-  match action with
-  | Step.Read r | Step.Rmw (r, _) -> Array.unsafe_get key r
-  | Step.Write _ | Step.Crit _ -> 0
+(* Process [i] of [sys] advanced by the response its pending action
+   would receive: the advanced process, whether its local state is
+   unchanged, and its repr. *)
+let transition sys i =
+  let p' = System.advance_proc sys i in
+  (p', not p'.Proc.changed, p'.Proc.repr ())
 
-(* Advance process [i] of [sys], through the memo: returns its pending
-   action, the advanced process, whether the local state is unchanged,
-   and the advanced process's repr. *)
-let step_memo memo sys (key : int array) i pid =
-  let p = sys.System.procs.(i) in
-  let action = p.Proc.pending in
-  let mk = (i, pid, resp_code action key) in
-  Mutex.lock memo.mlock;
-  match Hashtbl.find_opt memo.mtbl mk with
-  | Some (p', stuck, repr) ->
-    Mutex.unlock memo.mlock;
-    (action, p', stuck, repr)
-  | None ->
-    Mutex.unlock memo.mlock;
-    let p' = System.advance_proc sys i in
-    let stuck = not p'.Proc.changed in
-    let repr = p'.Proc.repr () in
+(* [transition sys i] through the memo, whose key codes the response *)
+let memo_transition memo sys i pid code =
+  let mk = (i, pid, code) in
+  match Hashtbl.find_opt memo.msnap mk with
+  | Some v -> v
+  | None -> (
     Mutex.lock memo.mlock;
-    Hashtbl.replace memo.mtbl mk (p', stuck, repr);
-    Mutex.unlock memo.mlock;
-    (action, p', stuck, repr)
+    match Hashtbl.find_opt memo.mtbl mk with
+    | Some v ->
+      Mutex.unlock memo.mlock;
+      v
+    | None ->
+      Mutex.unlock memo.mlock;
+      let v = transition sys i in
+      Mutex.lock memo.mlock;
+      Hashtbl.replace memo.mtbl mk v;
+      Mutex.unlock memo.mlock;
+      v)
+
+(* [transition sys i] for the state packed as [key], through the memo.
+   A read of a register outside the file never indexes [key], whose
+   slots follow the registers: it skips the memo, and
+   [System.advance_proc] raises the system model's rejection. *)
+let step_memo ~nregs memo sys (key : int array) i pid =
+  match System.pending_of sys i with
+  | Step.Read r | Step.Rmw (r, _) ->
+    if r >= 0 && r < nregs then
+      memo_transition memo sys i pid (Array.unsafe_get key r)
+    else transition sys i
+  | Step.Write _ | Step.Crit _ -> memo_transition memo sys i pid 0
 
 (* ------------------------- layer-parallel BFS ------------------------- *)
 
@@ -200,105 +226,112 @@ type entry = {
   ncrit : int;  (** number of processes currently in [Critical] *)
 }
 
-type succ = {
-  step : Step.t;
-  s_sys : System.t;
-  s_key : int array;
+(* A successor as expansion emits it: its packed key, and what is
+   needed to build the rest if it survives dedup. Most do not (filter
+   n=4 generates 477,632 successors for 127,515 states), so only
+   survivors get a [Step.t], in the commit, and a System copy and phase
+   and rem arrays, in the parallel insert stage. Every successor has a
+   global stream position
+
+     pos = (frontier_index * (n + 1)) + 1 + succ_index
+
+   (a deadlocked frontier entry owns position frontier_index * (n + 1)),
+   so positions are totally ordered, unique, and independent of how the
+   layer was chunked across expansion workers. *)
+type cand = {
+  c_pos : int;
+  c_key : int array;
       (** the stepping process's own slot still holds the parent's value
           until the successor repr has been resolved to an id — by the
           expansion worker when the repr is in the layer's interner
           snapshot, else by the sequential patch step *)
-  s_repr : string;  (** advanced process's local-state witness *)
-  s_phase_idx : int;
-  s_rem : int;
-  s_phases : Checker.phase array;
-  s_rems : int array;
-  s_ncrit : int;
-  s_ill : string option;
-      (** [Some detail] when [step] itself breaks the issuing process's
-          critical cycle — reported before dedup, since the malformed
-          target may alias an already-stored legitimate state *)
+  c_parent : entry;
+  c_who : int;  (** the stepping process *)
+  c_proc : Proc.t;  (** [c_who] advanced, from the memo *)
+  c_phase : Checker.phase;  (** [c_who]'s phase after the step *)
+  c_rem : int;  (** [c_who]'s completed sections after the step *)
+  c_ncrit : int;
 }
 
-type expansion =
-  | Deadlocked
-      (** unfinished processes exist but none can ever change state again *)
-  | Succs of { self_loops : int; succs : succ list }
+(* The [Step.t] that took [c]'s parent to [c]. *)
+let cand_step c = Step.step c.c_who (System.pending_of c.c_parent.sys c.c_who)
 
-(* Expand one frontier entry: enumerate the steps of its unfinished
-   processes. Pure — no interning, no shared mutation beyond the memo —
-   so layers can fan out across domains; all verdict decisions and id
-   assignment happen in the sequential stages of the pipeline. A pending
-   read that cannot change the reader's local state is a guaranteed
-   self-loop (reads mutate nothing else), so it is counted as a
-   transition without copying or stepping the system — busy-wait
-   spinning, the bulk of a mutex state space, costs no allocation. *)
-let expand ~rounds ~nregs ~memo entry =
+(* The frontier entry of a surviving candidate, node [idx]. Only a
+   critical step changes the phases, and only [rem] the section
+   counts; other successors share their parent's arrays. *)
+let cand_entry idx c =
+  let p = c.c_parent and who = c.c_who in
+  let phases, rems =
+    match System.pending_of p.sys who with
+    | Step.Crit crit ->
+      let ph = Array.copy p.phases in
+      ph.(who) <- c.c_phase;
+      let rm =
+        if crit = Step.Rem then begin
+          let r = Array.copy p.rems in
+          r.(who) <- c.c_rem;
+          r
+        end
+        else p.rems
+      in
+      (ph, rm)
+    | Step.Read _ | Step.Write _ | Step.Rmw _ -> (p.phases, p.rems)
+  in
+  {
+    idx;
+    sys = System.copy_with p.sys who c.c_proc;
+    key = c.c_key;
+    phases;
+    rems;
+    ncrit = c.c_ncrit;
+  }
+
+(* Expand one frontier entry, the one at stream position [epos]:
+   enumerate the steps of its unfinished processes, calling
+   [emit entry pos who action p' repr] for the successor at position
+   [pos], process [who]'s [action] taking it to [p'], whose repr is
+   [repr]. Returns [None] when the entry is deadlocked (unfinished
+   processes exist but none can ever change state again), else the
+   number of self-loops. No interning and no shared mutation beyond the
+   memo, so layers can fan out across domains; all verdict decisions
+   and id assignment happen in the sequential stages of the pipeline.
+   A pending read that cannot
+   change the reader's local state is a guaranteed self-loop (reads
+   mutate nothing else), so it is counted as a transition without
+   emitting a successor — busy-wait spinning, the bulk of a mutex state
+   space, costs no allocation. *)
+let expand ~rounds ~nregs ~memo ~emit ~epos entry =
   let n = Array.length entry.phases in
   let unfinished = ref [] in
   for i = n - 1 downto 0 do
     if entry.rems.(i) < rounds then begin
       (* process i's interned state id sits in its packed slot *)
       let pid = (entry.key.(nregs + i) / (rounds + 1)) lsr 2 in
-      let action, p', stuck, repr = step_memo memo entry.sys entry.key i pid in
-      unfinished := (i, action, p', stuck, repr) :: !unfinished
+      unfinished :=
+        (i, step_memo ~nregs memo entry.sys entry.key i pid) :: !unfinished
     end
   done;
   let unfinished = !unfinished in
   if
     unfinished <> []
-    && List.for_all (fun (_, _, _, stuck, _) -> stuck) unfinished
-  then Deadlocked
+    && List.for_all (fun (_, (_, stuck, _)) -> stuck) unfinished
+  then None
   else begin
-    let self_loops = ref 0 in
-    let succs =
-      List.filter_map
-        (fun (i, action, p', stuck, repr) ->
-          match action with
-          | Step.Read _ when stuck ->
-            incr self_loops;
-            None
-          | action ->
-            let sys' = System.copy_with entry.sys i p' in
-            let step = Step.step i action in
-            let phases', rems', ncrit', ill =
-              match action with
-              | Step.Crit c -> (
-                match advance_phase entry.phases i c with
-                | Error detail ->
-                  (entry.phases, entry.rems, entry.ncrit, Some detail)
-                | Ok next ->
-                  let ph = Array.copy entry.phases in
-                  ph.(i) <- next;
-                  let rm =
-                    if c = Step.Rem then begin
-                      let r = Array.copy entry.rems in
-                      r.(i) <- r.(i) + 1;
-                      r
-                    end
-                    else entry.rems
-                  in
-                  (ph, rm, entry.ncrit + crit_delta c, None))
-              | Step.Read _ | Step.Write _ | Step.Rmw _ ->
-                (entry.phases, entry.rems, entry.ncrit, None)
-            in
-            let key' = Array.copy entry.key in
-            (match action with
-            | Step.Write (r, _) | Step.Rmw (r, _) ->
-              key'.(r) <- sys'.System.regs.(r)
-            | Step.Read _ | Step.Crit _ -> ());
-            Some
-              { step; s_sys = sys'; s_key = key'; s_repr = repr;
-                s_phase_idx = phase_index phases'.(i); s_rem = rems'.(i);
-                s_phases = phases'; s_rems = rems'; s_ncrit = ncrit';
-                s_ill = ill })
-        unfinished
-    in
-    Succs { self_loops = !self_loops; succs }
+    let self_loops = ref 0 and pos = ref (epos + 1) in
+    List.iter
+      (fun (i, (p', stuck, repr)) ->
+        match System.pending_of entry.sys i with
+        | Step.Read _ when stuck -> incr self_loops
+        | action ->
+          emit entry !pos i action p' repr;
+          incr pos)
+      unfinished;
+    Some !self_loops
   end
 
 (* Below this frontier size a layer is expanded and merged in the
-   calling domain: spawning worker domains costs more than the work. *)
+   calling domain: handing its stages to the team costs more than the
+   work. *)
 let par_threshold = 64
 
 (* ------------------------ memory accounting --------------------------- *)
@@ -333,16 +366,10 @@ let shard_of key = (hash2 key lsr 8) land (nshards - 1)
 
 (* ----------------------- the layer pipeline --------------------------- *)
 
-(* Every successor generated in a layer has a global stream position
-
-     pos = (frontier_index * (n + 1)) + 1 + succ_index
-
-   (a deadlocked frontier entry owns position frontier_index * (n + 1)),
-   so positions are totally ordered, unique, and independent of how the
-   layer was chunked across expansion workers. Verdict events (deadlock,
-   ill-formed step, mutex violation, state bound) are resolved to the
-   smallest position, reproducing the sequential reference's
-   first-in-stream-order semantics at any job count.
+(* Verdict events (deadlock, ill-formed step, mutex violation, state
+   bound) are resolved to the smallest stream position, reproducing the
+   sequential reference's first-in-stream-order semantics at any job
+   count.
 
    Node ids follow the deterministic (shard, shard-local index) schema:
    a layer's surviving candidates are grouped by shard, each shard keeps
@@ -350,17 +377,20 @@ let shard_of key = (hash2 key lsr 8) land (nshards - 1)
    walking shards in index order — so ids, the node log, frontier files
    and per-shard-sorted spill runs are identical at any job count and
    across kill/resume. *)
-type cand = { c_pos : int; c_parent : int; c_sc : succ }
-
 type chunk_out = {
   co_self_loops : int;
   co_succs : int;
   co_buckets : cand list array;  (** per shard, ascending positions *)
-  co_deferred : cand list;
-      (** reprs missing from the layer's interner snapshot; completed
-          sequentially in the patch step, in stream order *)
+  co_deferred : (cand * string) list;
+      (** candidates whose repr (the string) is missing from the layer's
+          interner snapshot; completed sequentially in the patch step, in
+          stream order *)
   co_deadlocks : (int * int) list;  (** (pos, parent idx), ascending *)
-  co_ill : (int * int * succ) list;  (** (pos, parent idx, succ), ascending *)
+  co_ill : (int * int * Step.t * string) list;
+      (** (pos, parent idx, step, detail), ascending: a step that breaks
+          the issuing process's critical cycle — reported before dedup,
+          since the malformed target may alias an already-stored
+          legitimate state *)
 }
 
 (* Per-shard dedup output: the layer's candidate news in stream order.
@@ -386,7 +416,7 @@ let empty_shard_out = { so_news = [||]; so_old = [||]; so_lookup = None }
    [so_old] is marked from them after the join, so the marks do not
    depend on the split. Inside a pool worker, or at [jobs = 1], the
    runs are one group on the calling domain. *)
-let scan_runs ~jobs ~bufs ~dir ~keylen runs souts =
+let scan_runs ~team ~jobs ~bufs ~dir ~keylen runs souts =
   let pending =
     Array.fold_left
       (fun a so ->
@@ -441,7 +471,7 @@ let scan_runs ~jobs ~bufs ~dir ~keylen runs souts =
       groups.(!g) <- run :: groups.(!g);
       load.(!g) <- load.(!g) + count)
     (List.stable_sort (fun (_, a) (_, b) -> compare b a) runs);
-  Lb_util.Pool.map ~jobs scan
+  Lb_util.Pool.Team.map team scan
     (List.init ngroups (fun g -> (bufs.(g), List.rev groups.(g))))
   |> List.iter (List.iter (fun (sh, i) -> souts.(sh).so_old.(i) <- true))
 
@@ -635,9 +665,13 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           spill_seconds = 0.;
           layers = m.Check_spill.c_layer;
           scan_layers = 0;
+          domains = 0;
         };
     }
   | _ ->
+    (* one team for every parallel stage of every layer: its workers
+       start at the first parallel stage and wait between stages *)
+    Lb_util.Pool.scope ~jobs @@ fun team ->
     let interner = Lb_util.Interner.create ~size_hint:1024 () in
     let interner_words = ref 0 in
     let interner_hwm = ref 0 in
@@ -809,41 +843,26 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
       | [] -> empty_shard_out
       | _ ->
         let seen = Ktbl.create 64 in
-        let uniq = ref [] in
+        let tbl = visited.shards.(sh) in
+        let news = ref [] in
         List.iter
           (fun c ->
-            if not (Ktbl.mem seen c.c_sc.s_key) then begin
-              Ktbl.replace seen c.c_sc.s_key ();
-              uniq := c :: !uniq
+            if not (Ktbl.mem seen c.c_key) then begin
+              Ktbl.replace seen c.c_key ();
+              if not (Ktbl.mem tbl c.c_key) then news := c :: !news
             end)
           stream;
-        let uniq = Array.of_list (List.rev !uniq) in
-        let nu = Array.length uniq in
-        let old = Array.make nu false in
-        let tbl = visited.shards.(sh) in
-        if Ktbl.length tbl > 0 then
-          Array.iteri
-            (fun i c -> if Ktbl.mem tbl c.c_sc.s_key then old.(i) <- true)
-            uniq;
-        let news = ref [] in
-        let nn = ref 0 in
-        Array.iteri
-          (fun i c ->
-            if not old.(i) then begin
-              news := c :: !news;
-              incr nn
-            end)
-          uniq;
         let news = Array.of_list (List.rev !news) in
+        let nn = Array.length news in
         let so_lookup =
-          if disk_pending && not visited.complete.(sh) && !nn > 0 then begin
-            let t = Ktbl.create (2 * !nn) in
-            Array.iteri (fun i c -> Ktbl.replace t c.c_sc.s_key i) news;
+          if disk_pending && not visited.complete.(sh) && nn > 0 then begin
+            let t = Ktbl.create (2 * nn) in
+            Array.iteri (fun i c -> Ktbl.replace t c.c_key i) news;
             Some t
           end
           else None
         in
-        { so_news = news; so_old = Array.make !nn false; so_lookup }
+        { so_news = news; so_old = Array.make nn false; so_lookup }
     in
     (* ---- root, or reload the last checkpoint ---- *)
     (match manifest with
@@ -951,14 +970,15 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
         in
         let run_shards f =
           let ids = List.init nshards (fun i -> i) in
-          if big then
-            Lb_util.Pool.map_chunked ~jobs ~chunk:8 f ids
-          else List.map f ids
+          if big then Lb_util.Pool.Team.map team f ids else List.map f ids
         in
         (* phase 1 — parallel expansion over order-preserving chunks;
-           workers resolve reprs against the layer's interner snapshot
-           and bucket completed candidates by shard *)
+           workers emit each successor's key, resolve reprs against the
+           layer's interner snapshot and bucket completed candidates by
+           shard *)
         let snap = Lb_util.Interner.snapshot interner in
+        (* no worker runs between stages, so the copy needs no lock *)
+        if big then memo.msnap <- Hashtbl.copy memo.mtbl;
         let process_chunk (base, ents) =
           let buckets = Array.make nshards [] in
           let deferred = ref [] in
@@ -966,34 +986,52 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           let ills = ref [] in
           let self_loops = ref 0 in
           let nsuccs = ref 0 in
+          (* a candidate for the successor of [entry] at [pos]; the
+             range check stays here, so a write to a missing register is
+             rejected even when its successor would have been a
+             duplicate *)
+          let push entry pos who action p' repr phase rem ncrit =
+            let key = Array.copy entry.key in
+            (match action with
+            | Step.Write (r, v) ->
+              System.check_reg entry.sys r;
+              key.(r) <- v
+            | Step.Rmw (r, op) -> key.(r) <- System.rmw_result key.(r) op
+            | Step.Read _ | Step.Crit _ -> ());
+            let c =
+              { c_pos = pos; c_key = key; c_parent = entry; c_who = who;
+                c_proc = p'; c_phase = phase; c_rem = rem; c_ncrit = ncrit }
+            in
+            match Lb_util.Interner.find snap repr with
+            | Some pid' ->
+              key.(nregs + who) <-
+                encode_slot ~rounds pid' (phase_index phase) rem;
+              let st = shard_of key in
+              buckets.(st) <- c :: buckets.(st)
+            | None -> deferred := (c, repr) :: !deferred
+          in
+          let emit entry pos who action p' repr =
+            incr nsuccs;
+            match action with
+            | Step.Crit crit -> (
+              match advance_phase entry.phases who crit with
+              | Error detail ->
+                ills := (pos, entry.idx, Step.step who action, detail) :: !ills
+              | Ok next ->
+                push entry pos who action p' repr next
+                  (if crit = Step.Rem then entry.rems.(who) + 1
+                   else entry.rems.(who))
+                  (entry.ncrit + crit_delta crit))
+            | Step.Read _ | Step.Write _ | Step.Rmw _ ->
+              push entry pos who action p' repr entry.phases.(who)
+                entry.rems.(who) entry.ncrit
+          in
           List.iteri
             (fun i entry ->
               let epos = (base + i) * stride in
-              match expand ~rounds ~nregs ~memo entry with
-              | Deadlocked -> dls := (epos, entry.idx) :: !dls
-              | Succs { self_loops = sl; succs } ->
-                self_loops := !self_loops + sl;
-                List.iteri
-                  (fun j s ->
-                    incr nsuccs;
-                    let pos = epos + 1 + j in
-                    match s.s_ill with
-                    | Some _ -> ills := (pos, entry.idx, s) :: !ills
-                    | None -> (
-                      match Lb_util.Interner.find snap s.s_repr with
-                      | Some pid' ->
-                        let who = s.step.Step.who in
-                        s.s_key.(nregs + who) <-
-                          encode_slot ~rounds pid' s.s_phase_idx s.s_rem;
-                        let st = shard_of s.s_key in
-                        buckets.(st) <-
-                          { c_pos = pos; c_parent = entry.idx; c_sc = s }
-                          :: buckets.(st)
-                      | None ->
-                        deferred :=
-                          { c_pos = pos; c_parent = entry.idx; c_sc = s }
-                          :: !deferred))
-                  succs)
+              match expand ~rounds ~nregs ~memo ~emit ~epos entry with
+              | None -> dls := (epos, entry.idx) :: !dls
+              | Some sl -> self_loops := !self_loops + sl)
             ents;
           {
             co_self_loops = !self_loops;
@@ -1013,7 +1051,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
                 (fun (b, acc) c -> (b + List.length c, (b, c) :: acc))
                 (0, []) cs
             in
-            Lb_util.Pool.map ~jobs process_chunk (List.rev based)
+            Lb_util.Pool.Team.map team process_chunk (List.rev based)
           end
           else [ process_chunk (0, entries) ]
         in
@@ -1027,13 +1065,11 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           List.iter
             (fun co ->
               List.iter
-                (fun c ->
-                  let s = c.c_sc in
-                  let pid' = intern s.s_repr in
-                  let who = s.step.Step.who in
-                  s.s_key.(nregs + who) <-
-                    encode_slot ~rounds pid' s.s_phase_idx s.s_rem;
-                  let st = shard_of s.s_key in
+                (fun (c, repr) ->
+                  c.c_key.(nregs + c.c_who) <-
+                    encode_slot ~rounds (intern repr) (phase_index c.c_phase)
+                      c.c_rem;
+                  let st = shard_of c.c_key in
                   extras.(st) <- c :: extras.(st))
                 co.co_deferred)
             couts;
@@ -1057,7 +1093,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           if Array.exists (fun so -> so.so_lookup <> None) souts then begin
             let s = Option.get session in
             incr scan_layers;
-            scan_runs ~jobs ~bufs:scan_bufs ~dir:(Check_spill.dir s.sp)
+            scan_runs ~team ~jobs ~bufs:scan_bufs ~dir:(Check_spill.dir s.sp)
               ~keylen s.runs souts
           end;
           List.iter
@@ -1083,10 +1119,10 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
               (fun acc co ->
                 match co.co_ill with
                 | [] -> acc
-                | (p, parent, sc) :: _ -> (
+                | (p, parent, step, detail) :: _ -> (
                   match acc with
-                  | Some (bp, _, _) when bp < p -> acc
-                  | _ -> Some (p, parent, sc)))
+                  | Some (bp, _, _, _) when bp < p -> acc
+                  | _ -> Some (p, parent, step, detail)))
               None couts
           in
           let total_kept =
@@ -1127,7 +1163,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
             (fun so ->
               Array.iteri
                 (fun i c ->
-                  if (not so.so_old.(i)) && c.c_sc.s_ncrit >= 2 then
+                  if (not so.so_old.(i)) && c.c_ncrit >= 2 then
                     match !ev_viol with
                     | Some p when p <= c.c_pos -> ()
                     | _ -> ev_viol := Some c.c_pos)
@@ -1145,19 +1181,22 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           (match bound_pos with Some p -> consider p `Bound | None -> ());
           (match !ev_viol with Some p -> consider p `Viol | None -> ());
           (match ev_ill with
-          | Some (p, parent, sc) -> consider p (`Ill (parent, sc))
+          | Some (p, parent, step, detail) ->
+            consider p (`Ill (parent, step, detail))
           | None -> ());
           (match ev_dl with
           | Some (p, parent) -> consider p (`Dl parent)
           | None -> ());
-          (* commit kept candidates below [limit], walking shards in
-             index order and each shard in stream order — the id
-             schema; the node log is appended in id order *)
+          (* commit kept candidates below [limit] to the node log,
+             walking shards in index order and each shard in stream
+             order — the id schema. Returns the id of the candidate at
+             [viol_pos] and each shard's first id *)
           let commit ~limit ~viol_pos =
             let vgid = ref (-1) in
-            let next = ref [] in
-            Array.iter
-              (fun so ->
+            let first = Array.make nshards 0 in
+            Array.iteri
+              (fun sh so ->
+                first.(sh) <- !states;
                 Array.iteri
                   (fun i c ->
                     if
@@ -1166,20 +1205,13 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
                          | None -> true
                          | Some l -> c.c_pos < l)
                     then begin
-                      let gid = !states in
-                      node_push ~parent:c.c_parent c.c_sc.step;
-                      incr states;
-                      if c.c_pos = viol_pos then vgid := gid;
-                      let s = c.c_sc in
-                      next :=
-                        { idx = gid; sys = s.s_sys; key = s.s_key;
-                          phases = s.s_phases; rems = s.s_rems;
-                          ncrit = s.s_ncrit }
-                        :: !next
+                      if c.c_pos = viol_pos then vgid := !states;
+                      node_push ~parent:c.c_parent.idx (cand_step c);
+                      incr states
                     end)
                   so.so_news)
               souts;
-            (!vgid, List.rev !next)
+            (!vgid, first)
           in
           let layer_run_keys = ref [] in
           (match !ev with
@@ -1187,22 +1219,13 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
             ignore (commit ~limit:(Some p) ~viol_pos:(-1));
             final_node := parent;
             verdict_r := Some (Deadlock (trace_to parent))
-          | Some (p, `Ill (parent, sc)) ->
+          | Some (p, `Ill (parent, step, detail)) ->
             ignore (commit ~limit:(Some p) ~viol_pos:(-1));
             let tr = trace_to parent in
-            Execution.append tr sc.step;
+            Execution.append tr step;
             final_node := parent;
             verdict_r :=
-              Some
-                (Ill_formed
-                   {
-                     trace = tr;
-                     who = sc.step.Step.who;
-                     detail =
-                       (match sc.s_ill with
-                       | Some d -> d
-                       | None -> assert false);
-                   })
+              Some (Ill_formed { trace = tr; who = step.Step.who; detail })
           | Some (p, `Viol) ->
             let vgid, _ = commit ~limit:(Some (p + 1)) ~viol_pos:p in
             final_node := vgid;
@@ -1211,36 +1234,31 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
             ignore (commit ~limit:bound_pos ~viol_pos:(-1));
             verdict_r := Some (Bound_exceeded !states)
           | None ->
-            let _, next = commit ~limit:None ~viol_pos:(-1) in
-            frontier := next;
-            (* phase 6 — resident insertion, parallel per shard; each
-               shard also reports its sorted key array for the spill
-               run *)
+            let _, first = commit ~limit:None ~viol_pos:(-1) in
+            (* phase 6 — parallel per shard: resident insertion, and the
+               survivors' entries, numbered from the shard's first id —
+               the next frontier. With a spill run to write, each shard
+               also reports its keys sorted; nothing else needs them in
+               order *)
+            let spilling = Option.is_some session in
             let per =
               run_shards (fun sh ->
                   let so = souts.(sh) in
-                  let kept = ref 0 in
+                  let next = ref [] and keys = ref [] and id = ref first.(sh) in
                   Array.iteri
-                    (fun i _ -> if not so.so_old.(i) then incr kept)
+                    (fun i c ->
+                      if not so.so_old.(i) then begin
+                        shard_add sh c.c_key;
+                        next := cand_entry !id c :: !next;
+                        incr id;
+                        if spilling then keys := c.c_key :: !keys
+                      end)
                     so.so_news;
-                  if !kept = 0 then [||]
-                  else begin
-                    let keys = Array.make !kept [||] in
-                    let j = ref 0 in
-                    Array.iteri
-                      (fun i c ->
-                        if not so.so_old.(i) then begin
-                          keys.(!j) <- c.c_sc.s_key;
-                          incr j
-                        end)
-                      so.so_news;
-                    Array.sort Lb_bitio.Key_run.compare_keys keys;
-                    Array.iter (shard_add sh) keys;
-                    keys
-                  end)
+                  ( List.rev !next,
+                    List.sort Lb_bitio.Key_run.compare_keys !keys ))
             in
-            if session <> None then
-              layer_run_keys := List.concat_map Array.to_list per);
+            frontier := List.concat_map fst per;
+            if spilling then layer_run_keys := List.concat_map snd per);
           let t_mrg = Unix.gettimeofday () in
           merge_sec := !merge_sec +. (t_mrg -. t_exp);
           match !verdict_r with
@@ -1297,6 +1315,7 @@ let explore ?(rounds = 1) ?(max_states = 200_000) ?jobs ?deadline ?mem_budget
           spill_seconds = !spill_s;
           layers = !layer;
           scan_layers = !scan_layers;
+          domains = Lb_util.Pool.Team.domains team;
         };
     }
 

@@ -37,7 +37,12 @@
     pipeline: successor generation fans out across domains
     ({!Lb_util.Pool}) in order-preserving chunks, and deduplication then
     fans out again, one worker per visited-set shard (each shard owns
-    its candidates in stream order). Every successor carries a global
+    its candidates in stream order). Every parallel stage of every
+    layer runs on one team of worker domains, opened for the whole
+    exploration. Expansion emits only each successor's packed key and
+    what the commit needs to build the rest; the successor's system,
+    phase and section arrays and its step are built only for the
+    states that survive deduplication. Every successor carries a global
     stream position — [(frontier index) * (n+1) + 1 + (successor
     index)] — and verdict events are resolved to the smallest position
     in a sequential epilogue, so the verdict, the state and transition
@@ -126,10 +131,17 @@ type stats = {
           could decide. A count, not a time, and the same at every job
           count; [0] in RAM, and a resumed check counts only the layers
           it ran itself *)
+  domains : int;
+      (** worker domains the exploration started: the team of its one
+          {!Lb_util.Pool.scope}, started at the first parallel stage and
+          running every later one. [0] at [jobs = 1], when no layer
+          reaches the parallel threshold, inside a pool worker, or when
+          the domain budget is full *)
 }
-(** Per-stage timing breakdown ([mutexlb check --stats]); wall-clock
-    figures, so not deterministic — everything else in a {!report}
-    except [seconds] is. *)
+(** Per-stage breakdown ([mutexlb check --stats]). The seconds are
+    wall-clock figures, so not deterministic — everything else in a
+    {!report} except [seconds] is; [domains] depends on the job count
+    and the domain budget, never on the explored graph. *)
 
 type report = {
   verdict : verdict;

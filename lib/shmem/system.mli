@@ -57,6 +57,10 @@ val is_rejection : exn -> bool
     matrix and the mutation campaign count this rejection as the
     detection. *)
 
+val check_reg : t -> Step.reg -> unit
+(** [check_reg t r] returns when [r] is a register of [t] and otherwise
+    raises the rejection {!is_rejection} recognizes. *)
+
 val response_of : t -> Step.action -> Step.response
 (** The response the action would get in the current state, without
     executing it. *)

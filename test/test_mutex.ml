@@ -710,6 +710,62 @@ let test_mc_stats () =
     && st.MC.merge_seconds >= 0.
     && st.MC.spill_seconds >= 0.)
 
+(* One register at n=2; process 0's first step is [bad], process 1
+   reads register 0 until it stops changing. *)
+let bad_access_algo bad =
+  let module S = Proc.Make_spawn (struct
+    type state = int
+
+    let initial ~n:_ ~me:_ = 0
+    let pending ~n:_ ~me k = if me = 0 && k = 0 then bad else Step.Read 0
+    let advance ~n:_ ~me:_ _ _ = 1
+    let repr = string_of_int
+  end) in
+  {
+    Algorithm.name = "bad_access";
+    description = "process 0 steps outside the register file";
+    kind = Algorithm.Uses_rmw;
+    registers = (fun ~n:_ -> [| Register.spec "r0" |]);
+    spawn = S.spawn;
+    max_n = Some 2;
+  }
+
+(* an access outside the register file is the system model's
+   rejection, the invalid_access that chaos and mutate count; a read of
+   register 3, -1 or 100000 once indexed past the packed key instead *)
+let test_mc_rejects_bad_register () =
+  let cases =
+    List.concat_map
+      (fun r -> [ Step.Read r; Step.Rmw (r, Step.Test_and_set) ])
+      [ 3; -1; 100_000; 64; -3 ]
+    @ [ Step.Write (3, 1) ]
+  in
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun jobs ->
+          let label =
+            Format.asprintf "%a at jobs=%d" Step.pp_action bad jobs
+          in
+          match MC.explore (bad_access_algo bad) ~n:2 ~jobs with
+          | _ -> Alcotest.failf "%s: explored" label
+          | exception e when System.is_rejection e -> ()
+          | exception e ->
+            Alcotest.failf "%s: raised %s" label (Printexc.to_string e))
+        [ 1; 2 ])
+    cases
+
+(* the explore's one team: a worker domain from the main domain at
+   jobs=2, none at jobs=1, and none where the budget is full *)
+let test_mc_worker_domains () =
+  let domains jobs =
+    (MC.explore Lb_algos.Filter.algorithm ~n:4 ~jobs).MC.stats.MC.domains
+  in
+  Alcotest.(check int) "jobs=2 from the main domain" 1 (domains 2);
+  Alcotest.(check int) "jobs=1" 0 (domains 1);
+  Alcotest.(check int) "jobs=2 inside on_domain" 0
+    (Lb_util.Pool.on_domain (fun () -> domains 2))
+
 let suite =
   [
     Alcotest.test_case "checker accepts valid" `Quick test_checker_accepts_valid;
@@ -763,4 +819,8 @@ let suite =
     Alcotest.test_case "resume refuses lossy dir" `Quick
       test_mc_resume_refuses_lossy;
     Alcotest.test_case "stage timing breakdown" `Quick test_mc_stats;
+    Alcotest.test_case "rejects a register outside the file" `Quick
+      test_mc_rejects_bad_register;
+    Alcotest.test_case "one worker domain per explore" `Quick
+      test_mc_worker_domains;
   ]

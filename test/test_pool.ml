@@ -1,8 +1,8 @@
 (* The domain pool behind every parallel sweep: order preservation,
    fail-fast exception propagation, sequential equivalence at jobs=1,
-   nested-map degradation, the process-wide domain budget, and — the
-   property the whole engine rests on — parallel certify sweeps equal
-   to sequential ones bit for bit. *)
+   nested-map degradation, the process-wide domain budget, scoped
+   teams, and — the property the whole engine rests on — parallel
+   certify sweeps equal to sequential ones bit for bit. *)
 
 module Pool = Lb_util.Pool
 module P = Lb_core.Permutation
@@ -125,21 +125,6 @@ let test_chunk_list () =
     (Invalid_argument "Pool.chunk_list: size must be >= 1") (fun () ->
       ignore (Pool.chunk_list 0 [ 1 ]))
 
-let test_map_chunked_invalid () =
-  Alcotest.check_raises "chunk=0"
-    (Invalid_argument "Pool.map_chunked: chunk must be >= 1") (fun () ->
-      ignore (Pool.map_chunked ~jobs:2 ~chunk:0 succ [ 1 ]))
-
-let map_chunked_equals_map =
-  (* the property map_chunked exists to satisfy: for every chunk size and
-     job count it is observably Pool.map — same results, same order *)
-  QCheck.Test.make ~name:"Pool.map_chunked = Pool.map" ~count:100
-    QCheck.(
-      triple (int_range 1 9) (int_range 1 5) (small_list small_signed_int))
-    (fun (chunk, jobs, xs) ->
-      let f x = (x * 31) + 7 in
-      Pool.map_chunked ~jobs ~chunk f xs = Pool.map ~jobs f xs)
-
 (* ------------------------- the domain budget ------------------------- *)
 
 let self () = (Domain.self () :> int)
@@ -225,6 +210,106 @@ let test_on_domain_width () =
   Alcotest.(check (list int)) "every item" (List.init 6 Fun.id) ys;
   Alcotest.(check bool) "at most two domains in f" true (Atomic.get peak <= 2)
 
+(* ------------------------------ scopes ------------------------------- *)
+
+let test_scope_sequential_starts_none () =
+  let n =
+    Pool.scope ~jobs:2 (fun t ->
+        Alcotest.(check (list int)) "empty" [] (Pool.Team.map t succ []);
+        Alcotest.(check (list int))
+          "singleton" [ 2 ] (Pool.Team.map t succ [ 1 ]);
+        Pool.Team.domains t)
+  in
+  Alcotest.(check int) "no domain at jobs=2" 0 n;
+  let n =
+    Pool.scope ~jobs:1 (fun t ->
+        Alcotest.(check (list int))
+          "jobs=1" [ 1; 2; 3 ]
+          (Pool.Team.map t succ [ 0; 1; 2 ]);
+        Pool.Team.domains t)
+  in
+  Alcotest.(check int) "no domain at jobs=1" 0 n
+
+(* Each of two items waits (up to 10 s) for the other to start, so one
+   runs on the worker, which then calls [on_worker]; the ids of the
+   domains that ran them. *)
+let rendezvous_domains ?(on_worker = ignore) t =
+  let started = Atomic.make 0 and caller = self () in
+  Pool.Team.map t
+    (fun _ ->
+      Atomic.incr started;
+      let give_up = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get started < 2 && Unix.gettimeofday () < give_up do
+        Domain.cpu_relax ()
+      done;
+      if self () <> caller then on_worker ();
+      self ())
+    [ 0; 1 ]
+
+let test_scope_one_team () =
+  let first, second, n =
+    Pool.scope ~jobs:2 (fun t ->
+        let a = rendezvous_domains t in
+        let b = rendezvous_domains t in
+        (a, b, Pool.Team.domains t))
+  in
+  let worker ds = List.filter (fun d -> d <> self ()) ds in
+  Alcotest.(check int) "one worker" 1 n;
+  Alcotest.(check int) "the first call used it" 1 (List.length (worker first));
+  Alcotest.(check (list int)) "the second call, the same one" (worker first)
+    (worker second)
+
+(* The worker's domain sets [exited] as it ends, so a scope that has
+   joined its worker returns with [exited] set. *)
+let test_scope_joined () =
+  let exited = Atomic.make false in
+  let on_worker () = Domain.at_exit (fun () -> Atomic.set exited true) in
+  let n =
+    Pool.scope ~jobs:2 (fun t ->
+        ignore (rendezvous_domains ~on_worker t);
+        Pool.Team.domains t)
+  in
+  let joined = Atomic.get exited in
+  Alcotest.(check int) "a normal exit" 1 n;
+  Alcotest.(check bool) "its worker was joined" true joined;
+  Alcotest.(check bool) "its slot came back" true (rendezvous_completes ());
+  Atomic.set exited false;
+  (match
+     Pool.scope ~jobs:2 (fun t ->
+         ignore (rendezvous_domains ~on_worker t);
+         failwith "scope")
+   with
+  | _ -> Alcotest.fail "scope: exception swallowed"
+  | exception Failure m -> Alcotest.(check string) "re-raised" "scope" m);
+  Alcotest.(check bool) "its worker was joined after a raise" true
+    (Atomic.get exited);
+  Alcotest.(check bool) "its slot came back after a raise" true
+    (rendezvous_completes ())
+
+let test_scope_nested_sequential () =
+  (* a call from inside a worker, or from the calling domain while it
+     works as one, runs there, one item after another *)
+  let rows =
+    Pool.scope ~jobs:2 (fun t ->
+        Pool.Team.map t
+          (fun _ -> (self (), Pool.Team.map t (fun _ -> self ()) [ 0; 1; 2 ]))
+          (List.init 4 Fun.id))
+  in
+  List.iter
+    (fun (d, inner) ->
+      Alcotest.(check (list int)) "inner items on the outer item's domain"
+        [ d; d; d ] inner)
+    rows
+
+let test_scope_on_domain () =
+  let n =
+    Pool.on_domain (fun () ->
+        Pool.scope ~jobs:2 (fun t ->
+            ignore (Pool.Team.map t succ (List.init 8 Fun.id));
+            Pool.Team.domains t))
+  in
+  Alcotest.(check int) "a full budget starts no domain" 0 n
+
 let certify_parallel_equals_sequential =
   QCheck.Test.make ~name:"parallel certify = sequential certify" ~count:10
     QCheck.(triple (int_range 0 1) (int_range 2 6) (int_range 1 8))
@@ -250,8 +335,6 @@ let suite =
     Alcotest.test_case "default jobs" `Quick test_default_jobs;
     Alcotest.test_case "heavy work correct" `Quick test_heavy_work_correct;
     Alcotest.test_case "chunk_list shapes" `Quick test_chunk_list;
-    Alcotest.test_case "map_chunked invalid chunk" `Quick
-      test_map_chunked_invalid;
     Alcotest.test_case "on_domain: map adds no worker" `Quick
       test_on_domain_no_worker;
     Alcotest.test_case "main domain: map gets its worker" `Quick
@@ -259,6 +342,15 @@ let suite =
     Alcotest.test_case "budget slots come back" `Quick test_slots_come_back;
     Alcotest.test_case "on_domain: two domains in f" `Quick
       test_on_domain_width;
-    QCheck_alcotest.to_alcotest map_chunked_equals_map;
+    Alcotest.test_case "scope: sequential calls start none" `Quick
+      test_scope_sequential_starts_none;
+    Alcotest.test_case "scope: one team for its calls" `Quick
+      test_scope_one_team;
+    Alcotest.test_case "scope: workers joined, slots back" `Quick
+      test_scope_joined;
+    Alcotest.test_case "scope: nested calls sequential" `Quick
+      test_scope_nested_sequential;
+    Alcotest.test_case "scope: on_domain starts none" `Quick
+      test_scope_on_domain;
     QCheck_alcotest.to_alcotest certify_parallel_equals_sequential;
   ]
